@@ -22,8 +22,8 @@ from .word_core import (
     FiniteWord,
     ParikhVector,
     PrefixProfile,
+    _window_weights,
     complement,
-    compute_profile,
     prefix_density,
 )
 
@@ -63,19 +63,14 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     normal. The scan goes length by length, so the first violation has
     minimal length and, within it, minimal starting position.
     """
-    n = len(w)
-    if n == 0:
-        return None
-    sums = w.prefix_sums()
-    for i in range(1, n + 1):
-        window = sums[i:] - sums[: n - i + 1]
-        limit = sums[i]
-        if window.max() > limit:
-            j = int(np.argmax(window > limit))
+    for i, weights in _window_weights(w):
+        limit = weights[0]
+        if weights.max() > limit:
+            j = int(np.argmax(weights > limit))
             return PNViolation(
                 factor_start=j + 1,
                 factor_length=i,
-                factor_ones=int(window[j]),
+                factor_ones=int(weights[j]),
                 prefix_ones=int(limit),
             )
     return None
@@ -108,14 +103,14 @@ def check_stream_prefix_normal(source: PrefixSource, length: int) -> PNViolation
 # -- prefix normal forms and abelian complexity ----------------------------------
 
 
+def _word_with_prefix_weights(weights: tuple[int, ...]) -> FiniteWord:
+    """The word whose length-``i`` prefix has ``weights[i - 1]`` ones."""
+    return FiniteWord(np.diff(weights, prepend=0).astype(np.uint8).tobytes())
+
+
 def pnf1(profile: PrefixProfile) -> FiniteWord:
     """The 1-prefix normal word whose prefix weights equal the max-1s function."""
-    bits = bytearray(profile.length)
-    prev = 0
-    for i, hi in enumerate(profile.max_ones):
-        bits[i] = hi - prev
-        prev = hi
-    return FiniteWord(bits)
+    return _word_with_prefix_weights(profile.max_ones)
 
 
 def pnf0(profile: PrefixProfile) -> FiniteWord:
@@ -123,12 +118,7 @@ def pnf0(profile: PrefixProfile) -> FiniteWord:
 
     Equivalently: the complemented first differences of the max-0s function.
     """
-    bits = bytearray(profile.length)
-    prev = 0
-    for i, lo in enumerate(profile.min_ones):
-        bits[i] = lo - prev
-        prev = lo
-    return FiniteWord(bits)
+    return _word_with_prefix_weights(profile.min_ones)
 
 
 def abelian_complexity(profile: PrefixProfile, n: int) -> int:
@@ -263,10 +253,7 @@ def is_c_balanced(w: FiniteWord, c: int) -> bool:
     """True when any two equal-length factors differ by at most ``c`` 1s."""
     if c < 1:
         raise RangeError("balance constant must be positive")
-    if len(w) == 0:
-        return True
-    profile = compute_profile(w)
-    return all(hi - lo <= c for hi, lo in zip(profile.max_ones, profile.min_ones))
+    return all(weights.max() - weights.min() <= c for _, weights in _window_weights(w))
 
 
 def prepend_ones_bound(profile: PrefixProfile, c: int) -> int:

@@ -13,25 +13,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import analysis, generators, jumbled_index
 from .errors import IndexFormatError, ResourceLimitError
 from .generators import SlopeSpec, WordStream
-from .word_core import FiniteWord, compute_profile
+from .word_core import FiniteWord, PrefixProfile, compute_profile
 
 #: Analysis windows default to this multiple of the requested output length,
 #: so printed normal-form positions sit inside the trusted quarter-window.
 WINDOW_FACTOR = 4
-
-_BUILTIN_NAMES = (
-    "fibonacci",
-    "thue-morse",
-    "paperfolding",
-    "champernowne",
-    "mechanical",
-    "flipext-omega",
-    "lazy-flipext-omega",
-    "density-staircase",
-)
 
 
 class UsageError(Exception):
@@ -68,8 +59,43 @@ def _parse_range(text: str, upper_default: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _required(args: argparse.Namespace, flag: str) -> str:
+    value = getattr(args, flag)
+    if not value:
+        raise UsageError(f"{args.builtin} requires --{flag}")
+    return value
+
+
+def _density_staircase(args: argparse.Namespace) -> WordStream:
+    alpha = _parse_fraction(_required(args, "alpha"))
+    a1 = _parse_fraction(args.a1) if args.a1 else None
+    return generators.aperiodic_density_stream(
+        alpha, generators.geometric_density_sequence(alpha, a1)
+    )
+
+
+#: Builtin word sources by name; each factory reads its parameters from the
+#: parsed arguments and raises UsageError when a required one is missing.
+_BUILTINS = {
+    "fibonacci": lambda args: generators.fibonacci_stream(),
+    "thue-morse": lambda args: generators.thue_morse_stream(),
+    "paperfolding": lambda args: generators.paperfolding_stream(),
+    "champernowne": lambda args: generators.champernowne_stream(),
+    "mechanical": lambda args: generators.mechanical_stream(
+        _parse_slope(_required(args, "slope")),
+        _parse_fraction(args.intercept),
+        upper=bool(args.upper),
+    ),
+    "flipext-omega": lambda args: generators.flipext_stream(FiniteWord(_required(args, "seed"))),
+    "lazy-flipext-omega": lambda args: generators.lazy_alpha_flipext_stream(
+        slope=_parse_slope(_required(args, "slope")), w=FiniteWord(args.seed or "1")
+    ),
+    "density-staircase": _density_staircase,
+}
+
+
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("builtin", nargs="?", choices=_BUILTIN_NAMES, help="builtin word name")
+    parser.add_argument("builtin", nargs="?", choices=_BUILTINS, help="builtin word name")
     parser.add_argument("--word", help="literal bitstring source")
     parser.add_argument("--file", type=Path, help="read the word from a file")
     parser.add_argument("-n", "--length", type=int, help="prefix length to materialize")
@@ -83,44 +109,13 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a1", help="first density of the staircase sequence")
 
 
-def _builtin_stream(args: argparse.Namespace) -> WordStream:
-    name = args.builtin
-    if name == "fibonacci":
-        return generators.fibonacci_stream()
-    if name == "thue-morse":
-        return generators.thue_morse_stream()
-    if name == "paperfolding":
-        return generators.paperfolding_stream()
-    if name == "champernowne":
-        return generators.champernowne_stream()
-    if name == "mechanical":
-        if not args.slope:
-            raise UsageError("mechanical requires --slope")
-        slope = _parse_slope(args.slope)
-        intercept = _parse_fraction(args.intercept)
-        return generators.mechanical_stream(slope, intercept, upper=bool(args.upper))
-    if name == "flipext-omega":
-        if not args.seed:
-            raise UsageError("flipext-omega requires --seed")
-        return generators.flipext_stream(FiniteWord(args.seed))
-    if name == "lazy-flipext-omega":
-        if not args.slope:
-            raise UsageError("lazy-flipext-omega requires --slope")
-        seed = FiniteWord(args.seed or "1")
-        return generators.lazy_alpha_flipext_stream(seed, _parse_slope(args.slope))
-    if name == "density-staircase":
-        if not args.alpha:
-            raise UsageError("density-staircase requires --alpha")
-        alpha = _parse_fraction(args.alpha)
-        a1 = _parse_fraction(args.a1) if args.a1 else None
-        return generators.aperiodic_density_stream(
-            alpha, generators.geometric_density_sequence(alpha, a1)
-        )
-    raise UsageError(f"unknown builtin {name!r}")
+def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
+    """Materialize the single word source (builtin, literal, or file).
 
-
-def _resolve_word(args: argparse.Namespace, default_length: int | None = None) -> FiniteWord:
-    """Materialize the single word source (builtin, literal, or file)."""
+    With ``widen``, a builtin is materialized over its analysis window:
+    ``WINDOW_FACTOR`` times the requested length unless --window says
+    otherwise, and never shorter than the requested length.
+    """
     sources = [s for s in (args.builtin, args.word, args.file) if s is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
@@ -136,10 +131,12 @@ def _resolve_word(args: argparse.Namespace, default_length: int | None = None) -
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
             word = word[: args.length]
         return word
-    length = args.length if args.length is not None else default_length
+    length = args.length
     if length is None:
         raise UsageError("builtin sources require -n/--length")
-    return _builtin_stream(args).prefix(length)
+    if widen:
+        length = max(args.window or WINDOW_FACTOR * length, length)
+    return _BUILTINS[args.builtin](args).prefix(length)
 
 
 def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
@@ -176,28 +173,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _profile_for_output(args: argparse.Namespace, word: FiniteWord):
-    """Profile over a widened analysis window, truncated to the output length.
+def _profile_for_output(args: argparse.Namespace) -> tuple[FiniteWord, PrefixProfile, int]:
+    """The output word, its profile over a widened analysis window, and the
+    length up to which that profile is trusted.
 
-    Builtin sources are materialized ``WINDOW_FACTOR`` times longer than the
-    printed length (overridable via --window) so every printed position lies
-    in the trusted quarter of the window; literal words are their own window.
+    Builtin sources are materialized once, ``WINDOW_FACTOR`` times longer
+    than the printed length (overridable via --window), so every printed
+    position lies in the trusted quarter of the window; the output word is
+    the window's prefix. Literal words are their own window.
     """
-    out_len = len(word)
-    if args.builtin is not None:
-        window = max(args.window or WINDOW_FACTOR * args.length, args.length)
-        wide = _apply_prepend(
-            _builtin_stream(args).prefix(window), getattr(args, "prepend_ones", None)
-        )
-    else:
-        wide = word
+    window = _resolve_word(args, widen=True)
+    wide = _apply_prepend(window, getattr(args, "prepend_ones", None))
+    # a literal is printed whole; a builtin up to -n symbols after the prepended ones
+    out_len = len(wide) if args.builtin is None else len(wide) - len(window) + args.length
     reliable = analysis.reliable_pnf_window(len(wide))
-    return compute_profile(wide).truncated(out_len), reliable
+    return wide[:out_len], compute_profile(wide).truncated(out_len), reliable
 
 
 def _cmd_pnf(args: argparse.Namespace) -> int:
-    word = _apply_prepend(_resolve_word(args), args.prepend_ones)
-    profile, reliable = _profile_for_output(args, word)
+    _, profile, reliable = _profile_for_output(args)
     _emit(args, f"{analysis.pnf1(profile)}\n{analysis.pnf0(profile)}")
     if reliable < profile.length:
         note = f"positions beyond {reliable} may change with a longer analysis window"
@@ -262,21 +256,15 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    word = _resolve_word(args)
-    sums = word.prefix_sums()
-    rows = []
     if args.pnf:
-        profile, _ = _profile_for_output(args, word)
-        p1 = analysis.pnf1(profile).prefix_sums()
-        p0 = analysis.pnf0(profile).prefix_sums()
-        for n in range(len(word) + 1):
-            rows.append(
-                f"{n}\t{2 * int(sums[n]) - n}\t{2 * int(p1[n]) - n}\t{2 * int(p0[n]) - n}"
-            )
+        word, profile, _ = _profile_for_output(args)
+        words = (word, analysis.pnf1(profile), analysis.pnf0(profile))
     else:
-        for n in range(len(word) + 1):
-            rows.append(f"{n}\t{2 * int(sums[n]) - n}")
-    _emit(args, "\n".join(rows))
+        words = (_resolve_word(args),)
+    steps = np.arange(len(words[0]) + 1)
+    # one row per prefix length: the length, then ones minus zeros of each word
+    table = np.column_stack([steps] + [2 * w.prefix_sums() - steps for w in words])
+    _emit(args, "\n".join("\t".join(map(str, row)) for row in table.tolist()))
     return 0
 
 
@@ -346,16 +334,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, IndexFormatError) as exc:
+    except (OSError, IndexFormatError, UnicodeDecodeError) as exc:
+        # before the exit-2 arm: both format errors are ValueError subclasses
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+    except (UsageError, ResourceLimitError, ValueError, IndexError) as exc:
         # library precondition failures surface as usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -250,6 +250,22 @@ class PrefixProfile:
         )
 
 
+def _window_weights(w: FiniteWord) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, weights)`` for each factor length ``i = 1..len(w)``.
+
+    ``weights[j]`` is the number of 1s in the length-``i`` factor starting at
+    0-based position ``j``, taken as the prefix-sum difference
+    ``P[j + i] - P[j]``; in particular ``weights[0]`` is the prefix weight.
+    This is the single quadratic scan behind every factor statistic.
+    Consumers must not keep a yielded array past the next step, so that the
+    kernel is free to reuse one buffer.
+    """
+    sums = w.prefix_sums()
+    n = len(w)
+    for i in range(1, n + 1):
+        yield i, sums[i:] - sums[: n - i + 1]
+
+
 def compute_profile(w: FiniteWord) -> PrefixProfile:
     """Factor statistics of ``w`` via a sliding window per length.
 
@@ -260,11 +276,9 @@ def compute_profile(w: FiniteWord) -> PrefixProfile:
     n = len(w)
     if n == 0:
         raise InvalidInputError("cannot profile the empty word")
-    sums = w.prefix_sums()
     maxs = np.empty(n, dtype=np.int64)
     mins = np.empty(n, dtype=np.int64)
-    for i in range(1, n + 1):
-        window = sums[i:] - sums[: n - i + 1]
-        maxs[i - 1] = window.max()
-        mins[i - 1] = window.min()
+    for i, weights in _window_weights(w):
+        maxs[i - 1] = weights.max()
+        mins[i - 1] = weights.min()
     return PrefixProfile(length=n, max_ones=tuple(maxs.tolist()), min_ones=tuple(mins.tolist()))

@@ -35,6 +35,19 @@ def brute_is_prefix_normal(text: str) -> bool:
     return True
 
 
+def brute_first_violation(text: str) -> tuple[int, int, int, int] | None:
+    """First factor with more 1s than the same-length prefix, as
+    ``(start, length, factor_ones, prefix_ones)`` with a 1-based start:
+    minimal length first, then minimal start; None for prefix normal words."""
+    for i in range(1, len(text) + 1):
+        prefix_ones = text[:i].count("1")
+        for j in range(len(text) - i + 1):
+            ones = text[j : j + i].count("1")
+            if ones > prefix_ones:
+                return j + 1, i, ones, prefix_ones
+    return None
+
+
 def brute_abelian_complexity(text: str, n: int) -> int:
     return len({text[j : j + n].count("1") for j in range(len(text) - n + 1)})
 

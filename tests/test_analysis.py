@@ -49,9 +49,11 @@ from prefixnormal.generators import (
 
 from oracles import (
     brute_abelian_complexity,
+    brute_first_violation,
     brute_is_prefix_normal,
     brute_min_density,
     brute_min_density_ultimately_periodic,
+    brute_profile,
 )
 
 words = st.text(alphabet="01", min_size=0, max_size=48).map(FiniteWord)
@@ -104,10 +106,21 @@ class TestPrefixNormalChecks:
                 text = format(value, f"0{n}b")
                 assert is_prefix_normal_1(FiniteWord(text)) == brute_is_prefix_normal(text), text
 
+    def test_exhaustive_witness_up_to_length_12(self):
+        for n in range(1, 13):
+            for value in range(1 << n):
+                text = format(value, f"0{n}b")
+                violation = find_violation_1(FiniteWord(text))
+                witness = None if violation is None else (
+                    violation.factor_start,
+                    violation.factor_length,
+                    violation.factor_ones,
+                    violation.prefix_ones,
+                )
+                assert witness == brute_first_violation(text), text
+
     def test_exhaustive_oracle_equivalence_to_length_16(self):
         # one pass checks both the profile arrays and the normality verdict
-        from oracles import brute_profile
-
         for n in range(11, 17):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
@@ -392,6 +405,21 @@ class TestBalanceAndPrepending:
 
     def test_unbalanced_example(self):
         assert not is_c_balanced(FiniteWord("1100"), 1)
+
+    def test_empty_word_and_constant_validation(self):
+        assert is_c_balanced(FiniteWord(""), 1)
+        with pytest.raises(RangeError):
+            is_c_balanced(FiniteWord("01"), 0)
+
+    def test_exhaustive_against_profile_spread_up_to_length_12(self):
+        for n in range(1, 13):
+            for value in range(1 << n):
+                text = format(value, f"0{n}b")
+                maxs, mins = brute_profile(text)
+                spread = max(hi - lo for hi, lo in zip(maxs, mins))
+                word = FiniteWord(text)
+                for c in (1, 2, 3):
+                    assert is_c_balanced(word, c) == (spread <= c), (text, c)
 
     def test_prepend_bound_thue_morse(self):
         profile = compute_profile(morphic_fixpoint(THUE_MORSE_MORPHISM, 1024))

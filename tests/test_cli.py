@@ -105,6 +105,12 @@ class TestCheck:
         )
         assert code == 0 and out.strip() == "NORMAL"
 
+    def test_non_utf8_file_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"\xff\xfe0101\n")
+        code, out, err = run_cli(["check", "--file", str(path)], capsys=capsys)
+        assert code == 3 and out == "" and "decode" in err
+
     def test_zero_flavour(self, capsys):
         code, out, _ = run_cli(["check", "--word", "0010", "--zero"], capsys=capsys)
         assert code == 0
