@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, generators, jumbled_index
-from .errors import IndexFormatError, ResourceLimitError
+from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
 from .generators import SlopeSpec, WordStream
 from .word_core import FiniteWord, PrefixProfile, compute_profile
 
@@ -27,6 +27,10 @@ WINDOW_FACTOR = 4
 
 class UsageError(Exception):
     """Raised for bad parameter combinations; mapped to exit code 2."""
+
+
+class WordFileError(Exception):
+    """Raised for a --file that holds no binary word; mapped to exit code 3."""
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -122,10 +126,12 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     if args.word is not None or args.file is not None:
         if args.file is not None:
             text = args.file.read_text().splitlines()
-            literal = text[0].strip() if text else ""
+            try:
+                word = FiniteWord(text[0].strip() if text else "")
+            except InvalidInputError as exc:
+                raise WordFileError(f"{args.file}: {exc}") from exc
         else:
-            literal = args.word
-        word = FiniteWord(literal)
+            word = FiniteWord(args.word)
         if args.length is not None:
             if args.length > len(word):
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
@@ -334,7 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, IndexFormatError, UnicodeDecodeError) as exc:
+    except (OSError, IndexFormatError, UnicodeDecodeError, WordFileError) as exc:
         # before the exit-2 arm: both format errors are ValueError subclasses
         print(f"error: {exc}", file=sys.stderr)
         return 3

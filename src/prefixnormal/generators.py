@@ -8,6 +8,10 @@ and the staged aperiodic construction hitting a prescribed minimum density.
 Slope arithmetic never touches floating point: floors, ceilings, and order
 comparisons of ``(a + b*sqrt(d))/c`` are decided by integer squaring with sign
 case analysis (``math.isqrt`` supplies the exact integer square root).
+
+Producers yield blocks of symbols (bytes or lazy runs) rather than one symbol
+at a time: a rational slope tiles one period, a quadratic slope concatenates
+standard words, and the extension operators append whole runs ``0^k 1``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ from .word_core import FiniteWord
 
 #: Hard cap on materialized prefix length; a desk-scale guardrail.
 MATERIALIZE_CAP = 1 << 26
+
+#: Largest radicand ``d`` accepted in ``(a + b*sqrt(d))/c``. Reducing ``d``
+#: to its square-free part trial-divides up to ``sqrt(d)``: about 0.03 s per
+#: value at this limit on one Xeon core, and hours for a 21-digit radicand.
+MAX_RADICAND = 10**10
+
+#: Symbols computed per block of a rational period; a long period is built
+#: only as far as it is read.
+PERIOD_CHUNK = 4096
 
 
 def _floor_times_sqrt(b: int, d: int) -> int:
@@ -81,6 +94,8 @@ class QuadraticIrrational:
             raise InvalidInputError("b = 0 denotes a rational; use Fraction instead")
         if d < 2:
             raise InvalidInputError("radicand must be at least 2")
+        if d > MAX_RADICAND:
+            raise ResourceLimitError(f"radicand {d} exceeds the limit {MAX_RADICAND}")
         b, d = _strip_square_factors(b, d)
         if d == 1:
             raise InvalidInputError("radicand is a perfect square; value is rational")
@@ -222,19 +237,6 @@ class SlopeSpec:
             return (diff > 0) - (diff < 0)
         return self.value._cmp(other)
 
-    def _affine(self, n: int, intercept: Fraction):
-        if n == 0:
-            return Fraction(intercept)
-        return self.value * n + intercept
-
-    def floor_affine(self, n: int, intercept: Fraction = Fraction(0)) -> int:
-        """Exact ``floor(slope * n + intercept)``."""
-        return math.floor(self._affine(n, intercept))
-
-    def ceil_affine(self, n: int, intercept: Fraction = Fraction(0)) -> int:
-        """Exact ``ceil(slope * n + intercept)``."""
-        return math.ceil(self._affine(n, intercept))
-
     def floor_inverse_times(self, m: int) -> int:
         """Exact ``floor(m / slope)`` for ``m >= 0`` and a positive slope."""
         if m == 0:
@@ -285,6 +287,11 @@ class WordStream:
         return FiniteWord(self._buf[:n])
 
 
+def _block_stream(blocks: Iterable[Iterable[int]]) -> WordStream:
+    """A stream of the concatenated ``blocks``, each an iterable of symbols."""
+    return WordStream(itertools.chain.from_iterable(blocks))
+
+
 # -- mechanical words ----------------------------------------------------------
 
 
@@ -297,24 +304,64 @@ def _validate_mechanical_params(slope: SlopeSpec, intercept: Fraction) -> None:
         raise UnsupportedParameterError("irrational slopes support intercept 0 only")
 
 
-def _mechanical_symbols(slope: SlopeSpec, intercept: Fraction, upper: bool) -> Iterator[int]:
-    at = slope.ceil_affine if upper else slope.floor_affine
-    prev = at(0, intercept)
-    n = 1
+def _rational_period(slope: Fraction, intercept: Fraction, upper: bool) -> Iterator[bytes]:
+    """One period of the mechanical word of a rational slope, in chunks.
+
+    Over the common denominator ``den`` of ``slope = p/q`` and the intercept,
+    symbol ``i`` is ``f(i + 1) - f(i)`` with ``f(i) = (step*i + offset) // den``;
+    the ceiling adds ``den - 1`` to ``offset``. Since ``f(i + q) = f(i) + p``,
+    the first ``q`` symbols repeat forever.
+    """
+    q = slope.denominator
+    den = math.lcm(q, intercept.denominator)
+    step = slope.numerator * (den // q)
+    offset = intercept.numerator * (den // intercept.denominator) + (den - 1 if upper else 0)
+    for start in range(0, q, PERIOD_CHUNK):
+        stop = min(start + PERIOD_CHUNK, q)
+        floors = [(step * i + offset) // den for i in range(start, stop + 1)]
+        yield bytes(b - a for a, b in zip(floors, floors[1:]))
+
+
+def _partial_quotients(alpha: QuadraticIrrational) -> Iterator[int]:
+    """The partial quotients ``d_1, d_2, ...`` of ``alpha = [0; d_1, d_2, ...]`` in (0, 1)."""
     while True:
-        cur = at(n, intercept)
-        yield cur - prev
-        prev = cur
-        n += 1
+        alpha = alpha.reciprocal()
+        d = math.floor(alpha)
+        yield d
+        alpha = alpha - d
+
+
+def _characteristic_blocks(alpha: QuadraticIrrational) -> Iterator[bytes]:
+    """The characteristic word of ``alpha`` in (0, 1), block by block.
+
+    The standard words ``s_{-1} = 1``, ``s_0 = 0``, ``s_1 = s_0^(d_1 - 1) s_{-1}``
+    and ``s_{k+1} = s_k^(d_{k+1}) s_{k-1}`` are prefixes of one another and of
+    the characteristic word (Lothaire, *Algebraic Combinatorics on Words*,
+    ch. 2). Each step yields the new suffix ``s_k^(d - 1) s_{k-1}`` one copy
+    of ``s_k`` at a time, so a huge partial quotient costs only what is read.
+    """
+    word, prev, cur = b"", b"\x01", b"\x00"  # emitted so far, s_{k-1}, s_k
+    for d in _partial_quotients(alpha):
+        yield from itertools.repeat(cur, d - 1)
+        yield prev
+        prev, cur = cur, b"".join((word, cur * (d - 1), prev))
+        word = cur
 
 
 def mechanical_stream(
     slope: SlopeSpec, intercept: Fraction = Fraction(0), upper: bool = False
 ) -> WordStream:
-    """Stream form of :func:`mechanical_lower` / :func:`mechanical_upper`."""
+    """Stream form of :func:`mechanical_lower` / :func:`mechanical_upper`.
+
+    A rational slope tiles one period; an irrational one (intercept 0) is
+    ``0`` (lower) or ``1`` (upper) followed by the characteristic word.
+    """
     intercept = Fraction(intercept)
     _validate_mechanical_params(slope, intercept)
-    return WordStream(_mechanical_symbols(slope, intercept, upper))
+    if slope.is_rational:
+        return _block_stream(itertools.cycle(_rational_period(slope.value, intercept, upper)))
+    first = b"\x01" if upper else b"\x00"
+    return _block_stream(itertools.chain((first,), _characteristic_blocks(slope.value)))
 
 
 def mechanical_lower(slope: SlopeSpec, intercept: Fraction, n: int) -> FiniteWord:
@@ -337,9 +384,7 @@ def characteristic_stream(slope: SlopeSpec) -> WordStream:
         raise UnsupportedParameterError("characteristic word requires an irrational slope")
     if slope.compare(0) <= 0 or slope.compare(1) >= 0:
         raise RangeError("slope must lie strictly inside (0, 1)")
-    gen = _mechanical_symbols(slope, Fraction(0), upper=True)
-    next(gen)
-    return WordStream(gen)
+    return _block_stream(_characteristic_blocks(slope.value))
 
 
 def characteristic_word(slope: SlopeSpec, n: int) -> FiniteWord:
@@ -468,15 +513,22 @@ class _FlipextEngine:
     """Grows a prefix-normal word by repeatedly appending a minimal run of 0s and a 1.
 
     The appended run length is the smallest that keeps the word prefix normal.
-    Only factors ending at the freshly appended 1 can violate normality, which
-    yields a closed form: with ``S(l)`` the weight of the length-``l`` suffix
-    and ``pos(t)`` the position of the ``t``-th 1, the run must satisfy
-    ``k >= pos(1 + S(l)) - l - 1`` for every ``l < n``.
+    Only factors ending at the freshly appended 1 can violate normality: a
+    length-``l`` suffix of weight ``t`` followed by ``0^k 1`` must not beat the
+    prefix, so ``k >= p_{t+1} - l - 1`` over the 1-based positions
+    ``p_1 = 1 < ... < p_W`` of the 1s. For each ``t`` the shortest such suffix
+    starts at the ``t``-th last 1, ``l = n + 1 - p_{W+1-t}``, which leaves
+    ``k = max(0, max over 1 <= t < W of p_{t+1} + p_{W+1-t} - n - 2)``. The
+    positions are an append-only array with amortised doubling, so a step
+    adds two views of it and rebuilds nothing.
     """
 
     def __init__(self, seed: FiniteWord):
         self._bits = bytearray(bytes(seed))
-        self._one_positions = [i + 1 for i, bit in enumerate(self._bits) if bit]
+        ones = np.flatnonzero(np.frombuffer(bytes(seed), dtype=np.uint8)) + 1
+        self._weight = len(ones)
+        self._positions = np.zeros(2 * len(ones) + 2, dtype=np.int64)  # p_t at index t
+        self._positions[1 : len(ones) + 1] = ones
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -485,24 +537,20 @@ class _FlipextEngine:
         return FiniteWord(self._bits[:n])
 
     def min_zero_run(self) -> int:
-        bits = self._bits
-        n = len(bits)
-        if n == 1:
+        w, p = self._weight, self._positions
+        if w < 2:
             return 0
-        sums = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(bytes(bits), dtype=np.uint8), out=sums[1:])
-        suffix_weight = sums[n] - sums[1:n][::-1]  # index l-1 <-> suffix length l
-        positions = np.zeros(len(self._one_positions) + 1, dtype=np.int64)
-        positions[1:] = self._one_positions
-        needed = positions[suffix_weight + 1] - np.arange(2, n + 1)
-        return max(0, int(needed.max()))
+        return max(0, int((p[2 : w + 1] + p[w:1:-1]).max()) - len(self._bits) - 2)
 
     def step(self) -> int:
         k = self.min_zero_run()
-        n = len(self._bits)
-        self._bits.extend(b"\x00" * k)
+        self._bits += bytes(k)
         self._bits.append(1)
-        self._one_positions.append(n + k + 1)
+        self._weight += 1
+        if self._weight == len(self._positions):
+            # entries past the weight are never read before being written
+            self._positions = np.resize(self._positions, 2 * self._weight)
+        self._positions[self._weight] = len(self._bits)
         return k
 
     def extend_to(self, n: int) -> None:
@@ -518,19 +566,17 @@ def flipext(w: FiniteWord) -> FiniteWord:
     return engine.word_prefix(len(engine))
 
 
-def _flipext_symbols(w: FiniteWord) -> Iterator[int]:
+def _flipext_blocks(w: FiniteWord) -> Iterator[bytes]:
     engine = _FlipextEngine(w)
-    yield from iter(w)
+    yield bytes(w)
     while True:
-        k = engine.step()
-        yield from itertools.repeat(0, k)
-        yield 1
+        yield bytes(engine.step()) + b"\x01"
 
 
 def flipext_stream(w: FiniteWord) -> WordStream:
     """The limit of iterating :func:`flipext`; every prefix is prefix normal."""
     _require_prefix_normal_seed(w)
-    return WordStream(_flipext_symbols(w))
+    return _block_stream(_flipext_blocks(w))
 
 
 def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
@@ -556,13 +602,20 @@ def lazy_alpha_flipext(w: FiniteWord, slope: SlopeSpec) -> FiniteWord:
     return w + FiniteWord.zeros(k) + FiniteWord.ones(1)
 
 
-def _lazy_flipext_symbols(w: FiniteWord, slope: SlopeSpec) -> Iterator[int]:
-    yield from iter(w)
+def _lazy_flipext_blocks(w: FiniteWord, slope: SlopeSpec) -> Iterator[Iterable[int]]:
+    # Each run is _lazy_zero_run with 1/slope = (a + b*sqrt(d))/c worked out
+    # once (b = 0 for a rational slope): one integer floor per appended 1.
+    if slope.is_rational:
+        a, b, c, d = slope.value.denominator, 0, slope.value.numerator, 0
+    else:
+        inverse = slope.value.reciprocal()
+        a, b, c, d = inverse.a, inverse.b, inverse.c, inverse.d
+    yield bytes(w)
     weight, length = w.weight, len(w)
     while True:
-        k = _lazy_zero_run(weight, length, slope)
-        yield from itertools.repeat(0, k)
-        yield 1
+        k = (weight * a + _floor_times_sqrt(weight * b, d)) // c - length
+        yield itertools.repeat(0, k)
+        yield b"\x01"
         weight += 1
         length += k + 1
 
@@ -574,7 +627,7 @@ def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
     mechanical word of the same slope with intercept 0.
     """
     _validate_lazy_seed(w, slope)
-    return WordStream(_lazy_flipext_symbols(w, slope))
+    return _block_stream(_lazy_flipext_blocks(w, slope))
 
 
 # -- staged aperiodic construction with prescribed minimum density ---------------
@@ -672,13 +725,11 @@ def density_stages(target: TargetLike, densities: Iterable[Fraction], count: int
     return list(itertools.islice(_density_stages(target, densities), count))
 
 
-def _staged_density_symbols(target: TargetLike, densities: Iterable[Fraction]) -> Iterator[int]:
+def _staged_density_blocks(target: TargetLike, densities: Iterable[Fraction]) -> Iterator[bytes]:
     emitted = 0
     for stage in _density_stages(target, densities):
-        word = stage.word
-        for i in range(emitted, len(word)):
-            yield word[i]
-        emitted = len(word)
+        yield bytes(stage.word)[emitted:]
+        emitted = len(stage.word)
 
 
 def aperiodic_density_stream(target: TargetLike, densities: Iterable[Fraction]) -> WordStream:
@@ -689,4 +740,4 @@ def aperiodic_density_stream(target: TargetLike, densities: Iterable[Fraction]) 
     emitted prefix is prefix normal, and the appended runs of 0s have strictly
     increasing lengths, which witnesses aperiodicity.
     """
-    return WordStream(_staged_density_symbols(target, densities))
+    return _block_stream(_staged_density_blocks(target, densities))

@@ -1,12 +1,18 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here enumerates factors by slicing; nothing shares code with the
-library's sliding-window or closed-form paths.
+The factor statistics enumerate factors by slicing; nothing shares code with
+the library's sliding-window or closed-form paths. The word producers are the
+library's former one-symbol-at-a-time generators: an exact floor per mechanical
+symbol, one slope reciprocal per lazy extension, and a flipext step that
+rebuilds its prefix sums from scratch.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def factor_one_counts(text: str) -> dict[int, set[int]]:
@@ -86,3 +92,49 @@ def brute_min_density_ultimately_periodic(preperiod: str, period: str) -> Fracti
             # strictly decreasing toward the period density (limit not attained)
             values.append(Fraction(per_ones, per_len))
     return min(values)
+
+
+def mechanical_symbols(slope, intercept: Fraction, n: int, upper: bool) -> bytes:
+    """First ``n`` symbols of a mechanical word, one exact floor (or ceiling)
+    of ``slope * i + intercept`` per symbol; ``slope`` is a ``SlopeSpec``."""
+    rounding = math.ceil if upper else math.floor
+
+    def at(i: int) -> int:
+        return rounding(Fraction(intercept) if i == 0 else slope.value * i + intercept)
+
+    return bytes(at(i + 1) - at(i) for i in range(n))
+
+
+def lazy_flipext_symbols(seed: str, slope, n: int) -> bytes:
+    """First ``n`` symbols of the lazy flipext^omega of ``seed``: after a
+    weight-``m`` prefix of length ``L`` comes ``0^(floor(m / slope) - L) 1``."""
+    out = bytearray(int(ch) for ch in seed)
+    weight = out.count(1)
+    while len(out) < n:
+        out.extend(bytes(slope.floor_inverse_times(weight) - len(out)))
+        out.append(1)
+        weight += 1
+    return bytes(out[:n])
+
+
+def rebuild_min_zero_run(bits: bytes) -> int:
+    """Least ``k`` such that ``bits + 0^k 1`` stays prefix normal, from prefix
+    sums and one-positions rebuilt for this call: a length-``l`` suffix of
+    weight ``S(l)`` needs ``k >= pos(1 + S(l)) - l - 1`` for every ``l < n``."""
+    n = len(bits)
+    if n == 1:
+        return 0
+    symbols = np.frombuffer(bits, dtype=np.uint8)
+    sums = np.cumsum(symbols)  # sums[i] = weight of the first i + 1 symbols
+    suffix_weight = sums[-1] - sums[n - 2 :: -1]  # index l-1 <-> suffix length l
+    zero_based = np.flatnonzero(symbols)  # pos(t + 1) - 1 at index t
+    return max(0, int((zero_based[suffix_weight] - np.arange(1, n)).max()))
+
+
+def flipext_symbols(seed: str, n: int) -> bytes:
+    """First ``n`` symbols of flipext^omega of ``seed``, one rebuild per step."""
+    out = bytearray(int(ch) for ch in seed)
+    while len(out) < n:
+        out.extend(bytes(rebuild_min_zero_run(bytes(out))))
+        out.append(1)
+    return bytes(out[:n])

@@ -88,6 +88,13 @@ class TestGenerate:
         )
         assert code == 0 and out.strip() == "111111"
 
+    def test_huge_radicand_is_resource_limit(self, capsys):
+        slope = "(-1+1*sqrt(100000000000000000003))/10000000000"
+        code, out, err = run_cli(
+            ["generate", "mechanical", "--slope", slope, "-n", "5"], capsys=capsys
+        )
+        assert code == 2 and out == "" and "radicand" in err
+
 
 class TestCheck:
     def test_normal(self, capsys):
@@ -110,6 +117,16 @@ class TestCheck:
         path.write_bytes(b"\xff\xfe0101\n")
         code, out, err = run_cli(["check", "--file", str(path)], capsys=capsys)
         assert code == 3 and out == "" and "decode" in err
+
+    def test_non_binary_file_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("0110x\n")
+        code, out, err = run_cli(["check", "--file", str(path)], capsys=capsys)
+        assert code == 3 and out == "" and "not a binary word" in err
+
+    def test_non_binary_word_is_usage_error(self, capsys):
+        code, out, err = run_cli(["check", "--word", "0110x"], capsys=capsys)
+        assert code == 2 and out == "" and "not a binary word" in err
 
     def test_zero_flavour(self, capsys):
         code, out, _ = run_cli(["check", "--word", "0010", "--zero"], capsys=capsys)

@@ -1,7 +1,10 @@
 """Unit tests for slopes, streams, classic words, and the extension operators."""
 
+import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from prefixnormal import (
     aperiodic_density_stream,
     champernowne,
     champernowne_stream,
+    characteristic_stream,
     characteristic_word,
     complement,
     density_stages,
@@ -45,8 +49,23 @@ from prefixnormal import (
     thue_morse_stream,
 )
 from prefixnormal.analysis import find_violation_1, is_prefix_normal_1
+from prefixnormal.generators import MAX_RADICAND, PERIOD_CHUNK, _FlipextEngine
+
+import oracles
 
 GOLDEN_CONJUGATE = SlopeSpec.quadratic(-1, 1, 2, 5)  # (sqrt(5) - 1) / 2
+#: The (sqrt(d) - 1)/c slopes of the generate-exact benchmark workload.
+BENCHMARK_SLOPES = [
+    SlopeSpec.quadratic(-1, 1, c, d)
+    for d, c in ((2, 1), (5, 3), (7, 4), (10, 5), (11, 6), (13, 6), (14, 7), (15, 7))
+]
+#: Every prefix normal word of length at most 10 that contains a 1.
+PREFIX_NORMAL_SEEDS = [
+    text
+    for n in range(1, 11)
+    for text in map("".join, itertools.product("01", repeat=n))
+    if text[0] == "1" and is_prefix_normal_1(FiniteWord(text))
+]
 
 
 class TestQuadraticIrrational:
@@ -447,3 +466,117 @@ class TestStagedDensityConstruction:
             next(geometric_density_sequence(Fraction(3, 2)))
         with pytest.raises(InvalidInputError):
             next(geometric_density_sequence(Fraction(1, 2), Fraction(1, 3)))
+
+
+@st.composite
+def rational_mechanical_cases(draw):
+    q = draw(st.integers(1, 500))
+    v = draw(st.integers(1, 500))
+    slope = SlopeSpec.rational(draw(st.integers(0, q)), q)
+    intercept = Fraction(draw(st.integers(0, v - 1)), v)
+    return slope, intercept, draw(st.integers(0, 3 * q))
+
+
+@st.composite
+def lazy_flipext_cases(draw):
+    seed = draw(st.sampled_from(PREFIX_NORMAL_SEEDS))
+    # any slope in (0, delta] is admissible; scale delta down, times an
+    # irrational factor below 1 for the quadratic cases
+    scaled = min_density(FiniteWord(seed)).delta * Fraction(draw(st.integers(1, 20)), 20)
+    base = draw(st.sampled_from([None, SQRT2_SLOPE, FIBONACCI_SLOPE, GOLDEN_CONJUGATE]))
+    slope = SlopeSpec(scaled if base is None else base.value * scaled)
+    return seed, slope, draw(st.integers(len(seed), 1500))
+
+
+class TestBlockProducersAgainstOracles:
+    """The block producers against the former one-symbol-at-a-time code."""
+
+    @given(rational_mechanical_cases(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rational_period_tiling(self, case, upper):
+        slope, intercept, n = case
+        got = mechanical_stream(slope, intercept, upper).prefix(n)
+        assert bytes(got) == oracles.mechanical_symbols(slope, intercept, n, upper)
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_period_longer_than_a_chunk(self, upper):
+        q = 2 * PERIOD_CHUNK + 11
+        slope, intercept, n = SlopeSpec.rational(PERIOD_CHUNK - 1, q), Fraction(5, 7), 2 * q + 3
+        got = mechanical_stream(slope, intercept, upper).prefix(n)
+        assert bytes(got) == oracles.mechanical_symbols(slope, intercept, n, upper)
+
+    @pytest.mark.parametrize(
+        "slope", [FIBONACCI_SLOPE, SQRT2_SLOPE, GOLDEN_CONJUGATE, *BENCHMARK_SLOPES], ids=str
+    )
+    def test_quadratic_standard_words(self, slope):
+        n = 2000
+        upper = oracles.mechanical_symbols(slope, 0, n + 1, upper=True)
+        assert bytes(mechanical_upper(slope, 0, n)) == upper[:n]
+        assert bytes(mechanical_lower(slope, 0, n)) == oracles.mechanical_symbols(slope, 0, n, False)
+        assert bytes(characteristic_word(slope, n)) == upper[1:]
+
+    @given(
+        st.integers(-60, 60),
+        st.integers(-20, 20).filter(bool),
+        st.integers(1, 60),
+        st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_quadratic_slopes(self, a, b, c, d, upper):
+        value = QuadraticIrrational(a, b, c, d)
+        slope = SlopeSpec(value - math.floor(value))  # irrational, so strictly inside (0, 1)
+        got = mechanical_stream(slope, 0, upper).prefix(400)
+        assert bytes(got) == oracles.mechanical_symbols(slope, 0, 400, upper)
+
+    @given(lazy_flipext_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_flipext(self, case):
+        seed, slope, n = case
+        got = lazy_alpha_flipext_stream(FiniteWord(seed), slope).prefix(n)
+        assert bytes(got) == oracles.lazy_flipext_symbols(seed, slope, n)
+
+    def test_flipext_engine_from_every_short_seed(self):
+        for seed in PREFIX_NORMAL_SEEDS:
+            engine = _FlipextEngine(FiniteWord(seed))
+            engine.extend_to(2000)
+            assert bytes(engine.word_prefix(2000)) == oracles.flipext_symbols(seed, 2000), seed
+
+
+#: First partial quotient about 2.4e12: its standard words can never be built.
+TINY_SLOPE = "(-1+1*sqrt(2))/1000000000000"
+
+
+class TestBoundedWork:
+    """Huge periods and partial quotients cost only the symbols that are read."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mechanical_stream(SlopeSpec.rational(1, 10**12)),
+            lambda: mechanical_stream(SlopeSpec.parse(TINY_SLOPE)),
+            lambda: mechanical_stream(SlopeSpec.parse(TINY_SLOPE), upper=True),
+            lambda: characteristic_stream(SlopeSpec.parse(TINY_SLOPE)),
+            lambda: lazy_alpha_flipext_stream(FiniteWord("1"), SlopeSpec.parse(TINY_SLOPE)),
+        ],
+        ids=["rational-1e12", "quadratic-lower", "quadratic-upper", "characteristic", "lazy-flipext"],
+    )
+    def test_short_prefix_is_cheap(self, make):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            word = make().prefix(10)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 10 and word.weight <= 1
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_radicand_limit(self):
+        assert SlopeSpec.quadratic(-1, 1, 10**5, MAX_RADICAND - 1).compare(0) > 0
+        with pytest.raises(ResourceLimitError):
+            SlopeSpec.parse("(-1+1*sqrt(100000000000000000003))/10000000000")
+        with pytest.raises(ResourceLimitError):
+            QuadraticIrrational(0, 1, 1, MAX_RADICAND + 1)
