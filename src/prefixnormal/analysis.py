@@ -24,7 +24,6 @@ from .word_core import (
     PrefixProfile,
     _window_weights,
     complement,
-    prefix_density,
 )
 
 
@@ -143,10 +142,16 @@ def format_parikh_set(vectors: set[ParikhVector]) -> str:
     return " ".join(f"({v.zeros},{v.ones})" for v in ordered)
 
 
+#: Profile-derived statistics of a finite prefix are trusted up to this
+#: fraction of its length, so analysis windows are this many times longer
+#: than the printed output.
+WINDOW_FACTOR = 4
+
+
 def reliable_pnf_window(window_length: int) -> int:
     """Heuristic bound up to which profile-derived statistics of a finite
     prefix are trusted to match the underlying infinite word."""
-    return window_length // 4
+    return window_length // WINDOW_FACTOR
 
 
 # -- minimum density --------------------------------------------------------------
@@ -241,9 +246,7 @@ def min_density_up(w: UltimatelyPeriodicWord) -> Fraction:
     ``len(preperiod) + len(period)`` prefixes. The result is always rational.
     """
     head = len(w.preperiod) + len(w.period)
-    lead = w.prefix(head)
-    best = min(prefix_density(lead, i) for i in range(1, head + 1))
-    return min(best, w.period_density())
+    return min(min_density(w.prefix(head)).delta, w.period_density())
 
 
 # -- balance and prepending ------------------------------------------------------

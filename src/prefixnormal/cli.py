@@ -16,13 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, generators, jumbled_index
+from .analysis import WINDOW_FACTOR
 from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
 from .generators import SlopeSpec, WordStream
 from .word_core import FiniteWord, PrefixProfile, compute_profile
-
-#: Analysis windows default to this multiple of the requested output length,
-#: so printed normal-form positions sit inside the trusted quarter-window.
-WINDOW_FACTOR = 4
 
 
 class UsageError(Exception):
@@ -41,13 +38,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse rational {text!r}") from exc
-
-
-def _parse_slope(text: str) -> SlopeSpec:
-    try:
-        return SlopeSpec.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _parse_range(text: str, upper_default: int) -> tuple[int, int]:
@@ -86,13 +76,13 @@ _BUILTINS = {
     "paperfolding": lambda args: generators.paperfolding_stream(),
     "champernowne": lambda args: generators.champernowne_stream(),
     "mechanical": lambda args: generators.mechanical_stream(
-        _parse_slope(_required(args, "slope")),
+        SlopeSpec.parse(_required(args, "slope")),
         _parse_fraction(args.intercept),
         upper=bool(args.upper),
     ),
     "flipext-omega": lambda args: generators.flipext_stream(FiniteWord(_required(args, "seed"))),
     "lazy-flipext-omega": lambda args: generators.lazy_alpha_flipext_stream(
-        slope=_parse_slope(_required(args, "slope")), w=FiniteWord(args.seed or "1")
+        slope=SlopeSpec.parse(_required(args, "slope")), w=FiniteWord(args.seed or "1")
     ),
     "density-staircase": _density_staircase,
 }

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from .analysis import find_violation_1, min_density
 from .errors import (
     InvalidInputError,
     RangeError,
@@ -99,9 +100,12 @@ class QuadraticIrrational:
         b, d = _strip_square_factors(b, d)
         if d == 1:
             raise InvalidInputError("radicand is a perfect square; value is rational")
+        self._normalize(a, b, c, d)
+
+    def _normalize(self, a: int, b: int, c: int, d: int) -> None:
         if c < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
+        g = math.gcd(a, b, c)
         self.a = a // g
         self.b = b // g
         self.c = c // g
@@ -110,7 +114,11 @@ class QuadraticIrrational:
     # -- arithmetic -----------------------------------------------------------
 
     def _with(self, a: int, b: int, c: int) -> "QuadraticIrrational":
-        return QuadraticIrrational(a, b, c, self.d)
+        """``(a + b*sqrt(d))/c`` over this value's radicand, which is already
+        square-free; callers guarantee ``b != 0`` and ``c != 0``."""
+        value = object.__new__(QuadraticIrrational)
+        value._normalize(a, b, c, self.d)
+        return value
 
     def __neg__(self) -> "QuadraticIrrational":
         return self._with(-self.a, -self.b, self.c)
@@ -138,8 +146,8 @@ class QuadraticIrrational:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "QuadraticIrrational":
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadraticIrrational(self.c * self.a, -self.c * self.b, norm, self.d)
+        norm = self.a * self.a - self.b * self.b * self.d  # non-zero: d is not a square
+        return self._with(self.c * self.a, -self.c * self.b, norm)
 
     def __floor__(self) -> int:
         return (self.a + _floor_times_sqrt(self.b, self.d)) // self.c
@@ -181,9 +189,6 @@ class QuadraticIrrational:
 
     def __hash__(self) -> int:
         return hash((QuadraticIrrational, self.a, self.b, self.c, self.d))
-
-    def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def __str__(self) -> str:
         return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
@@ -237,13 +242,18 @@ class SlopeSpec:
             return (diff > 0) - (diff < 0)
         return self.value._cmp(other)
 
+    def _inverse_terms(self) -> tuple[int, int, int, int]:
+        """``1/slope`` as ``(a, b, c, d)`` meaning ``(a + b*sqrt(d))/c``; ``b = 0``
+        for a rational slope. The slope must be positive."""
+        if self.is_rational:
+            return self.value.denominator, 0, self.value.numerator, 0
+        inverse = self.value.reciprocal()
+        return inverse.a, inverse.b, inverse.c, inverse.d
+
     def floor_inverse_times(self, m: int) -> int:
         """Exact ``floor(m / slope)`` for ``m >= 0`` and a positive slope."""
-        if m == 0:
-            return 0
-        if self.is_rational:
-            return m * self.value.denominator // self.value.numerator
-        return math.floor(self.value.reciprocal() * m)
+        a, b, c, d = self._inverse_terms()
+        return (m * a + _floor_times_sqrt(m * b, d)) // c
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -500,8 +510,6 @@ def champernowne(n: int) -> FiniteWord:
 
 
 def _require_prefix_normal_seed(w: FiniteWord) -> None:
-    from .analysis import find_violation_1  # deferred: analysis builds on this module's types
-
     if w.weight == 0:
         raise InvalidInputError("seed must contain at least one 1")
     violation = find_violation_1(w)
@@ -580,8 +588,6 @@ def flipext_stream(w: FiniteWord) -> WordStream:
 
 
 def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
-    from .analysis import min_density
-
     if slope.compare(0) <= 0 or slope.compare(1) > 0:
         raise RangeError("slope must lie in (0, 1]")
     _require_prefix_normal_seed(w)
@@ -589,27 +595,19 @@ def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
         raise InvalidInputError("seed minimum density is below the slope")
 
 
-def _lazy_zero_run(weight: int, length: int, slope: SlopeSpec) -> int:
-    # Largest k with weight / (length + k) >= slope; never negative because
-    # the current density already meets the slope.
-    return slope.floor_inverse_times(weight) - length
-
-
 def lazy_alpha_flipext(w: FiniteWord, slope: SlopeSpec) -> FiniteWord:
     """Extend by ``0^k 1`` with the maximal ``k`` keeping the minimum density at or above ``slope``."""
     _validate_lazy_seed(w, slope)
-    k = _lazy_zero_run(w.weight, len(w), slope)
+    # Largest k with weight / (length + k) >= slope; never negative because
+    # the current density already meets the slope.
+    k = slope.floor_inverse_times(w.weight) - len(w)
     return w + FiniteWord.zeros(k) + FiniteWord.ones(1)
 
 
 def _lazy_flipext_blocks(w: FiniteWord, slope: SlopeSpec) -> Iterator[Iterable[int]]:
-    # Each run is _lazy_zero_run with 1/slope = (a + b*sqrt(d))/c worked out
-    # once (b = 0 for a rational slope): one integer floor per appended 1.
-    if slope.is_rational:
-        a, b, c, d = slope.value.denominator, 0, slope.value.numerator, 0
-    else:
-        inverse = slope.value.reciprocal()
-        a, b, c, d = inverse.a, inverse.b, inverse.c, inverse.d
+    # Each run is lazy_alpha_flipext's, with floor_inverse_times inlined over
+    # 1/slope worked out once: one integer floor per appended 1.
+    a, b, c, d = slope._inverse_terms()
     yield bytes(w)
     weight, length = w.weight, len(w)
     while True:
@@ -647,15 +645,6 @@ class DensityStage:
 TargetLike = Union[SlopeSpec, Fraction, QuadraticIrrational]
 
 
-def _target_compare(target: TargetLike, value: Fraction) -> int:
-    if isinstance(target, SlopeSpec):
-        return target.compare(value)
-    if isinstance(target, QuadraticIrrational):
-        return target._cmp(value)
-    diff = Fraction(target) - value
-    return (diff > 0) - (diff < 0)
-
-
 def geometric_density_sequence(alpha: Fraction, a1: Fraction | None = None) -> Iterator[Fraction]:
     """Default density sequence ``alpha + (a1 - alpha) / 2**(i-1)`` for a rational target.
 
@@ -676,6 +665,8 @@ def geometric_density_sequence(alpha: Fraction, a1: Fraction | None = None) -> I
 
 
 def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterator[DensityStage]:
+    if not isinstance(target, SlopeSpec):
+        target = SlopeSpec(target if isinstance(target, QuadraticIrrational) else Fraction(target))
     it = iter(densities)
     previous: Fraction | None = None
 
@@ -689,7 +680,7 @@ def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterat
             raise InvalidInputError(f"density a_{index} must lie in (0, 1)")
         if previous is not None and value >= previous:
             raise InvalidInputError(f"density sequence must be strictly decreasing at a_{index}")
-        if _target_compare(target, value) >= 0:
+        if target.compare(value) >= 0:
             raise InvalidInputError(f"density a_{index} must stay above the target")
         previous = value
         return value

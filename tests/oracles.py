@@ -107,11 +107,17 @@ def mechanical_symbols(slope, intercept: Fraction, n: int, upper: bool) -> bytes
 
 def lazy_flipext_symbols(seed: str, slope, n: int) -> bytes:
     """First ``n`` symbols of the lazy flipext^omega of ``seed``: after a
-    weight-``m`` prefix of length ``L`` comes ``0^(floor(m / slope) - L) 1``."""
+    weight-``m`` prefix of length ``L`` comes ``0^(floor(m / slope) - L) 1``,
+    with ``floor(m / slope)`` taken afresh for every run."""
+    value = slope.value
     out = bytearray(int(ch) for ch in seed)
     weight = out.count(1)
     while len(out) < n:
-        out.extend(bytes(slope.floor_inverse_times(weight) - len(out)))
+        if slope.is_rational:
+            run_end = weight * value.denominator // value.numerator
+        else:
+            run_end = math.floor(value.reciprocal() * weight)
+        out.extend(bytes(run_end - len(out)))
         out.append(1)
         weight += 1
     return bytes(out[:n])

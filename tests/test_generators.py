@@ -48,6 +48,7 @@ from prefixnormal import (
     prefix_density,
     thue_morse_stream,
 )
+from prefixnormal import generators
 from prefixnormal.analysis import find_violation_1, is_prefix_normal_1
 from prefixnormal.generators import MAX_RADICAND, PERIOD_CHUNK, _FlipextEngine
 
@@ -133,6 +134,23 @@ class TestQuadraticIrrational:
         m = math.floor(value)
         assert value > Fraction(m) and value < Fraction(m + 1)
         assert math.ceil(value) == m + 1
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(-50, 50).filter(bool),
+        st.integers(1, 30),
+        st.sampled_from([2, 3, 8, 12, 18, 50]),
+        st.integers(-100, 100),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=200)
+    def test_derived_values_match_the_constructor(self, a, b, c, d, p, q):
+        value = QuadraticIrrational(a, b, c, d)
+        a, b, c, d = value.a, value.b, value.c, value.d
+        assert value + Fraction(p, q) == QuadraticIrrational(a * q + p * c, b * q, c * q, d)
+        assert value.reciprocal() == QuadraticIrrational(c * a, -c * b, a * a - b * b * d, d)
+        if p:
+            assert value * Fraction(p, q) == QuadraticIrrational(a * p, b * p, c * q, d)
 
     def test_floor_against_high_precision_oracle(self):
         mpmath = pytest.importorskip("mpmath")
@@ -444,9 +462,12 @@ class TestStagedDensityConstruction:
     def test_irrational_target(self):
         # upper convergents of sqrt(2) - 1, strictly decreasing toward it
         seq = [Fraction(1, 2), Fraction(5, 12), Fraction(29, 70), Fraction(169, 408)]
-        stages = density_stages(SQRT2_SLOPE, seq, 4)
-        for stage, a in zip(stages, seq):
-            assert min_density(stage.word).delta >= a
+        for target in (SQRT2_SLOPE, SQRT2_SLOPE.value):
+            stages = density_stages(target, seq, 4)
+            for stage, a in zip(stages, seq):
+                assert min_density(stage.word).delta >= a
+            with pytest.raises(InvalidInputError):
+                density_stages(target, [Fraction(2, 5)], 1)  # below sqrt(2) - 1
 
     def test_sequence_validation(self):
         with pytest.raises(InvalidInputError):
@@ -573,6 +594,25 @@ class TestBoundedWork:
         assert len(word) == 10 and word.weight <= 1
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    def test_radicand_reduced_once(self, monkeypatch):
+        calls = []
+        strip = generators._strip_square_factors
+
+        def counted(b, d):
+            calls.append(d)
+            return strip(b, d)
+
+        monkeypatch.setattr(generators, "_strip_square_factors", counted)
+        slope = SlopeSpec.parse("(-1+1*sqrt(9999999967))/100000")  # a prime radicand
+        assert len(calls) == 1
+        for stream in (
+            mechanical_stream(slope),
+            characteristic_stream(slope),
+            lazy_alpha_flipext_stream(FiniteWord("1"), slope),
+        ):
+            stream.prefix(100_000)
+        assert len(calls) == 1
 
     def test_radicand_limit(self):
         assert SlopeSpec.quadratic(-1, 1, 10**5, MAX_RADICAND - 1).compare(0) > 0
