@@ -1,5 +1,7 @@
 """Generate, analyze, and index binary words with respect to prefix normality."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     IndexFormatError,
     InvalidInputError,
@@ -82,4 +84,4 @@ from .jumbled_index import JumbledIndex, build_index, deserialize, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

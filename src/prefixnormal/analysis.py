@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -301,34 +300,30 @@ def is_prenecklace_prefix(w: FiniteWord) -> bool:
     return all(text[i:] <= text[: n - i] for i in range(1, n))
 
 
-@lru_cache(maxsize=64)
-def _suffix_starts_descending(w: FiniteWord) -> tuple[int, ...]:
-    text = str(w)
-    return tuple(sorted(range(len(text)), key=lambda j: text[j:], reverse=True))
-
-
-def _extreme_factor(w: FiniteWord, n: int, greatest: bool) -> FiniteWord:
+def _greatest_factor(w: FiniteWord, n: int) -> FiniteWord:
+    """A window starting inside a run of 1s loses to the window at the run's
+    start, and a window with fewer leading 1s loses outright, so only the run
+    starts with the most leading 1s, ``min(run length, n)``, are compared. If
+    no window starts with a 1, the last window is the greatest. Both public
+    extremes call this, so neither one runs inside the other."""
     if not 1 <= n <= len(w):
         raise RangeError(f"factor length {n} out of range 1..{len(w)}")
-    order = _suffix_starts_descending(w)
-    last = len(w) - n
-    starts = order if greatest else reversed(order)
-    for j in starts:
-        if j <= last:
-            return w[j : j + n]
-    raise AssertionError("unreachable: some window always exists")
+    raw, last = bytes(w), len(w) - n
+    edges = np.diff(np.frombuffer(raw, dtype=np.int8), prepend=0, append=0)  # signed: run ends are -1
+    starts = np.flatnonzero(edges == 1)
+    keep = starts <= last
+    starts, lead = starts[keep], np.minimum(np.flatnonzero(edges == -1) - starts, n)[keep]
+    if not starts.size:
+        return w[last:]
+    j = max(starts[lead == lead.max()].tolist(), key=lambda j: raw[j : j + n])
+    return w[j : j + n]
 
 
 def max_word(w: FiniteWord, n: int) -> FiniteWord:
-    """Lexicographically greatest length-``n`` factor of ``w``.
-
-    The greatest factor is the length-``n`` prefix of the greatest suffix
-    long enough to provide a full window, so one suffix ordering answers
-    every length.
-    """
-    return _extreme_factor(w, n, greatest=True)
+    """Lexicographically greatest length-``n`` factor of ``w``."""
+    return _greatest_factor(w, n)
 
 
 def min_word(w: FiniteWord, n: int) -> FiniteWord:
-    """Lexicographically smallest length-``n`` factor of ``w``."""
-    return _extreme_factor(w, n, greatest=False)
+    """Lexicographically smallest length-``n`` factor of ``w``, by complement duality."""
+    return complement(_greatest_factor(complement(w), n))

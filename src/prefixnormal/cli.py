@@ -113,6 +113,8 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     sources = [s for s in (args.builtin, args.word, args.file) if s is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
+    if args.length is not None and args.length < 0:
+        raise UsageError("prefix length must be non-negative")
     if args.word is not None or args.file is not None:
         if args.file is not None:
             text = args.file.read_text().splitlines()
@@ -131,7 +133,7 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     if length is None:
         raise UsageError("builtin sources require -n/--length")
     if widen:
-        length = max(args.window or WINDOW_FACTOR * length, length)
+        length = max(WINDOW_FACTOR * length if args.window is None else args.window, length)
     return _BUILTINS[args.builtin](args).prefix(length)
 
 

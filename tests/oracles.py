@@ -54,6 +54,12 @@ def brute_first_violation(text: str) -> tuple[int, int, int, int] | None:
     return None
 
 
+def brute_extreme_factors(text: str, n: int) -> tuple[str, str]:
+    """Lexicographically greatest and least length-``n`` factors, by slicing."""
+    windows = [text[j : j + n] for j in range(len(text) - n + 1)]
+    return max(windows), min(windows)
+
+
 def brute_abelian_complexity(text: str, n: int) -> int:
     return len({text[j : j + n].count("1") for j in range(len(text) - n + 1)})
 

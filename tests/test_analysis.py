@@ -1,6 +1,8 @@
 """Unit tests for normality checks, normal forms, densities, and lex order."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,7 @@ from prefixnormal.generators import (
 
 from oracles import (
     brute_abelian_complexity,
+    brute_extreme_factors,
     brute_first_violation,
     brute_is_prefix_normal,
     brute_min_density,
@@ -494,6 +497,48 @@ class TestLexOrderOperations:
         windows = [text[j : j + n] for j in range(len(text) - n + 1)]
         assert str(max_word(w, n)) == max(windows)
         assert str(min_word(w, n)) == min(windows)
+
+    def test_extremes_exhaustive_short_words(self):
+        for length in range(1, 11):
+            for bits in itertools.product("01", repeat=length):
+                text = "".join(bits)
+                w = FiniteWord(text)
+                for n in range(1, length + 1):
+                    assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(text, n)
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "prefix-normal", "thue-morse", "fibonacci", "alternating", "ones-then-zeros"]
+    )
+    def test_extremes_match_enumeration_long(self, kind):
+        rng = random.Random(kind)
+        length = rng.randrange(2000, 4001)
+        random_text = "".join(rng.choice("01") for _ in range(length))
+        make = {
+            "random": lambda: random_text,
+            "prefix-normal": lambda: str(pnf1(compute_profile(FiniteWord(random_text)))),
+            "thue-morse": lambda: str(thue_morse_stream().prefix(length)),
+            "fibonacci": lambda: str(fibonacci_stream().prefix(length)),
+            "alternating": lambda: "01" * (length // 2),
+            "ones-then-zeros": lambda: "1" * (length // 2) + "0" * (length // 2),
+        }
+        text = make[kind]()
+        w, size = FiniteWord(text), len(text)
+        run = max(len(r) for r in text.split("0"))
+        for n in sorted({1, 7, max(run - 1, 1), run, run + 1, size // 2, size}):
+            assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(text, n), n
+
+    def test_extremes_use_linear_memory(self):
+        rng = random.Random(16)
+        w = FiniteWord("".join(rng.choice("01") for _ in range(16000)))
+        tracemalloc.start()
+        try:
+            for n in (1, 100, 4000, 8000, 16000):
+                max_word(w, n)
+                min_word(w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_characteristic_extremes(self):
         cw = characteristic_word(FIBONACCI_SLOPE, 2048)

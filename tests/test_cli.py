@@ -62,6 +62,15 @@ class TestGenerate:
         code, out, _ = run_cli(["generate", "--word", "0110", "-n", "3"], capsys=capsys)
         assert code == 0 and out.strip() == "011"
 
+    @pytest.mark.parametrize("source", ["--word", "--file", "builtin"])
+    def test_negative_length_usage_error(self, source, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("0101\n")
+        argv = {"--word": ["--word", "0101"], "--file": ["--file", str(path)], "builtin": ["fibonacci"]}
+        code, out, err = run_cli(["generate", *argv[source], "-n", "-1"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: prefix length must be non-negative\n"
+
     def test_file_source(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("10101\n")
@@ -154,6 +163,11 @@ class TestPnf:
     def test_explicit_window(self, capsys):
         code, out, _ = run_cli(["pnf", "thue-morse", "-n", "16", "--window", "4096"], capsys=capsys)
         assert code == 0 and out.splitlines()[0] == "1" + "10" * 7 + "1"
+
+    @pytest.mark.parametrize("window", ["0", "1", "-7"])
+    def test_short_window_is_clamped_to_length(self, window, capsys):
+        clamped = run_cli(["pnf", "fibonacci", "-n", "5", "--window", window], capsys=capsys)
+        assert clamped == run_cli(["pnf", "fibonacci", "-n", "5", "--window", "5"], capsys=capsys)
 
     def test_prepended_builtin_is_its_own_normal_form(self, capsys):
         # 11 + thue-morse is prefix normal, so its 1-form is the word itself
