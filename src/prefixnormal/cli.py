@@ -8,6 +8,8 @@ found, or a query miss under --strict), 2 usage error, 3 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -194,8 +196,9 @@ def _cmd_pnf(args: argparse.Namespace) -> int:
     if reliable < profile.length:
         note = f"positions beyond {reliable} may change with a longer analysis window"
     else:
-        note = f"all {profile.length} positions lie within the reliable window"
-    print(f"note: {note}", file=sys.stderr)
+        note = f"all {profile.length} positions lie within the reliable range"
+    basis = f"the reliable range comes from the {WINDOW_FACTOR}n window heuristic and is not certified"
+    print(f"note: {note}; {basis}", file=sys.stderr)
     return 0
 
 
@@ -232,23 +235,22 @@ def _cmd_index(args: argparse.Namespace) -> int:
         args.index_file.write_bytes(blob)
         return 0
     index = jumbled_index.deserialize(args.index_file.read_bytes())
-    if args.queries is not None:
-        lines = args.queries.read_text().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
     answers = []
     misses = False
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            zeros_text, ones_text = line.split()
-            zeros, ones = int(zeros_text), int(ones_text)
-        except ValueError as exc:
-            raise UsageError(f"cannot parse query line {line!r}; expected 'ZEROS ONES'") from exc
-        hit = index.query(zeros, ones)
-        misses = misses or not hit
-        answers.append("yes" if hit else "no")
+    source = open(args.queries) if args.queries is not None else contextlib.nullcontext(sys.stdin)
+    with source as stream:
+        # file lines end at newlines only; str.splitlines also splits at \v, \f and others
+        for line in itertools.chain.from_iterable(map(str.splitlines, stream)):
+            if not line.strip():
+                continue
+            try:
+                zeros_text, ones_text = line.split()
+                zeros, ones = int(zeros_text), int(ones_text)
+            except ValueError as exc:
+                raise UsageError(f"cannot parse query line {line!r}; expected 'ZEROS ONES'") from exc
+            hit = index.query(zeros, ones)
+            misses = misses or not hit
+            answers.append("yes" if hit else "no")
     _emit(args, "\n".join(answers))
     return 1 if args.strict and misses else 0
 

@@ -9,9 +9,13 @@ Slope arithmetic never touches floating point: floors, ceilings, and order
 comparisons of ``(a + b*sqrt(d))/c`` are decided by integer squaring with sign
 case analysis (``math.isqrt`` supplies the exact integer square root).
 
-Producers yield blocks of symbols (bytes or lazy runs) rather than one symbol
-at a time: a rational slope tiles one period, a quadratic slope concatenates
-standard words, and the extension operators append whole runs ``0^k 1``.
+Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
+``_block_stream`` wraps as a :class:`WordStream`: a rational slope tiles one
+period, a quadratic slope concatenates standard words, a morphic tape expands
+up to ``PERIOD_CHUNK`` symbols per block, paperfolding is computed
+``PERIOD_CHUNK`` indices and Champernowne ``PERIOD_CHUNK // 16`` integers at a
+time, and each extension operator is a generator of run lengths ``k`` whose
+runs ``0^k 1`` are appended whole.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ MATERIALIZE_CAP = 1 << 26
 #: value at this limit on one Xeon core, and hours for a 21-digit radicand.
 MAX_RADICAND = 10**10
 
-#: Symbols computed per block of a rational period; a long period is built
+#: Block size of the producers: symbols of a rational period, morphic tape
+#: symbols expanded, or paperfolding indices per block. A long period is built
 #: only as far as it is read.
 PERIOD_CHUNK = 4096
 
@@ -434,25 +439,31 @@ FIBONACCI_MORPHISM = MorphismSpec(FiniteWord("01"), FiniteWord("0"), seed=0)
 THUE_MORSE_MORPHISM = MorphismSpec(FiniteWord("01"), FiniteWord("10"), seed=0)
 
 
-def _morphic_symbols(m: MorphismSpec) -> Iterator[int]:
+def _morphic_blocks(m: MorphismSpec) -> Iterator[bytes]:
+    """The fixpoint of ``m``, block by block.
+
+    ``tape`` is always the image of its first ``done`` symbols, so it starts
+    as the seed's image and is a prefix of the fixpoint. Each block is the
+    image of the next unexpanded tape symbols, at most ``PERIOD_CHUNK`` of
+    them; a bytearray keeps appending linear when images are short.
+    """
     images = (bytes(m.image_of(0)), bytes(m.image_of(1)))
     tape = bytearray(images[m.seed])
-    emit = 0
-    expand = 1  # tape[0]'s image is the initial tape content
+    yield bytes(tape)
+    done = 1
     while True:
-        if emit < len(tape):
-            yield tape[emit]
-            emit += 1
-        else:
-            if expand >= len(tape):
-                raise InvalidInputError("morphism fixpoint is finite")
-            tape.extend(images[tape[expand]])
-            expand += 1
+        if done >= len(tape):
+            raise InvalidInputError("morphism fixpoint is finite")
+        stop = min(done + PERIOD_CHUNK, len(tape))
+        block = b"".join([images[symbol] for symbol in tape[done:stop]])
+        tape += block
+        done = stop
+        yield block
 
 
 def morphic_stream(m: MorphismSpec) -> WordStream:
     """The fixpoint of ``m`` obtained by iterated expansion from the seed."""
-    return WordStream(_morphic_symbols(m))
+    return _block_stream(_morphic_blocks(m))
 
 
 def morphic_fixpoint(m: MorphismSpec, n: int) -> FiniteWord:
@@ -468,17 +479,16 @@ def thue_morse_stream() -> WordStream:
     return morphic_stream(THUE_MORSE_MORPHISM)
 
 
-def _paperfolding_symbols() -> Iterator[int]:
-    i = 1
-    while True:
-        odd = i >> ((i & -i).bit_length() - 1)
-        yield 0 if odd % 4 == 1 else 1
-        i += 1
+def _paperfolding_blocks() -> Iterator[bytes]:
+    """Symbol ``i - 1`` is 1 exactly when the odd part of ``i`` is 3 mod 4."""
+    for start in itertools.count(1, PERIOD_CHUNK):
+        i = np.arange(start, start + PERIOD_CHUNK, dtype=np.int64)
+        yield ((i // (i & -i)) % 4 == 3).astype(np.uint8).tobytes()
 
 
 def paperfolding_stream() -> WordStream:
     """The ordinary paperfolding word via the odd-part residue rule."""
-    return WordStream(_paperfolding_symbols())
+    return _block_stream(_paperfolding_blocks())
 
 
 def paperfolding(n: int) -> FiniteWord:
@@ -488,15 +498,18 @@ def paperfolding(n: int) -> FiniteWord:
     return paperfolding_stream().prefix(n)
 
 
-def _champernowne_symbols() -> Iterator[int]:
-    for k in itertools.count():
-        for ch in format(k, "b"):
-            yield 1 if ch == "1" else 0
+def _champernowne_blocks() -> Iterator[bytes]:
+    # Within MATERIALIZE_CAP symbols no integer has more than 22 bits, so a
+    # block stays near PERIOD_CHUNK symbols; PERIOD_CHUNK integers would make
+    # the first block ~45k symbols long.
+    step = PERIOD_CHUNK // 16
+    for start in itertools.count(0, step):
+        yield bytes(FiniteWord("".join(format(k, "b") for k in range(start, start + step))))
 
 
 def champernowne_stream() -> WordStream:
     """Binary expansions of 0, 1, 2, ... concatenated in order."""
-    return WordStream(_champernowne_symbols())
+    return _block_stream(_champernowne_blocks())
 
 
 def champernowne(n: int) -> FiniteWord:
@@ -517,8 +530,16 @@ def _require_prefix_normal_seed(w: FiniteWord) -> None:
         raise InvalidInputError(f"seed is not prefix normal ({violation.render()})")
 
 
-class _FlipextEngine:
-    """Grows a prefix-normal word by repeatedly appending a minimal run of 0s and a 1.
+def _run_blocks(seed: FiniteWord, runs: Iterable[int]) -> Iterator[Iterable[int]]:
+    """``seed`` followed by ``0^k 1`` for each run length ``k`` of ``runs``."""
+    yield bytes(seed)
+    for k in runs:
+        yield itertools.repeat(0, k)  # lazy: a run may be far longer than what is read
+        yield b"\x01"
+
+
+def _flipext_runs(seed: FiniteWord) -> Iterator[int]:
+    """Run lengths ``k`` of iterated flipext: each appends the minimal ``0^k 1``.
 
     The appended run length is the smallest that keeps the word prefix normal.
     Only factors ending at the freshly appended 1 can violate normality: a
@@ -530,61 +551,33 @@ class _FlipextEngine:
     positions are an append-only array with amortised doubling, so a step
     adds two views of it and rebuilds nothing.
     """
-
-    def __init__(self, seed: FiniteWord):
-        self._bits = bytearray(bytes(seed))
-        ones = np.flatnonzero(np.frombuffer(bytes(seed), dtype=np.uint8)) + 1
-        self._weight = len(ones)
-        self._positions = np.zeros(2 * len(ones) + 2, dtype=np.int64)  # p_t at index t
-        self._positions[1 : len(ones) + 1] = ones
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def word_prefix(self, n: int) -> FiniteWord:
-        return FiniteWord(self._bits[:n])
-
-    def min_zero_run(self) -> int:
-        w, p = self._weight, self._positions
-        if w < 2:
-            return 0
-        return max(0, int((p[2 : w + 1] + p[w:1:-1]).max()) - len(self._bits) - 2)
-
-    def step(self) -> int:
-        k = self.min_zero_run()
-        self._bits += bytes(k)
-        self._bits.append(1)
-        self._weight += 1
-        if self._weight == len(self._positions):
+    ones = np.flatnonzero(np.frombuffer(bytes(seed), dtype=np.uint8)) + 1
+    n, weight = len(seed), len(ones)
+    positions = np.zeros(2 * weight + 2, dtype=np.int64)  # p_t at index t
+    positions[1 : weight + 1] = ones
+    while True:
+        k = 0
+        if weight >= 2:
+            k = max(0, int((positions[2 : weight + 1] + positions[weight:1:-1]).max()) - n - 2)
+        yield k
+        n += k + 1
+        weight += 1
+        if weight == len(positions):
             # entries past the weight are never read before being written
-            self._positions = np.resize(self._positions, 2 * self._weight)
-        self._positions[self._weight] = len(self._bits)
-        return k
-
-    def extend_to(self, n: int) -> None:
-        while len(self._bits) < n:
-            self.step()
+            positions = np.resize(positions, 2 * weight)
+        positions[weight] = n
 
 
 def flipext(w: FiniteWord) -> FiniteWord:
     """Extend a prefix-normal word by ``0^k 1`` with the minimal normality-preserving ``k``."""
     _require_prefix_normal_seed(w)
-    engine = _FlipextEngine(w)
-    engine.step()
-    return engine.word_prefix(len(engine))
-
-
-def _flipext_blocks(w: FiniteWord) -> Iterator[bytes]:
-    engine = _FlipextEngine(w)
-    yield bytes(w)
-    while True:
-        yield bytes(engine.step()) + b"\x01"
+    return w + FiniteWord.zeros(next(_flipext_runs(w))) + FiniteWord.ones(1)
 
 
 def flipext_stream(w: FiniteWord) -> WordStream:
     """The limit of iterating :func:`flipext`; every prefix is prefix normal."""
     _require_prefix_normal_seed(w)
-    return _block_stream(_flipext_blocks(w))
+    return _block_stream(_run_blocks(w, _flipext_runs(w)))
 
 
 def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
@@ -595,27 +588,27 @@ def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
         raise InvalidInputError("seed minimum density is below the slope")
 
 
-def lazy_alpha_flipext(w: FiniteWord, slope: SlopeSpec) -> FiniteWord:
-    """Extend by ``0^k 1`` with the maximal ``k`` keeping the minimum density at or above ``slope``."""
-    _validate_lazy_seed(w, slope)
-    # Largest k with weight / (length + k) >= slope; never negative because
-    # the current density already meets the slope.
-    k = slope.floor_inverse_times(w.weight) - len(w)
-    return w + FiniteWord.zeros(k) + FiniteWord.ones(1)
+def _lazy_runs(w: FiniteWord, slope: SlopeSpec) -> Iterator[int]:
+    """Run lengths ``k`` of iterated lazy flipext.
 
-
-def _lazy_flipext_blocks(w: FiniteWord, slope: SlopeSpec) -> Iterator[Iterable[int]]:
-    # Each run is lazy_alpha_flipext's, with floor_inverse_times inlined over
-    # 1/slope worked out once: one integer floor per appended 1.
+    After a weight-``m`` prefix of length ``L``, the largest ``k`` with
+    ``m / (L + k) >= slope`` is ``floor(m / slope) - L``; it is never negative
+    because the current density already meets the slope. ``1/slope`` is
+    worked out once, so each run costs one integer floor.
+    """
     a, b, c, d = slope._inverse_terms()
-    yield bytes(w)
     weight, length = w.weight, len(w)
     while True:
         k = (weight * a + _floor_times_sqrt(weight * b, d)) // c - length
-        yield itertools.repeat(0, k)
-        yield b"\x01"
+        yield k
         weight += 1
         length += k + 1
+
+
+def lazy_alpha_flipext(w: FiniteWord, slope: SlopeSpec) -> FiniteWord:
+    """Extend by ``0^k 1`` with the maximal ``k`` keeping the minimum density at or above ``slope``."""
+    _validate_lazy_seed(w, slope)
+    return w + FiniteWord.zeros(next(_lazy_runs(w, slope))) + FiniteWord.ones(1)
 
 
 def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
@@ -625,7 +618,7 @@ def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
     mechanical word of the same slope with intercept 0.
     """
     _validate_lazy_seed(w, slope)
-    return _block_stream(_lazy_flipext_blocks(w, slope))
+    return _block_stream(_run_blocks(w, _lazy_runs(w, slope)))
 
 
 # -- staged aperiodic construction with prescribed minimum density ---------------
@@ -701,9 +694,8 @@ def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterat
         while scaled * k // a.numerator <= run:
             k += 1
         new_run = scaled * k // a.numerator
-        engine = _FlipextEngine(word)
-        engine.extend_to(k * length)
-        word = engine.word_prefix(k * length) + FiniteWord.zeros(new_run)
+        flipped = _block_stream(_run_blocks(word, _flipext_runs(word))).prefix(k * length)
+        word = flipped + FiniteWord.zeros(new_run)
         run = new_run
         yield DensityStage(index=index, word=word, target=a, k=k, zeros_run=new_run)
         index += 1

@@ -3,8 +3,9 @@
 The factor statistics enumerate factors by slicing; nothing shares code with
 the library's sliding-window or closed-form paths. The word producers are the
 library's former one-symbol-at-a-time generators: an exact floor per mechanical
-symbol, one slope reciprocal per lazy extension, and a flipext step that
-rebuilds its prefix sums from scratch.
+symbol, one slope reciprocal per lazy extension, a flipext step that
+rebuilds its prefix sums from scratch, a morphic tape expanded one symbol at a
+time, and the paperfolding and Champernowne rules applied per index.
 """
 
 from __future__ import annotations
@@ -149,4 +150,39 @@ def flipext_symbols(seed: str, n: int) -> bytes:
     while len(out) < n:
         out.extend(bytes(rebuild_min_zero_run(bytes(out))))
         out.append(1)
+    return bytes(out[:n])
+
+
+def morphic_symbols(image0: str, image1: str, seed: int, n: int) -> bytes:
+    """First ``n`` symbols of a morphic fixpoint, expanding one tape symbol
+    whenever the emitted symbols catch up with the tape."""
+    images = (bytes(int(ch) for ch in image0), bytes(int(ch) for ch in image1))
+    tape = bytearray(images[seed])
+    expand = 1  # tape[0]'s image is the initial tape content
+    while len(tape) < n:
+        if expand >= len(tape):
+            raise ValueError("morphism fixpoint is finite")
+        tape.extend(images[tape[expand]])
+        expand += 1
+    return bytes(tape[:n])
+
+
+def paperfolding_symbols(n: int) -> bytes:
+    """First ``n`` paperfolding symbols: symbol ``i - 1`` is 0 exactly when
+    the odd part of ``i``, found by shifting out trailing zero bits, is 1 mod 4."""
+    out = bytearray()
+    for i in range(1, n + 1):
+        odd = i >> ((i & -i).bit_length() - 1)
+        out.append(0 if odd % 4 == 1 else 1)
+    return bytes(out)
+
+
+def champernowne_symbols(n: int) -> bytes:
+    """First ``n`` symbols of the binary expansions of 0, 1, 2, ... in order,
+    one character at a time."""
+    out = bytearray()
+    k = 0
+    while len(out) < n:
+        out.extend(1 if ch == "1" else 0 for ch in format(k, "b"))
+        k += 1
     return bytes(out[:n])

@@ -151,6 +151,16 @@ class TestPnf:
         assert out.splitlines() == ["10100101001001010010", "00100101001001010010"]
         assert "reliable" in err
 
+    def test_trusted_range_is_not_certified(self, capsys):
+        # the 4n window is a heuristic: a wider one changes these normal forms
+        code, out, err = run_cli(["pnf", "paperfolding", "-n", "300"], capsys=capsys)
+        assert code == 0 and "all 300 positions" in err and "not certified" in err
+        _, wider, _ = run_cli(["pnf", "paperfolding", "-n", "300", "--window", "2400"], capsys=capsys)
+        pnf1, pnf0 = out.split()
+        wider1, wider0 = wider.split()
+        assert pnf1[:146] == wider1[:146] and pnf1[146] != wider1[146]
+        assert [i + 1 for i in range(300) if pnf0[i] != wider0[i]] == [294, 295, 299]
+
     def test_thue_morse_pattern(self, capsys):
         code, out, _ = run_cli(["pnf", "thue-morse", "-n", "21"], capsys=capsys)
         assert out.splitlines() == ["1" + "10" * 10, "0" + "01" * 10]
@@ -266,6 +276,17 @@ class TestIndex:
             ["index", "query", str(index_file), "--queries", str(queries)], capsys=capsys
         )
         assert code == 0 and out.strip().splitlines() == ["yes", "no"]
+
+    def test_queries_are_streamed(self, tmp_path, capsys, monkeypatch):
+        class LinesOnly(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("query input must be iterated, not read whole")
+
+        index_file = tmp_path / "w.pnji"
+        run_cli(["index", "build", "--word", "0101", "-o", str(index_file)], capsys=capsys)
+        monkeypatch.setattr(sys, "stdin", LinesOnly("1 1\n\n0 2\f2 0\r\n2 2\n"))
+        code = main(["index", "query", str(index_file)])
+        assert code == 0 and capsys.readouterr().out == "yes\nno\nno\nyes\n"
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["index", "query", str(tmp_path / "none.pnji")], capsys=capsys)

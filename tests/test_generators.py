@@ -43,6 +43,7 @@ from prefixnormal import (
     mechanical_upper,
     min_density,
     morphic_fixpoint,
+    morphic_stream,
     paperfolding,
     paperfolding_stream,
     prefix_density,
@@ -50,7 +51,7 @@ from prefixnormal import (
 )
 from prefixnormal import generators
 from prefixnormal.analysis import find_violation_1, is_prefix_normal_1
-from prefixnormal.generators import MAX_RADICAND, PERIOD_CHUNK, _FlipextEngine
+from prefixnormal.generators import MAX_RADICAND, PERIOD_CHUNK
 
 import oracles
 
@@ -559,9 +560,31 @@ class TestBlockProducersAgainstOracles:
 
     def test_flipext_engine_from_every_short_seed(self):
         for seed in PREFIX_NORMAL_SEEDS:
-            engine = _FlipextEngine(FiniteWord(seed))
-            engine.extend_to(2000)
-            assert bytes(engine.word_prefix(2000)) == oracles.flipext_symbols(seed, 2000), seed
+            got = flipext_stream(FiniteWord(seed)).prefix(2000)
+            assert bytes(got) == oracles.flipext_symbols(seed, 2000), seed
+
+    @pytest.mark.parametrize(
+        "n", [1, PERIOD_CHUNK - 1, PERIOD_CHUNK, PERIOD_CHUNK + 1, 3 * PERIOD_CHUNK + 7, 10**5]
+    )
+    def test_classic_word_blocks(self, n):
+        assert bytes(fibonacci_stream().prefix(n)) == oracles.morphic_symbols("01", "0", 0, n)
+        assert bytes(thue_morse_stream().prefix(n)) == oracles.morphic_symbols("01", "10", 0, n)
+        assert bytes(paperfolding_stream().prefix(n)) == oracles.paperfolding_symbols(n)
+        assert bytes(champernowne_stream().prefix(n)) == oracles.champernowne_symbols(n)
+
+    @pytest.mark.parametrize(
+        "image0, image1, seed", [("001", "10", 0), ("0", "110", 1), ("01", "1", 0)]
+    )
+    def test_other_morphisms(self, image0, image1, seed):
+        # 0 -> 01, 1 -> 1 has one unexpanded tape symbol at a time: one symbol per block
+        m = MorphismSpec(FiniteWord(image0), FiniteWord(image1), seed=seed)
+        assert bytes(morphic_fixpoint(m, 10**5)) == oracles.morphic_symbols(image0, image1, seed, 10**5)
+
+    def test_finite_fixpoint_raises(self):
+        stream = morphic_stream(MorphismSpec(FiniteWord("01"), FiniteWord(""), seed=0))
+        assert str(stream.prefix(2)) == "01"
+        with pytest.raises(InvalidInputError, match="finite"):
+            stream.prefix(3)
 
 
 #: First partial quotient about 2.4e12: its standard words can never be built.
