@@ -61,7 +61,7 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     normal. The scan goes length by length, so the first violation has
     minimal length and, within it, minimal starting position.
     """
-    for i, weights in _window_weights(w):
+    for i, weights in _window_weights(w, len(w)):
         limit = weights[0]
         if weights.max() > limit:
             j = int(np.argmax(weights > limit))
@@ -255,7 +255,7 @@ def is_c_balanced(w: FiniteWord, c: int) -> bool:
     """True when any two equal-length factors differ by at most ``c`` 1s."""
     if c < 1:
         raise RangeError("balance constant must be positive")
-    return all(weights.max() - weights.min() <= c for _, weights in _window_weights(w))
+    return all(weights.max() - weights.min() <= c for _, weights in _window_weights(w, len(w)))
 
 
 def prepend_ones_bound(profile: PrefixProfile, c: int) -> int:

@@ -180,14 +180,15 @@ def _profile_for_output(args: argparse.Namespace) -> tuple[FiniteWord, PrefixPro
     Builtin sources are materialized once, ``WINDOW_FACTOR`` times longer
     than the printed length (overridable via --window), so every printed
     position lies in the trusted quarter of the window; the output word is
-    the window's prefix. Literal words are their own window.
+    the window's prefix, and only its lengths are profiled, over every
+    factor of the window. Literal words are their own window.
     """
     window = _resolve_word(args, widen=True)
     wide = _apply_prepend(window, getattr(args, "prepend_ones", None))
     # a literal is printed whole; a builtin up to -n symbols after the prepended ones
     out_len = len(wide) if args.builtin is None else len(wide) - len(window) + args.length
     reliable = analysis.reliable_pnf_window(len(wide))
-    return wide[:out_len], compute_profile(wide).truncated(out_len), reliable
+    return wide[:out_len], compute_profile(wide, out_len), reliable
 
 
 def _cmd_pnf(args: argparse.Namespace) -> int:
@@ -204,10 +205,11 @@ def _cmd_pnf(args: argparse.Namespace) -> int:
 
 def _cmd_abelian(args: argparse.Namespace) -> int:
     word = _resolve_word(args)
-    profile = compute_profile(word)
-    lo, hi = _parse_range(args.range, len(word))
+    # compute_profile reports an empty word before any range is read
+    lo, hi = _parse_range(args.range, len(word)) if word else (1, 0)
     if hi > len(word):
         raise UsageError(f"range end {hi} exceeds word length {len(word)}")
+    profile = compute_profile(word, hi)
     lines = [f"{n}\t{analysis.abelian_complexity(profile, n)}" for n in range(lo, hi + 1)]
     _emit(args, "\n".join(lines))
     return 0

@@ -12,7 +12,7 @@ case analysis (``math.isqrt`` supplies the exact integer square root).
 Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 ``_block_stream`` wraps as a :class:`WordStream`: a rational slope tiles one
 period, a quadratic slope concatenates standard words, a morphic tape expands
-up to ``PERIOD_CHUNK`` symbols per block, paperfolding is computed
+until a block holds ``PERIOD_CHUNK`` symbols, paperfolding is computed
 ``PERIOD_CHUNK`` indices and Champernowne ``PERIOD_CHUNK // 16`` integers at a
 time, and each extension operator is a generator of run lengths ``k`` whose
 runs ``0^k 1`` are appended whole.
@@ -255,11 +255,6 @@ class SlopeSpec:
         inverse = self.value.reciprocal()
         return inverse.a, inverse.b, inverse.c, inverse.d
 
-    def floor_inverse_times(self, m: int) -> int:
-        """Exact ``floor(m / slope)`` for ``m >= 0`` and a positive slope."""
-        a, b, c, d = self._inverse_terms()
-        return (m * a + _floor_times_sqrt(m * b, d)) // c
-
     def __str__(self) -> str:
         if self.is_rational:
             return f"{self.value.numerator}/{self.value.denominator}"
@@ -443,22 +438,26 @@ def _morphic_blocks(m: MorphismSpec) -> Iterator[bytes]:
     """The fixpoint of ``m``, block by block.
 
     ``tape`` is always the image of its first ``done`` symbols, so it starts
-    as the seed's image and is a prefix of the fixpoint. Each block is the
-    image of the next unexpanded tape symbols, at most ``PERIOD_CHUNK`` of
-    them; a bytearray keeps appending linear when images are short.
+    as the seed's image and is a prefix of the fixpoint. A block expands the
+    next unexpanded tape symbols, at most ``PERIOD_CHUNK`` at a time, and
+    keeps expanding the symbols it has just appended until it holds
+    ``PERIOD_CHUNK`` symbols; a bytearray keeps appending linear when images
+    are short. A finite fixpoint of a prolongable binary morphism is the
+    seed's image itself, so the first block already holds all of it.
     """
     images = (bytes(m.image_of(0)), bytes(m.image_of(1)))
     tape = bytearray(images[m.seed])
     yield bytes(tape)
     done = 1
     while True:
-        if done >= len(tape):
-            raise InvalidInputError("morphism fixpoint is finite")
-        stop = min(done + PERIOD_CHUNK, len(tape))
-        block = b"".join([images[symbol] for symbol in tape[done:stop]])
-        tape += block
-        done = stop
-        yield block
+        start = len(tape)
+        while len(tape) < start + PERIOD_CHUNK:
+            chunk = tape[done : done + PERIOD_CHUNK]
+            if not chunk:
+                raise InvalidInputError("morphism fixpoint is finite")
+            tape += b"".join([images[symbol] for symbol in chunk])
+            done += len(chunk)
+        yield bytes(tape[start:])
 
 
 def morphic_stream(m: MorphismSpec) -> WordStream:

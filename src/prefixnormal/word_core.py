@@ -233,25 +233,9 @@ class PrefixProfile:
     def min_zeros_at(self, i: int) -> int:
         return i - self.max_ones_at(i)
 
-    def truncated(self, length: int) -> "PrefixProfile":
-        """The restriction of this profile to factor lengths ``1..length``.
 
-        Profiles computed over a generous window and truncated to the range
-        of interest approximate an infinite word's statistics better than a
-        profile of the short prefix alone.
-        """
-        self._check(length)
-        if length == self.length:
-            return self
-        return PrefixProfile(
-            length=length,
-            max_ones=self.max_ones[:length],
-            min_ones=self.min_ones[:length],
-        )
-
-
-def _window_weights(w: FiniteWord) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(i, weights)`` for each factor length ``i = 1..len(w)``.
+def _window_weights(w: FiniteWord, longest: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, weights)`` for each factor length ``i = 1..longest``.
 
     ``weights[j]`` is the number of 1s in the length-``i`` factor starting at
     0-based position ``j``, taken as the prefix-sum difference
@@ -262,23 +246,29 @@ def _window_weights(w: FiniteWord) -> Iterator[tuple[int, np.ndarray]]:
     """
     sums = w.prefix_sums()
     n = len(w)
-    for i in range(1, n + 1):
+    for i in range(1, longest + 1):
         yield i, sums[i:] - sums[: n - i + 1]
 
 
-def compute_profile(w: FiniteWord) -> PrefixProfile:
-    """Factor statistics of ``w`` via a sliding window per length.
+def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
+    """Factor statistics of ``w`` for factor lengths ``1..longest``.
 
-    For each length ``i`` the window weights are all differences
-    ``P[j + i] - P[j]`` of the prefix-sum array, so the total cost is
-    quadratic in ``len(w)``.
+    ``longest`` defaults to ``len(w)``. A smaller bound still takes every
+    factor of ``w`` into account, so a long window of an infinite word gives
+    better estimates of its statistics than the short prefix alone. For each
+    length ``i`` the window weights are all differences ``P[j + i] - P[j]``
+    of the prefix-sum array, so the cost is ``O(longest * len(w))``.
     """
     n = len(w)
     if n == 0:
         raise InvalidInputError("cannot profile the empty word")
-    maxs = np.empty(n, dtype=np.int64)
-    mins = np.empty(n, dtype=np.int64)
-    for i, weights in _window_weights(w):
+    if longest is None:
+        longest = n
+    elif not 1 <= longest <= n:
+        raise RangeError(f"factor length {longest} out of range 1..{n}")
+    maxs = np.empty(longest, dtype=np.int64)
+    mins = np.empty(longest, dtype=np.int64)
+    for i, weights in _window_weights(w, longest):
         maxs[i - 1] = weights.max()
         mins[i - 1] = weights.min()
-    return PrefixProfile(length=n, max_ones=tuple(maxs.tolist()), min_ones=tuple(mins.tolist()))
+    return PrefixProfile(length=longest, max_ones=tuple(maxs.tolist()), min_ones=tuple(mins.tolist()))

@@ -70,7 +70,7 @@ PAPERFOLDING_PSI_20 = [2, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 4, 5, 4, 3, 4, 5, 6, 
 def test_criterion_01_fibonacci_window_rows():
     start = time.perf_counter()
     window = morphic_fixpoint(FIBONACCI_MORPHISM, 2048)
-    profile = compute_profile(window).truncated(20)
+    profile = compute_profile(window, 20)
     max_zeros = tuple(profile.max_zeros_at(i) for i in range(1, 21))
     assert max_zeros == FIB_MAX_ZEROS_20
     assert profile.max_ones == FIB_MAX_ONES_20

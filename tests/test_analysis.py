@@ -177,12 +177,12 @@ class TestPrefixNormalChecks:
 
 class TestPrefixNormalForms:
     def test_fibonacci_window_rows(self):
-        profile = compute_profile(morphic_fixpoint(FIBONACCI_MORPHISM, 2048)).truncated(20)
+        profile = compute_profile(morphic_fixpoint(FIBONACCI_MORPHISM, 2048), 20)
         assert str(pnf1(profile)) == "10100101001001010010"
         assert str(pnf0(profile)) == "00100101001001010010"
 
     def test_thue_morse_pattern(self):
-        profile = compute_profile(morphic_fixpoint(THUE_MORSE_MORPHISM, 256)).truncated(21)
+        profile = compute_profile(morphic_fixpoint(THUE_MORSE_MORPHISM, 256), 21)
         assert str(pnf1(profile)) == "1" + "10" * 10
         assert str(pnf0(profile)) == "0" + "01" * 10
 
@@ -271,10 +271,8 @@ class TestSymmetricWordDuality:
         lambda: paperfolding(16384),
     ])
     def test_duality_on_reliable_window(self, make):
-        word = make()
-        profile = compute_profile(word)
         window = 2048
-        short = profile.truncated(window)
+        short = compute_profile(make(), window)
         for n in range(1, window + 1):
             assert short.max_ones_at(n) == short.max_zeros_at(n)
             psi = abelian_complexity(short, n)

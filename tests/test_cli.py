@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from prefixnormal import word_core
 from prefixnormal.cli import main
 
 
@@ -20,6 +21,21 @@ def run_cli(argv, stdin_text=None, capsys=None):
         code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The factor lengths that the window kernel yields to compute_profile."""
+    lengths = []
+    kernel = word_core._window_weights
+
+    def counting(*args):
+        for i, weights in kernel(*args):
+            lengths.append(i)
+            yield i, weights
+
+    monkeypatch.setattr(word_core, "_window_weights", counting)
+    return lengths
 
 
 class TestGenerate:
@@ -179,6 +195,12 @@ class TestPnf:
         clamped = run_cli(["pnf", "fibonacci", "-n", "5", "--window", window], capsys=capsys)
         assert clamped == run_cli(["pnf", "fibonacci", "-n", "5", "--window", "5"], capsys=capsys)
 
+    @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
+    def test_profiles_only_printed_lengths(self, command, scanned, capsys):
+        # the 4n window is read whole, but only lengths 1..n are profiled
+        code, _, _ = run_cli(command + ["fibonacci", "-n", "50"], capsys=capsys)
+        assert code == 0 and scanned == list(range(1, 51))
+
     def test_prepended_builtin_is_its_own_normal_form(self, capsys):
         # 11 + thue-morse is prefix normal, so its 1-form is the word itself
         # (output covers the full prepended word, length n + 2)
@@ -213,6 +235,19 @@ class TestAbelian:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(["abelian", "--word", "0101", "--range", "3..9"], capsys=capsys)
         assert code == 2
+
+    def test_profiles_up_to_range_end(self, scanned, capsys):
+        code, out, _ = run_cli(
+            ["abelian", "paperfolding", "-n", "300", "--range", "1..10"], capsys=capsys
+        )
+        assert code == 0 and len(out.splitlines()) == 10
+        assert scanned == list(range(1, 11))
+
+    @pytest.mark.parametrize("word_range", [[], ["--range", "1..5"], ["--range", "bad"]])
+    def test_empty_word_is_reported_before_range(self, word_range, capsys):
+        code, out, err = run_cli(["abelian", "--word", ""] + word_range, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot profile the empty word\n"
 
 
 class TestDensity:

@@ -184,11 +184,6 @@ class TestSlopeSpec:
         for spec in (SlopeSpec.rational(2, 5), FIBONACCI_SLOPE, SQRT2_SLOPE):
             assert SlopeSpec.parse(str(spec)) == spec
 
-    def test_floor_inverse_times(self):
-        assert SlopeSpec.rational(1, 3).floor_inverse_times(2) == 6
-        assert SQRT2_SLOPE.floor_inverse_times(3) == 7  # 3*(sqrt2+1) = 7.24...
-        assert SQRT2_SLOPE.floor_inverse_times(0) == 0
-
 
 class TestWordStream:
     def test_prefix_consistency(self):
@@ -375,6 +370,12 @@ class TestLazyFlipext:
         first = lazy_alpha_flipext(FiniteWord("111"), SQRT2_SLOPE)
         assert str(first) == "11100001"
         assert str(lazy_alpha_flipext(first, SQRT2_SLOPE)) == "1110000101"
+
+    def test_runs_are_inverse_floors(self):
+        # after a weight-m prefix of length L the run is floor(m / slope) - L;
+        # test_worked_example pins 3*(sqrt2+1) = 7.24... from 111
+        assert str(lazy_alpha_flipext(FiniteWord("11"), SlopeSpec.rational(1, 3))) == "1100001"  # 2*3 = 6
+        assert str(lazy_alpha_flipext(FiniteWord("1"), SQRT2_SLOPE)) == "101"  # sqrt2+1 = 2.41...
 
     def test_slope_one(self):
         assert str(lazy_alpha_flipext(FiniteWord("1"), SlopeSpec.rational(1))) == "11"
@@ -576,9 +577,21 @@ class TestBlockProducersAgainstOracles:
         "image0, image1, seed", [("001", "10", 0), ("0", "110", 1), ("01", "1", 0)]
     )
     def test_other_morphisms(self, image0, image1, seed):
-        # 0 -> 01, 1 -> 1 has one unexpanded tape symbol at a time: one symbol per block
         m = MorphismSpec(FiniteWord(image0), FiniteWord(image1), seed=seed)
         assert bytes(morphic_fixpoint(m, 10**5)) == oracles.morphic_symbols(image0, image1, seed, 10**5)
+
+    def test_slow_morphism_fills_whole_blocks(self):
+        # 0 -> 01, 1 -> 1 has one unexpanded tape symbol at a time, yet each
+        # block keeps expanding until it holds PERIOD_CHUNK symbols
+        n = 10**5
+        blocks = generators._morphic_blocks(MorphismSpec(FiniteWord("01"), FiniteWord("1")))
+        word = bytearray()
+        count = 0
+        while len(word) < n:
+            word += next(blocks)
+            count += 1
+        assert count <= -(-n // PERIOD_CHUNK) + 2
+        assert bytes(word[:n]) == oracles.morphic_symbols("01", "1", 0, n)
 
     def test_finite_fixpoint_raises(self):
         stream = morphic_stream(MorphismSpec(FiniteWord("01"), FiniteWord(""), seed=0))

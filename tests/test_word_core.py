@@ -170,12 +170,15 @@ class TestComputeProfile:
         with pytest.raises(RangeError):
             profile.max_ones_at(5)
 
-    def test_truncated(self):
-        profile = compute_profile(FiniteWord("010011"))
-        short = profile.truncated(3)
-        assert short.length == 3
-        assert short.max_ones == profile.max_ones[:3]
-        assert profile.truncated(6) is profile
+    def test_longest_bound(self):
+        # the rows of every bound are checked in test_exhaustive_small_words
+        w = FiniteWord("010011")
+        assert compute_profile(w, 6) == compute_profile(w)
+        for longest in (0, -1, 7):
+            with pytest.raises(RangeError, match=rf"factor length {longest} out of range 1\.\.6"):
+                compute_profile(w, longest)
+        with pytest.raises(InvalidInputError):
+            compute_profile(FiniteWord(""), 0)
 
     def test_invariant_validation(self):
         with pytest.raises(InvalidInputError):
@@ -206,14 +209,18 @@ class TestComputeProfile:
             prev_hi, prev_lo = hi, lo
 
     def test_exhaustive_small_words(self):
-        # all binary words of length 1..10 against the factor-enumeration oracle
-        for n in range(1, 11):
+        # all binary words of length 1..12 and every bound against the
+        # factor-enumeration oracle; None is the default full scan
+        for n in range(1, 13):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
-                profile = compute_profile(FiniteWord(text))
+                w = FiniteWord(text)
                 maxs, mins = brute_profile(text)
-                assert list(profile.max_ones) == maxs, text
-                assert list(profile.min_ones) == mins, text
+                for longest in (None, *range(1, n + 1)):
+                    profile = compute_profile(w, longest)
+                    k = n if longest is None else longest
+                    assert profile.max_ones == tuple(maxs[:k]), (text, longest)
+                    assert profile.min_ones == tuple(mins[:k]), (text, longest)
 
     def test_max_zeros_matches_brute_force_random(self):
         rng = random.Random(1723)
