@@ -228,12 +228,9 @@ class UltimatelyPeriodicWord:
 
 
 def _primitive_root(x: FiniteWord) -> FiniteWord:
+    # the least rotation that reproduces a word is the length of its primitive root
     raw = bytes(x)
-    n = len(raw)
-    for d in range(1, n + 1):
-        if n % d == 0 and raw[:d] * (n // d) == raw:
-            return FiniteWord(raw[:d])
-    return x
+    return x[: (raw + raw).find(raw, 1)]
 
 
 def min_density_up(w: UltimatelyPeriodicWord) -> Fraction:

@@ -33,13 +33,12 @@ class WordFileError(Exception):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}") from exc
+    """A rational in the ``p/q`` grammar of :meth:`SlopeSpec.parse`."""
+    with contextlib.suppress(InvalidInputError):
+        spec = SlopeSpec.parse(text)
+        if spec.is_rational:
+            return spec.value
+    raise UsageError(f"cannot parse rational {text!r}")
 
 
 def _parse_range(text: str, upper_default: int) -> tuple[int, int]:
@@ -90,21 +89,6 @@ _BUILTINS = {
 }
 
 
-def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("builtin", nargs="?", choices=_BUILTINS, help="builtin word name")
-    parser.add_argument("--word", help="literal bitstring source")
-    parser.add_argument("--file", type=Path, help="read the word from a file")
-    parser.add_argument("-n", "--length", type=int, help="prefix length to materialize")
-    parser.add_argument("--slope", help='slope: "p/q" or "(a+b*sqrt(d))/c"')
-    parser.add_argument("--intercept", default="0", help='intercept "p/q" (rational slopes only)')
-    direction = parser.add_mutually_exclusive_group()
-    direction.add_argument("--upper", action="store_true", help="upper mechanical word")
-    direction.add_argument("--lower", action="store_true", help="lower mechanical word (default)")
-    parser.add_argument("--seed", help="seed word for the extension operators")
-    parser.add_argument("--alpha", help="rational density target for density-staircase")
-    parser.add_argument("--a1", help="first density of the staircase sequence")
-
-
 def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     """Materialize the single word source (builtin, literal, or file).
 
@@ -148,7 +132,7 @@ def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         args.output.write_text(text + "\n")
     else:
         print(text)
@@ -194,6 +178,8 @@ def _profile_for_output(args: argparse.Namespace) -> tuple[FiniteWord, PrefixPro
 def _cmd_pnf(args: argparse.Namespace) -> int:
     _, profile, reliable = _profile_for_output(args)
     _emit(args, f"{analysis.pnf1(profile)}\n{analysis.pnf0(profile)}")
+    if args.builtin is None:
+        return 0  # a literal word is its own window: its normal forms are exact
     if reliable < profile.length:
         note = f"positions beyond {reliable} may change with a longer analysis window"
     else:
@@ -230,12 +216,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    if args.action == "build":
-        word = _resolve_word(args)
-        blob = jumbled_index.serialize(jumbled_index.build_index(word))
-        args.index_file.write_bytes(blob)
-        return 0
+def _cmd_index_build(args: argparse.Namespace) -> int:
+    blob = jumbled_index.serialize(jumbled_index.build_index(_resolve_word(args)))
+    args.index_file.write_bytes(blob)
+    return 0
+
+
+def _cmd_index_query(args: argparse.Namespace) -> int:
     index = jumbled_index.deserialize(args.index_file.read_bytes())
     answers = []
     misses = False
@@ -271,63 +258,57 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # option groups shared by several subcommands, declared once as parent parsers
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("builtin", nargs="?", choices=_BUILTINS, help="builtin word name")
+    source.add_argument("--word", help="literal bitstring source")
+    source.add_argument("--file", type=Path, help="read the word from a file")
+    source.add_argument("-n", "--length", type=int, help="prefix length to materialize")
+    source.add_argument("--slope", help='slope: "p/q" or "(a+b*sqrt(d))/c"')
+    source.add_argument("--intercept", default="0", help='intercept "p/q" (rational slopes only)')
+    direction = source.add_mutually_exclusive_group()
+    direction.add_argument("--upper", action="store_true", help="upper mechanical word")
+    direction.add_argument("--lower", action="store_true", help="lower mechanical word (default)")
+    source.add_argument("--seed", help="seed word for the extension operators")
+    source.add_argument("--alpha", help='rational density target "p/q" for density-staircase')
+    source.add_argument("--a1", help='first density "p/q" of the staircase sequence')
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", type=Path, help="write the result to a file")
+    prepend = argparse.ArgumentParser(add_help=False)
+    prepend.add_argument("--prepend-ones", type=int, metavar="K", help="prepend K ones first")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", type=int, help="analysis window length (builtins only)")
+
     parser = argparse.ArgumentParser(
         prog="pnw",
         description="Generate, check, and index binary words with respect to prefix normality.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="print a word prefix")
-    _add_source_arguments(p)
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_generate)
+    def command(group, name: str, func, help_text: str, *parents) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=parents, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="test prefix normality")
-    _add_source_arguments(p)
+    command(sub, "generate", _cmd_generate, "print a word prefix", source, output)
+    p = command(sub, "check", _cmd_check, "test prefix normality", source, prepend, output)
     p.add_argument("--zero", action="store_true", help="check the 0-flavour instead")
-    p.add_argument("--prepend-ones", type=int, metavar="K", help="prepend K ones first")
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("pnf", help="print both prefix normal forms")
-    _add_source_arguments(p)
-    p.add_argument("--prepend-ones", type=int, metavar="K")
-    p.add_argument("--window", type=int, help="analysis window length (builtins only)")
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_pnf)
-
-    p = sub.add_parser("abelian", help="tabulate abelian complexity")
-    _add_source_arguments(p)
+    command(sub, "pnf", _cmd_pnf, "print both prefix normal forms", source, prepend, window, output)
+    p = command(sub, "abelian", _cmd_abelian, "tabulate abelian complexity", source, output)
     p.add_argument("--range", help="lengths to report, as A..B")
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_abelian)
-
-    p = sub.add_parser("density", help="minimum density report")
-    _add_source_arguments(p)
+    p = command(sub, "density", _cmd_density, "minimum density report", source, output)
     p.add_argument("--period", metavar="U,X", help="ultimately periodic word U followed by X repeated")
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("index", help="build or query a jumbled-matching index")
-    index_sub = p.add_subparsers(dest="action", required=True)
-    b = index_sub.add_parser("build", help="serialize an index to a file")
-    _add_source_arguments(b)
-    b.add_argument("-o", "--index-file", type=Path, required=True)
-    b.set_defaults(func=_cmd_index, action="build")
-    q = index_sub.add_parser("query", help="answer 'ZEROS ONES' queries")
-    q.add_argument("index_file", type=Path)
-    q.add_argument("--queries", type=Path, help="file of query pairs (default: stdin)")
-    q.add_argument("--strict", action="store_true", help="exit 1 when any answer is 'no'")
-    q.add_argument("-o", "--output", type=Path)
-    q.set_defaults(func=_cmd_index, action="query")
-
-    p = sub.add_parser("plotdata", help="emit staircase plot rows (ones minus zeros)")
-    _add_source_arguments(p)
+    index = sub.add_parser("index", help="build or query a jumbled-matching index")
+    index_sub = index.add_subparsers(dest="action", required=True)
+    p = command(index_sub, "build", _cmd_index_build, "serialize an index to a file", source)
+    p.add_argument("-o", "--index-file", type=Path, required=True)
+    p = command(index_sub, "query", _cmd_index_query, "answer 'ZEROS ONES' queries", output)
+    p.add_argument("index_file", type=Path)
+    p.add_argument("--queries", type=Path, help="file of query pairs (default: stdin)")
+    p.add_argument("--strict", action="store_true", help="exit 1 when any answer is 'no'")
+    plot_help = "emit staircase plot rows (ones minus zeros)"
+    p = command(sub, "plotdata", _cmd_plotdata, plot_help, source, window, output)
     p.add_argument("--pnf", action="store_true", help="add normal-form columns")
-    p.add_argument("--window", type=int, help="analysis window length for the normal forms")
-    p.add_argument("-o", "--output", type=Path)
-    p.set_defaults(func=_cmd_plotdata)
-
     return parser
 
 

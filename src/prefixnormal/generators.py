@@ -659,45 +659,29 @@ def geometric_density_sequence(alpha: Fraction, a1: Fraction | None = None) -> I
 def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterator[DensityStage]:
     if not isinstance(target, SlopeSpec):
         target = SlopeSpec(target if isinstance(target, QuadraticIrrational) else Fraction(target))
-    it = iter(densities)
-    previous: Fraction | None = None
-
-    def next_density(index: int) -> Fraction:
-        nonlocal previous
-        try:
-            value = Fraction(next(it))
-        except StopIteration:
-            raise InvalidInputError(f"density sequence ended before stage {index}") from None
-        if not 0 < value < 1:
+    previous, index = Fraction(1), 0  # a_1 < 1 is checked first, so 1 bounds it from above
+    for index, a in enumerate(map(Fraction, densities), 1):
+        if not 0 < a < 1:
             raise InvalidInputError(f"density a_{index} must lie in (0, 1)")
-        if previous is not None and value >= previous:
+        if a >= previous:
             raise InvalidInputError(f"density sequence must be strictly decreasing at a_{index}")
-        if target.compare(value) >= 0:
+        if target.compare(a) >= 0:
             raise InvalidInputError(f"density a_{index} must stay above the target")
-        previous = value
-        return value
-
-    a1 = next_density(1)
-    head = math.ceil(10 * a1)
-    run = 10 - head
-    word = FiniteWord.ones(head) + FiniteWord.zeros(run)
-    yield DensityStage(index=1, word=word, target=a1, k=None, zeros_run=run)
-
-    index = 2
-    while True:
-        a = next_density(index)
-        length, weight = len(word), word.weight
-        # run(k) = floor(k * (weight - a*length) / a), positive by the density bounds
-        scaled = weight * a.denominator - length * a.numerator
-        k = 2
-        while scaled * k // a.numerator <= run:
-            k += 1
-        new_run = scaled * k // a.numerator
-        flipped = _block_stream(_run_blocks(word, _flipext_runs(word))).prefix(k * length)
-        word = flipped + FiniteWord.zeros(new_run)
-        run = new_run
-        yield DensityStage(index=index, word=word, target=a, k=k, zeros_run=new_run)
-        index += 1
+        previous = a
+        if index == 1:
+            k, head = None, math.ceil(10 * a)
+            run = 10 - head
+            word = FiniteWord.ones(head) + FiniteWord.zeros(run)
+        else:
+            # run(k) = floor(k * scaled / numerator), positive by the density bounds;
+            # k is the least k >= 2 whose run exceeds the previous one
+            scaled = word.weight * a.denominator - len(word) * a.numerator
+            k = max(2, -(-(run + 1) * a.numerator // scaled))
+            run = scaled * k // a.numerator
+            flipped = _block_stream(_run_blocks(word, _flipext_runs(word))).prefix(k * len(word))
+            word = flipped + FiniteWord.zeros(run)
+        yield DensityStage(index=index, word=word, target=a, k=k, zeros_run=run)
+    raise InvalidInputError(f"density sequence ended before stage {index + 1}")
 
 
 def density_stages(target: TargetLike, densities: Iterable[Fraction], count: int) -> list[DensityStage]:

@@ -186,3 +186,24 @@ def champernowne_symbols(n: int) -> bytes:
         out.extend(1 if ch == "1" else 0 for ch in format(k, "b"))
         k += 1
     return bytes(out[:n])
+
+
+def divisor_primitive_root(text: str) -> str:
+    """Primitive root of a non-empty word: the shortest prefix whose
+    repetitions spell the word, found by scanning the divisors of its length."""
+    n = len(text)
+    for d in range(1, n + 1):
+        if n % d == 0 and text[:d] * (n // d) == text:
+            return text[:d]
+    raise ValueError("the empty word has no primitive root")
+
+
+def longer_zero_run(length: int, weight: int, density: Fraction, run: int) -> tuple[int, int]:
+    """Stage step of the staircase construction by linear search: the least
+    ``k >= 2`` for which ``k`` copies of a ``length``-symbol, ``weight``-one
+    word take a zero run ``floor(k * (weight - density * length) / density)``
+    longer than ``run``, with that zero run."""
+    k = 2
+    while math.floor(k * (weight - density * length) / density) <= run:
+        k += 1
+    return k, math.floor(k * (weight - density * length) / density)

@@ -35,6 +35,7 @@ from prefixnormal import (
     pnf1,
     prepend_ones_bound,
 )
+from prefixnormal.analysis import _primitive_root
 from prefixnormal.generators import (
     FIBONACCI_MORPHISM,
     FIBONACCI_SLOPE,
@@ -57,6 +58,7 @@ from oracles import (
     brute_min_density,
     brute_min_density_ultimately_periodic,
     brute_profile,
+    divisor_primitive_root,
 )
 
 words = st.text(alphabet="01", min_size=0, max_size=48).map(FiniteWord)
@@ -364,6 +366,11 @@ class TestUltimatelyPeriodic:
         up = UltimatelyPeriodicWord(FiniteWord("1"), FiniteWord("10"))
         assert str(up.prefix(7)) == "1101010"
         assert up.prefix(0) == FiniteWord("")
+
+    def test_primitive_root_matches_divisor_scan(self):
+        for n in range(1, 13):
+            for text in map("".join, itertools.product("01", repeat=n)):
+                assert str(_primitive_root(FiniteWord(text))) == divisor_primitive_root(text), text
 
     def test_empty_period_rejected(self):
         with pytest.raises(InvalidInputError):

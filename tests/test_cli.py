@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import io
+import re
 import sys
 
 import pytest
 
 from prefixnormal import word_core
-from prefixnormal.cli import main
+from prefixnormal.cli import build_parser, main
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -184,7 +185,7 @@ class TestPnf:
     def test_literal_word(self, capsys):
         code, out, err = run_cli(["pnf", "--word", "1111"], capsys=capsys)
         assert out.splitlines() == ["1111", "1111"]
-        assert "may change" in err  # no wider window exists for a literal
+        assert err == ""  # a literal is its own window: its normal forms are exact
 
     def test_explicit_window(self, capsys):
         code, out, _ = run_cli(["pnf", "thue-morse", "-n", "16", "--window", "4096"], capsys=capsys)
@@ -380,3 +381,87 @@ class TestDeterminism:
         first = run_cli(["abelian", "paperfolding", "-n", "512", "--range", "1..16"], capsys=capsys)
         second = run_cli(["abelian", "paperfolding", "-n", "512", "--range", "1..16"], capsys=capsys)
         assert first == second
+
+
+SOURCE_OPTIONS = [
+    "-n", "--length", "--word", "--file", "--slope", "--intercept", "--upper", "--lower",
+    "--seed", "--alpha", "--a1",
+]
+#: Every option each subcommand accepts, and options it must keep rejecting.
+OPTION_SURFACE = {
+    "generate": (SOURCE_OPTIONS + ["-o", "--output"], ["--window"]),
+    "check": (SOURCE_OPTIONS + ["-o", "--output", "--zero", "--prepend-ones"], ["--window"]),
+    "pnf": (SOURCE_OPTIONS + ["-o", "--output", "--prepend-ones", "--window"], []),
+    "abelian": (SOURCE_OPTIONS + ["-o", "--output", "--range"], []),
+    "density": (SOURCE_OPTIONS + ["-o", "--output", "--period"], ["--prepend-ones"]),
+    "index build": (SOURCE_OPTIONS + ["-o", "--index-file"], ["--output"]),
+    "index query": (["-o", "--output", "--queries", "--strict"], ["--word"]),
+    "plotdata": (SOURCE_OPTIONS + ["-o", "--output", "--pnf", "--window"], ["--prepend-ones"]),
+}
+#: A value for each option that takes one; the others are flags.
+OPTION_VALUES = {
+    "-n": "4", "--length": "4", "--word": "1", "--file": "w.txt", "--slope": "1/2",
+    "--intercept": "0", "--seed": "1", "--alpha": "1/3", "--a1": "1/2", "-o": "out",
+    "--output": "out", "--index-file": "out", "--prepend-ones": "1", "--window": "8",
+    "--range": "1..2", "--period": "1,0", "--queries": "q.txt",
+}
+
+#: What index build and index query cannot parse without.
+REQUIRED_ARGUMENTS = {"index build": ["--index-file", "out"], "index query": ["idx"]}
+
+
+def _with_value(option):
+    return [option, OPTION_VALUES[option]] if option in OPTION_VALUES else [option]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", OPTION_SURFACE)
+    def test_each_subcommand_keeps_its_options(self, command, capsys):
+        accepted, rejected = OPTION_SURFACE[command]
+        base = command.split() + REQUIRED_ARGUMENTS.get(command, [])
+        parser = build_parser()
+        for option in accepted:
+            parser.parse_args(base + _with_value(option))
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == set(accepted) | {"-h", "--help"}
+        for option in rejected:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(base + _with_value(option))
+            assert exc.value.code == 2
+
+
+#: For each rational option, an invocation that ends with the option itself.
+RATIONAL_OPTIONS = {
+    "--slope": ["generate", "mechanical", "-n", "12", "--slope"],
+    "--intercept": ["generate", "mechanical", "-n", "12", "--slope", "2/5", "--intercept"],
+    "--alpha": ["generate", "density-staircase", "-n", "12", "--alpha"],
+    "--a1": ["generate", "density-staircase", "-n", "12", "--alpha", "1/4", "--a1"],
+}
+
+
+class TestRationalGrammar:
+    """--intercept, --alpha and --a1 read rationals in the p/q grammar of --slope."""
+
+    @pytest.mark.parametrize("option", RATIONAL_OPTIONS)
+    @pytest.mark.parametrize("text, canonical", [("1/3", "1/3"), (" 1 / 3 ", "1/3"), ("0", "0/1")])
+    def test_accepted(self, option, text, canonical, capsys):
+        argv = RATIONAL_OPTIONS[option]
+        result = run_cli(argv + [text], capsys=capsys)
+        assert result == run_cli(argv + [canonical], capsys=capsys)
+        assert "cannot parse" not in result[2]
+        if text == "1/3":
+            assert result[0] == 0
+
+    @pytest.mark.parametrize("option", RATIONAL_OPTIONS)
+    @pytest.mark.parametrize("text", ["1_0/30", "+1/3", "1/0"])
+    def test_rejected(self, option, text, capsys):
+        code, out, err = run_cli(RATIONAL_OPTIONS[option] + [text], capsys=capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("option", ["--intercept", "--alpha", "--a1"])
+    def test_quadratic_value_is_usage_error(self, option, capsys):
+        code, _, err = run_cli(RATIONAL_OPTIONS[option] + ["(1+1*sqrt(5))/4"], capsys=capsys)
+        assert code == 2 and "cannot parse rational" in err

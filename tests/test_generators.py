@@ -481,6 +481,30 @@ class TestStagedDensityConstruction:
         with pytest.raises(InvalidInputError):
             density_stages(Fraction(1, 3), [Fraction(1, 2)], 2)
 
+    @pytest.mark.parametrize(
+        "target, limit, a1",
+        [
+            (Fraction(1, 3), Fraction(1, 3), None),
+            (Fraction(1, 3), Fraction(1, 3), Fraction(2, 5)),  # k from 8 down to 3
+            (Fraction(2, 5), Fraction(2, 5), None),
+            (SQRT2_SLOPE, Fraction(29, 70), None),
+        ],
+        ids=["1/3", "1/3-from-2/5", "2/5", "sqrt2-1"],
+    )
+    def test_k_is_least_with_longer_zero_run(self, target, limit, a1):
+        # the densities fall toward ``limit``, which is at or above the target
+        stages = density_stages(target, geometric_density_sequence(limit, a1), 6)
+        for before, stage in zip(stages, stages[1:]):
+            word = before.word
+            expected = oracles.longer_zero_run(len(word), word.weight, stage.target, before.zeros_run)
+            assert (stage.k, stage.zeros_run) == expected
+
+    @pytest.mark.parametrize("given", [0, 1, 3])
+    def test_short_sequence_names_the_missing_stage(self, given):
+        densities = list(itertools.islice(geometric_density_sequence(Fraction(1, 3)), given))
+        with pytest.raises(InvalidInputError, match=f"ended before stage {given + 1}$"):
+            density_stages(Fraction(1, 3), densities, given + 1)
+
     def test_geometric_sequence_defaults(self):
         seq = geometric_density_sequence(Fraction(2, 5))
         assert next(seq) == Fraction(7, 10)
