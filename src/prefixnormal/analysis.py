@@ -198,13 +198,14 @@ class UltimatelyPeriodicWord:
         preperiod, period = FiniteWord(preperiod), FiniteWord(period)
         if len(period) == 0:
             raise InvalidInputError("period must be non-empty")
-        period = _primitive_root(period)
-        pre, per = bytes(preperiod), bytes(period)
-        while pre and pre[-1] == per[-1]:
-            per = per[-1:] + per[:-1]
-            pre = pre[:-1]
-        self.preperiod = FiniteWord(pre)
-        self.period = FiniteWord(per)
+        pre, per = bytes(preperiod), bytes(_primitive_root(period))
+        # absorb the preperiod's tail that continues the period, rotating once
+        behind = (per * (len(pre) // len(per) + 1))[len(per) - len(pre) % len(per) :]
+        differ = np.flatnonzero(np.frombuffer(pre, np.uint8) != np.frombuffer(behind, np.uint8))
+        cut = int(differ[-1]) + 1 if differ.size else 0
+        r = (len(pre) - cut) % len(per)
+        self.preperiod = FiniteWord(pre[:cut])
+        self.period = FiniteWord(per[len(per) - r :] + per[: len(per) - r])
 
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
@@ -291,10 +292,15 @@ def empirical_min_prepend(source: PrefixSource, length: int, kmax: int) -> int |
 
 def is_prenecklace_prefix(w: FiniteWord) -> bool:
     """True when every suffix of ``w`` is lexicographically at most ``w``
-    over their common length (finite view of the shift condition)."""
-    text = str(w)
-    n = len(text)
-    return all(text[i:] <= text[: n - i] for i in range(1, n))
+    over their common length. One pass keeps the period ``p`` of the prefix
+    read so far (Cattell et al., J. Algorithms 2000, order reversed)."""
+    raw, p = bytes(w), 1
+    for i in range(1, len(raw)):
+        if raw[i] > raw[i - p]:
+            return False
+        if raw[i] < raw[i - p]:
+            p = i + 1
+    return True
 
 
 def _greatest_factor(w: FiniteWord, n: int) -> FiniteWord:

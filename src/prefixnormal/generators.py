@@ -14,8 +14,10 @@ Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 period, a quadratic slope concatenates standard words, a morphic tape expands
 until a block holds ``PERIOD_CHUNK`` symbols, paperfolding is computed
 ``PERIOD_CHUNK`` indices and Champernowne ``PERIOD_CHUNK // 16`` integers at a
-time, and each extension operator is a generator of run lengths ``k`` whose
-runs ``0^k 1`` are appended whole.
+time, and flipext is a generator of run lengths ``k`` whose runs ``0^k 1`` are
+appended whole. Lazy flipext is the seed, one run of 0s and the tail of the
+upper mechanical word, and a density staircase stage is ``w^k 0^run`` (proof
+sketches at ``lazy_alpha_flipext_stream`` and ``_density_stages``).
 """
 
 from __future__ import annotations
@@ -50,15 +52,6 @@ MAX_RADICAND = 10**10
 #: symbols expanded, or paperfolding indices per block. A long period is built
 #: only as far as it is read.
 PERIOD_CHUNK = 4096
-
-
-def _floor_times_sqrt(b: int, d: int) -> int:
-    """Exact ``floor(b * sqrt(d))`` for a non-square ``d >= 2``."""
-    if b == 0:
-        return 0
-    root = math.isqrt(b * b * d)
-    # b*sqrt(d) is irrational, so the floor of the negative branch shifts by one.
-    return root if b > 0 else -root - 1
 
 
 def _sign_linear(a: int, b: int, d: int) -> int:
@@ -155,7 +148,9 @@ class QuadraticIrrational:
         return self._with(self.c * self.a, -self.c * self.b, norm)
 
     def __floor__(self) -> int:
-        return (self.a + _floor_times_sqrt(self.b, self.d)) // self.c
+        root = math.isqrt(self.b * self.b * self.d)
+        # b*sqrt(d) is irrational, so the floor of the negative branch shifts by one
+        return (self.a + (root if self.b > 0 else -root - 1)) // self.c
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -246,14 +241,6 @@ class SlopeSpec:
             diff = self.value - Fraction(other)
             return (diff > 0) - (diff < 0)
         return self.value._cmp(other)
-
-    def _inverse_terms(self) -> tuple[int, int, int, int]:
-        """``1/slope`` as ``(a, b, c, d)`` meaning ``(a + b*sqrt(d))/c``; ``b = 0``
-        for a rational slope. The slope must be positive."""
-        if self.is_rational:
-            return self.value.denominator, 0, self.value.numerator, 0
-        inverse = self.value.reciprocal()
-        return inverse.a, inverse.b, inverse.c, inverse.d
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -358,20 +345,22 @@ def _characteristic_blocks(alpha: QuadraticIrrational) -> Iterator[bytes]:
         word = cur
 
 
+def _mechanical_blocks(slope: SlopeSpec, intercept: Fraction, upper: bool) -> Iterator[bytes]:
+    """A rational slope tiles one period; an irrational one (intercept 0) is
+    ``0`` (lower) or ``1`` (upper) followed by the characteristic word."""
+    if slope.is_rational:
+        return itertools.cycle(_rational_period(slope.value, intercept, upper))
+    first = b"\x01" if upper else b"\x00"
+    return itertools.chain((first,), _characteristic_blocks(slope.value))
+
+
 def mechanical_stream(
     slope: SlopeSpec, intercept: Fraction = Fraction(0), upper: bool = False
 ) -> WordStream:
-    """Stream form of :func:`mechanical_lower` / :func:`mechanical_upper`.
-
-    A rational slope tiles one period; an irrational one (intercept 0) is
-    ``0`` (lower) or ``1`` (upper) followed by the characteristic word.
-    """
+    """Stream form of :func:`mechanical_lower` / :func:`mechanical_upper`."""
     intercept = Fraction(intercept)
     _validate_mechanical_params(slope, intercept)
-    if slope.is_rational:
-        return _block_stream(itertools.cycle(_rational_period(slope.value, intercept, upper)))
-    first = b"\x01" if upper else b"\x00"
-    return _block_stream(itertools.chain((first,), _characteristic_blocks(slope.value)))
+    return _block_stream(_mechanical_blocks(slope, intercept, upper))
 
 
 def mechanical_lower(slope: SlopeSpec, intercept: Fraction, n: int) -> FiniteWord:
@@ -579,45 +568,35 @@ def flipext_stream(w: FiniteWord) -> WordStream:
     return _block_stream(_run_blocks(w, _flipext_runs(w)))
 
 
-def _validate_lazy_seed(w: FiniteWord, slope: SlopeSpec) -> None:
+def _lazy_end(w: FiniteWord, slope: SlopeSpec) -> int:
+    """After validating the seed, ``floor(W / slope)`` for the weight ``W`` of
+    ``w``: the longest ``w 0^j`` whose density still meets the slope."""
     if slope.compare(0) <= 0 or slope.compare(1) > 0:
         raise RangeError("slope must lie in (0, 1]")
     _require_prefix_normal_seed(w)
     if slope.compare(min_density(w).delta) > 0:
         raise InvalidInputError("seed minimum density is below the slope")
-
-
-def _lazy_runs(w: FiniteWord, slope: SlopeSpec) -> Iterator[int]:
-    """Run lengths ``k`` of iterated lazy flipext.
-
-    After a weight-``m`` prefix of length ``L``, the largest ``k`` with
-    ``m / (L + k) >= slope`` is ``floor(m / slope) - L``; it is never negative
-    because the current density already meets the slope. ``1/slope`` is
-    worked out once, so each run costs one integer floor.
-    """
-    a, b, c, d = slope._inverse_terms()
-    weight, length = w.weight, len(w)
-    while True:
-        k = (weight * a + _floor_times_sqrt(weight * b, d)) // c - length
-        yield k
-        weight += 1
-        length += k + 1
+    inverse = 1 / slope.value if slope.is_rational else slope.value.reciprocal()
+    return math.floor(inverse * w.weight)
 
 
 def lazy_alpha_flipext(w: FiniteWord, slope: SlopeSpec) -> FiniteWord:
     """Extend by ``0^k 1`` with the maximal ``k`` keeping the minimum density at or above ``slope``."""
-    _validate_lazy_seed(w, slope)
-    return w + FiniteWord.zeros(next(_lazy_runs(w, slope))) + FiniteWord.ones(1)
+    return w + FiniteWord.zeros(_lazy_end(w, slope) - len(w)) + FiniteWord.ones(1)
 
 
 def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
     """The limit of iterating :func:`lazy_alpha_flipext`.
 
-    Started from the single-letter word 1, this reproduces the upper
-    mechanical word of the same slope with intercept 0.
+    After a weight-``m`` prefix a step puts the next 1 at the 1-based position
+    ``floor(m / slope) + 1``, whatever the prefix is. The upper mechanical word
+    ``U`` of intercept 0 has ``ceil(slope*L)`` 1s in its first ``L`` symbols,
+    so its ``(m+1)``-th 1 sits there too. The stream is therefore
+    ``w 0^(E - |w|) U[E:]`` with ``E = floor(weight(w) / slope)``; from 1 it is ``U``.
     """
-    _validate_lazy_seed(w, slope)
-    return _block_stream(_run_blocks(w, _lazy_runs(w, slope)))
+    end = _lazy_end(w, slope)
+    upper = itertools.chain.from_iterable(_mechanical_blocks(slope, Fraction(0), True))
+    return _block_stream((bytes(w), itertools.repeat(0, end - len(w)), itertools.islice(upper, end, None)))
 
 
 # -- staged aperiodic construction with prescribed minimum density ---------------
@@ -678,8 +657,14 @@ def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterat
             scaled = word.weight * a.denominator - len(word) * a.numerator
             k = max(2, -(-(run + 1) * a.numerator // scaled))
             run = scaled * k // a.numerator
-            flipped = _block_stream(_run_blocks(word, _flipext_runs(word))).prefix(k * len(word))
-            word = flipped + FiniteWord.zeros(run)
+            # flipext^omega(w) = w^omega when w^omega is prefix normal: a run k'
+            # shorter than w^omega's next run would end a suffix u'0^k'1 beating
+            # the prefix u'0^(k'+1). (1^h 0^r)^omega is prefix normal, and 0^run
+            # after every k|w| symbols keeps a periodic word prefix normal: the
+            # window at a period start holds the fewest inserted 0s.
+            if k * len(word) + run > MATERIALIZE_CAP:
+                raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
+            word = word * k + FiniteWord.zeros(run)
         yield DensityStage(index=index, word=word, target=a, k=k, zeros_run=run)
     raise InvalidInputError(f"density sequence ended before stage {index + 1}")
 

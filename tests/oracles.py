@@ -188,6 +188,23 @@ def champernowne_symbols(n: int) -> bytes:
     return bytes(out[:n])
 
 
+def slicing_is_prenecklace_prefix(text: str) -> bool:
+    """Every suffix of ``text`` is at most the prefix of the same length,
+    one slice comparison per suffix."""
+    n = len(text)
+    return all(text[i:] <= text[: n - i] for i in range(1, n))
+
+
+def rotate_preperiod_into_period(pre: str, per: str) -> tuple[str, str]:
+    """Canonical preperiod and period of ``pre + per * inf`` for a primitive
+    ``per``: while the preperiod ends with the period's last symbol, move that
+    symbol to the front of the period, one rotation per symbol."""
+    while pre and pre[-1] == per[-1]:
+        per = per[-1] + per[:-1]
+        pre = pre[:-1]
+    return pre, per
+
+
 def divisor_primitive_root(text: str) -> str:
     """Primitive root of a non-empty word: the shortest prefix whose
     repetitions spell the word, found by scanning the divisors of its length."""

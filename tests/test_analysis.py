@@ -59,10 +59,30 @@ from oracles import (
     brute_min_density_ultimately_periodic,
     brute_profile,
     divisor_primitive_root,
+    rotate_preperiod_into_period,
+    slicing_is_prenecklace_prefix,
 )
 
 words = st.text(alphabet="01", min_size=0, max_size=48).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=48).map(FiniteWord)
+
+LONG_WORD_KINDS = ["random", "prefix-normal", "thue-morse", "fibonacci", "alternating", "ones-then-zeros"]
+
+
+def long_word(kind: str) -> str:
+    """A word of 2000 to 4000 symbols of the given kind, seeded by the kind."""
+    rng = random.Random(kind)
+    length = rng.randrange(2000, 4001)
+    random_text = "".join(rng.choice("01") for _ in range(length))
+    make = {
+        "random": lambda: random_text,
+        "prefix-normal": lambda: str(pnf1(compute_profile(FiniteWord(random_text)))),
+        "thue-morse": lambda: str(thue_morse_stream().prefix(length)),
+        "fibonacci": lambda: str(fibonacci_stream().prefix(length)),
+        "alternating": lambda: "01" * (length // 2),
+        "ones-then-zeros": lambda: "1" * (length // 2) + "0" * (length // 2),
+    }
+    return make[kind]()
 
 
 class TestPrefixNormalChecks:
@@ -372,6 +392,26 @@ class TestUltimatelyPeriodic:
             for text in map("".join, itertools.product("01", repeat=n)):
                 assert str(_primitive_root(FiniteWord(text))) == divisor_primitive_root(text), text
 
+    def test_absorption_matches_rotation_loop(self):
+        periods = [
+            text
+            for n in range(1, 5)
+            for text in map("".join, itertools.product("01", repeat=n))
+            if divisor_primitive_root(text) == text
+        ]
+        for n in range(9):
+            for pre in map("".join, itertools.product("01", repeat=n)):
+                for per in periods:
+                    up = UltimatelyPeriodicWord(FiniteWord(pre), FiniteWord(per))
+                    assert (str(up.preperiod), str(up.period)) == rotate_preperiod_into_period(pre, per)
+
+    def test_absorption_of_a_long_preperiod(self):
+        rng = random.Random(20)
+        per = "".join(rng.choice("01") for _ in range(700)) + "1"
+        for pre in ("0" + per * 3, per[5:] + per * 2, "1" + per[-9:]):
+            up = UltimatelyPeriodicWord(FiniteWord(pre), FiniteWord(per))
+            assert (str(up.preperiod), str(up.period)) == rotate_preperiod_into_period(pre, per)
+
     def test_empty_period_rejected(self):
         with pytest.raises(InvalidInputError):
             UltimatelyPeriodicWord(FiniteWord("1"), FiniteWord(""))
@@ -475,6 +515,16 @@ class TestLexOrderOperations:
         assert not is_prenecklace_prefix(FiniteWord("01") * 5)
         assert is_prenecklace_prefix(FiniteWord.ones(9))
 
+    def test_prenecklace_matches_slicing_exhaustive(self):
+        for n in range(15):
+            for text in map("".join, itertools.product("01", repeat=n)):
+                assert is_prenecklace_prefix(FiniteWord(text)) == slicing_is_prenecklace_prefix(text), text
+
+    @pytest.mark.parametrize("kind", LONG_WORD_KINDS)
+    def test_prenecklace_matches_slicing_long(self, kind):
+        text = long_word(kind)
+        assert is_prenecklace_prefix(FiniteWord(text)) == slicing_is_prenecklace_prefix(text)
+
     @given(words)
     def test_prefix_normal_implies_prenecklace(self, w):
         if is_prefix_normal_1(w):
@@ -511,22 +561,9 @@ class TestLexOrderOperations:
                 for n in range(1, length + 1):
                     assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(text, n)
 
-    @pytest.mark.parametrize(
-        "kind", ["random", "prefix-normal", "thue-morse", "fibonacci", "alternating", "ones-then-zeros"]
-    )
+    @pytest.mark.parametrize("kind", LONG_WORD_KINDS)
     def test_extremes_match_enumeration_long(self, kind):
-        rng = random.Random(kind)
-        length = rng.randrange(2000, 4001)
-        random_text = "".join(rng.choice("01") for _ in range(length))
-        make = {
-            "random": lambda: random_text,
-            "prefix-normal": lambda: str(pnf1(compute_profile(FiniteWord(random_text)))),
-            "thue-morse": lambda: str(thue_morse_stream().prefix(length)),
-            "fibonacci": lambda: str(fibonacci_stream().prefix(length)),
-            "alternating": lambda: "01" * (length // 2),
-            "ones-then-zeros": lambda: "1" * (length // 2) + "0" * (length // 2),
-        }
-        text = make[kind]()
+        text = long_word(kind)
         w, size = FiniteWord(text), len(text)
         run = max(len(r) for r in text.split("0"))
         for n in sorted({1, 7, max(run - 1, 1), run, run + 1, size // 2, size}):

@@ -418,6 +418,19 @@ class TestLazyFlipext:
             assert is_prefix_normal_1(word)
             assert min_density(word).delta >= Fraction(3, 7)
 
+    def test_matches_oracle_from_every_short_seed(self):
+        slopes = [SlopeSpec.rational(1, 3), SlopeSpec.rational(2, 5), SQRT2_SLOPE, GOLDEN_CONJUGATE]
+        checked = 0
+        for seed in (s for s in PREFIX_NORMAL_SEEDS if len(s) <= 8):
+            delta = min_density(FiniteWord(seed)).delta
+            for slope in (s for s in slopes if s.compare(delta) <= 0):
+                got = lazy_alpha_flipext_stream(FiniteWord(seed), slope).prefix(400)
+                assert bytes(got) == oracles.lazy_flipext_symbols(seed, slope, 400), (seed, str(slope))
+                step = bytes(lazy_alpha_flipext(FiniteWord(seed), slope))  # up to the next 1
+                assert bytes(got).startswith(step) and step.index(1, len(seed)) == len(step) - 1
+                checked += 1
+        assert checked > 100
+
     def test_zero_run_is_maximal(self):
         # appended run k satisfies: density still meets the slope at w + 0^k,
         # and would drop below it at w + 0^(k+1)
@@ -498,6 +511,53 @@ class TestStagedDensityConstruction:
             word = before.word
             expected = oracles.longer_zero_run(len(word), word.weight, stage.target, before.zeros_run)
             assert (stage.k, stage.zeros_run) == expected
+
+    @pytest.mark.parametrize(
+        "target, limit",
+        [(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 5), Fraction(2, 5)), (SQRT2_SLOPE, Fraction(29, 70))],
+        ids=["1/3", "2/5", "sqrt2-1"],
+    )
+    def test_stage_is_a_word_power_then_zeros(self, target, limit):
+        stages = density_stages(target, geometric_density_sequence(limit), 5)
+        for before, stage in zip(stages, stages[1:]):
+            power = before.word * stage.k
+            assert stage.word == power + FiniteWord.zeros(stage.zeros_run)
+            assert oracles.flipext_symbols(str(before.word), len(power)) == bytes(power)
+
+    def test_stages_and_lazy_streams_skip_the_flipext_engine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("flipext engine used")
+
+        monkeypatch.setattr(generators, "_flipext_runs", refuse)
+        monkeypatch.setattr(generators, "_run_blocks", refuse)
+        stages = density_stages(Fraction(1, 3), geometric_density_sequence(Fraction(1, 3)), 6)
+        assert len(stages[-1].word) == 651
+        for seed, slope in [("1", SQRT2_SLOPE), ("11010", SlopeSpec.rational(2, 5))]:
+            got = lazy_alpha_flipext_stream(FiniteWord(seed), slope).prefix(1000)
+            assert bytes(got) == oracles.lazy_flipext_symbols(seed, slope, 1000)
+
+    def test_sqrt2_convergents_reach_stage_five(self):
+        # the upper convergents of sqrt(2) - 1, whose stage 5 has about 1.8M symbols
+        densities = [Fraction(1, 2), Fraction(5, 12), Fraction(29, 70), Fraction(169, 408), Fraction(985, 2378)]
+        start = time.perf_counter()
+        stages = density_stages(SQRT2_SLOPE, densities, 5)
+        assert time.perf_counter() - start < 2.0
+        last = stages[-1]
+        assert (len(last.word), last.k, last.zeros_run) == (1_787_773, 44, 9)
+
+    def test_oversized_stage_fails_fast(self):
+        densities = [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**15)]  # k near 3e14
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError):
+                density_stages(Fraction(1, 3), densities, 2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("given", [0, 1, 3])
     def test_short_sequence_names_the_missing_stage(self, given):
