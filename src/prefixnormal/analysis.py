@@ -54,24 +54,56 @@ class PNViolation:
         )
 
 
-def find_violation_1(w: FiniteWord) -> PNViolation | None:
-    """First factor with more 1s than the same-length prefix, or None.
+# Words with rho 1-runs and rho**2 <= _RUN_PAIR_FACTOR * n take run pairs.
+_RUN_PAIR_FACTOR = 16
 
-    ``None`` means ``w`` is 1-prefix normal; the empty word is vacuously
-    normal. The scan goes length by length, so the first violation has
-    minimal length and, within it, minimal starting position.
+
+def find_violation_1(w: FiniteWord) -> PNViolation | None:
+    """First factor with more 1s than the same-length prefix, shortest then
+    leftmost, or None for a 1-prefix normal ``w``. Words with few 1-runs scan
+    only the length their run pairs give; others scan each length up to it.
+
+    A core runs from a 1-run start to a 1-run end; it has length ``L``, ``W``
+    ones and ``Z = L - W`` zeros. A best window's span from first to last 1,
+    stretched to the ends of their runs, is a core, so the max-1s function is
+    ``max(max_{L<=i} W, i + max_{L>i} (W - L))`` over cores: a core fits in
+    the window, or holds it and all but ``Z`` of its zeros. With ``Z(i)`` the
+    0s of the length-``i`` prefix, a core beats it at ``i < L`` iff
+    ``Z(i) > Z``, and at ``i >= L`` only if ``W > P(L)``, i.e. ``Z(L) > Z``.
+    So the first violation comes from the heavy core (``Z(L) > Z``) with
+    fewest zeros, at the shortest prefix holding one zero more.
     """
-    for i, weights in _window_weights(w, len(w)):
-        limit = weights[0]
+    starts, ends = _one_runs(w)
+    lengths = range(1, len(w) + 1)
+    if starts.size**2 <= _RUN_PAIR_FACTOR * len(w):
+        lengths = _lengths_from_cores(w, starts, ends)
+    for i, weights in _window_weights(w, lengths):
+        limit = int(weights[0])
         if weights.max() > limit:
             j = int(np.argmax(weights > limit))
-            return PNViolation(
-                factor_start=j + 1,
-                factor_length=i,
-                factor_ones=int(weights[j]),
-                prefix_ones=int(limit),
-            )
+            return PNViolation(j + 1, i, int(weights[j]), limit)
     return None
+
+
+def _one_runs(w: FiniteWord) -> tuple[np.ndarray, np.ndarray]:
+    """0-based starts and exclusive ends of the runs of 1s in ``w``."""
+    edges = np.diff(np.frombuffer(b"\x00" + bytes(w) + b"\x00", dtype=np.int8))  # signed: run ends are -1
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
+def _lengths_from_cores(w: FiniteWord, starts: np.ndarray, ends: np.ndarray) -> range:
+    """The first violating length from the cores of :func:`find_violation_1`,
+    or no length. A core over ``d + 1`` runs holds at least ``d`` zeros, so
+    cores are taken by ``d`` until ``d`` reaches the fewest zeros found."""
+    zeros = np.arange(len(w) + 1) - w.prefix_sums()  # zeros[i] = Z(i)
+    fewest, rho = len(w), starts.size  # len(w) stands for "no heavy core"
+    for d in range(rho):
+        if d >= fewest:
+            break
+        core_zeros = zeros[starts[d:]] - zeros[starts[: rho - d]]  # zeros[end] = zeros[start] in a 1-run
+        fewest = int(core_zeros.min(initial=fewest, where=zeros[ends[d:] - starts[: rho - d]] > core_zeros))
+    first = int(np.searchsorted(zeros, fewest + 1))
+    return range(first, first + 1) if fewest < len(w) else range(0)
 
 
 def find_violation_0(w: FiniteWord) -> PNViolation | None:
@@ -253,7 +285,7 @@ def is_c_balanced(w: FiniteWord, c: int) -> bool:
     """True when any two equal-length factors differ by at most ``c`` 1s."""
     if c < 1:
         raise RangeError("balance constant must be positive")
-    return all(weights.max() - weights.min() <= c for _, weights in _window_weights(w, len(w)))
+    return all(int(ones.max() - ones.min()) <= c for _, ones in _window_weights(w, range(1, len(w) + 1)))
 
 
 def prepend_ones_bound(profile: PrefixProfile, c: int) -> int:
@@ -312,10 +344,9 @@ def _greatest_factor(w: FiniteWord, n: int) -> FiniteWord:
     if not 1 <= n <= len(w):
         raise RangeError(f"factor length {n} out of range 1..{len(w)}")
     raw, last = bytes(w), len(w) - n
-    edges = np.diff(np.frombuffer(raw, dtype=np.int8), prepend=0, append=0)  # signed: run ends are -1
-    starts = np.flatnonzero(edges == 1)
+    starts, ends = _one_runs(w)
     keep = starts <= last
-    starts, lead = starts[keep], np.minimum(np.flatnonzero(edges == -1) - starts, n)[keep]
+    starts, lead = starts[keep], np.minimum(ends - starts, n)[keep]
     if not starts.size:
         return w[last:]
     j = max(starts[lead == lead.max()].tolist(), key=lambda j: raw[j : j + n])

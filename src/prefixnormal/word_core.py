@@ -234,20 +234,21 @@ class PrefixProfile:
         return i - self.max_ones_at(i)
 
 
-def _window_weights(w: FiniteWord, longest: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(i, weights)`` for each factor length ``i = 1..longest``.
-
-    ``weights[j]`` is the number of 1s in the length-``i`` factor starting at
-    0-based position ``j``, taken as the prefix-sum difference
-    ``P[j + i] - P[j]``; in particular ``weights[0]`` is the prefix weight.
-    This is the single quadratic scan behind every factor statistic.
-    Consumers must not keep a yielded array past the next step, so that the
-    kernel is free to reuse one buffer.
+def _window_weights(w: FiniteWord, lengths: range) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, weights)`` for each factor length ``i`` in ``lengths``:
+    ``weights[j] = P[j + i] - P[j]`` is the number of 1s in the factor at
+    0-based ``j``, so ``weights[0]`` is the prefix weight. This is the one
+    quadratic scan behind every factor statistic. The sums are cast once to
+    the narrowest unsigned type holding ``n`` (uint16 below 2**16 symbols);
+    each lies in ``0..n`` and ``P[j + i] >= P[j]``, so no difference wraps.
+    Consumers must not keep a yielded array past the next step: all lengths
+    share one buffer.
     """
-    sums = w.prefix_sums()
     n = len(w)
-    for i in range(1, longest + 1):
-        yield i, sums[i:] - sums[: n - i + 1]
+    sums = w.prefix_sums().astype(np.min_scalar_type(n))
+    buf = np.empty(n, dtype=sums.dtype)
+    for i in lengths:
+        yield i, np.subtract(sums[i:], sums[: n - i + 1], out=buf[: n - i + 1])
 
 
 def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
@@ -255,9 +256,8 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
 
     ``longest`` defaults to ``len(w)``. A smaller bound still takes every
     factor of ``w`` into account, so a long window of an infinite word gives
-    better estimates of its statistics than the short prefix alone. For each
-    length ``i`` the window weights are all differences ``P[j + i] - P[j]``
-    of the prefix-sum array, so the cost is ``O(longest * len(w))``.
+    better estimates of its statistics than the short prefix alone. The cost
+    is ``O(longest * len(w))``.
     """
     n = len(w)
     if n == 0:
@@ -266,9 +266,6 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
         longest = n
     elif not 1 <= longest <= n:
         raise RangeError(f"factor length {longest} out of range 1..{n}")
-    maxs = np.empty(longest, dtype=np.int64)
-    mins = np.empty(longest, dtype=np.int64)
-    for i, weights in _window_weights(w, longest):
-        maxs[i - 1] = weights.max()
-        mins[i - 1] = weights.min()
-    return PrefixProfile(length=longest, max_ones=tuple(maxs.tolist()), min_ones=tuple(mins.tolist()))
+    extremes = ((int(ones.max()), int(ones.min())) for _, ones in _window_weights(w, range(1, longest + 1)))
+    maxs, mins = zip(*extremes)
+    return PrefixProfile(length=longest, max_ones=maxs, min_ones=mins)

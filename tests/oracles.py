@@ -1,7 +1,9 @@
 """Brute-force reference implementations used as independent oracles.
 
-The factor statistics enumerate factors by slicing; nothing shares code with
-the library's sliding-window or closed-form paths. The word producers are the
+The factor statistics enumerate factors by slicing, or take them from the
+library's former window kernel: int64 prefix sums and one new array per factor
+length. Nothing shares code with the library's narrow-sum, run-pair or
+closed-form paths. The word producers are the
 library's former one-symbol-at-a-time generators: an exact floor per mechanical
 symbol, one slope reciprocal per lazy extension, a flipext step that
 rebuilds its prefix sums from scratch, a morphic tape expanded one symbol at a
@@ -52,6 +54,33 @@ def brute_first_violation(text: str) -> tuple[int, int, int, int] | None:
             ones = text[j : j + i].count("1")
             if ones > prefix_ones:
                 return j + 1, i, ones, prefix_ones
+    return None
+
+
+def int64_window_weights(text: str, longest: int):
+    """Yield ``(i, weights)`` for factor lengths ``1..longest``: ``weights[j]``
+    is the 1-count of the length-``i`` factor at 0-based ``j``, as the
+    difference of int64 prefix sums, in a new array for each length."""
+    n = len(text)
+    sums = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1"), out=sums[1:])
+    for i in range(1, longest + 1):
+        yield i, sums[i:] - sums[: n - i + 1]
+
+
+def int64_profile(text: str, longest: int) -> tuple[list[int], list[int]]:
+    """Max and min 1s per factor length ``1..longest`` from the int64 kernel."""
+    extremes = [(int(weights.max()), int(weights.min())) for _, weights in int64_window_weights(text, longest)]
+    return [hi for hi, _ in extremes], [lo for _, lo in extremes]
+
+
+def int64_first_violation(text: str) -> tuple[int, int, int, int] | None:
+    """:func:`brute_first_violation` from the int64 kernel, length by length."""
+    for i, weights in int64_window_weights(text, len(text)):
+        limit = int(weights[0])
+        if weights.max() > limit:
+            j = int(np.argmax(weights > limit))
+            return j + 1, i, int(weights[j]), limit
     return None
 
 

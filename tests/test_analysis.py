@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from prefixnormal import (
     pnf1,
     prepend_ones_bound,
 )
+from prefixnormal import analysis
 from prefixnormal.analysis import _primitive_root
 from prefixnormal.generators import (
     FIBONACCI_MORPHISM,
@@ -59,6 +61,7 @@ from oracles import (
     brute_min_density_ultimately_periodic,
     brute_profile,
     divisor_primitive_root,
+    int64_first_violation,
     rotate_preperiod_into_period,
     slicing_is_prenecklace_prefix,
 )
@@ -195,6 +198,69 @@ class TestPrefixNormalChecks:
         one_tm = FiniteWord("1") + morphic_fixpoint(THUE_MORSE_MORPHISM, 63)
         violation = check_stream_prefix_normal(Literal(one_tm), 4)
         assert violation is not None and violation.factor_length == 2
+
+
+def witness(violation):
+    return None if violation is None else astuple(violation)
+
+
+@st.composite
+def planted_sparse_words(draw) -> str:
+    """``1 0^(q-1)`` repeated, prefix normal and run-sparse, with one 0 in
+    its second half turned into a 1; unless that symbol was a 1 already, the
+    1 before it and the planted one make a violation of length at most q."""
+    q = draw(st.integers(14, 80))
+    n = draw(st.integers(2 * q, 3000))
+    symbols = bytearray((b"1" + b"0" * (q - 1)) * (n // q + 1))[:n]
+    symbols[draw(st.integers(n // 2, n - 1))] = ord("1")
+    return symbols.decode()
+
+
+class TestRunPairs:
+    """``find_violation_1`` finds the violating length of a word with few runs
+    of 1s from its run pairs; ``_RUN_PAIR_FACTOR`` 0 sends every word with a 1
+    to the window scan, and a huge factor sends every word to the run pairs."""
+
+    @pytest.mark.parametrize("factor", [0, 10**12])
+    def test_exhaustive_witness_up_to_length_12(self, factor, monkeypatch):
+        monkeypatch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+        for n in range(1, 13):
+            for value in range(1 << n):
+                text = format(value, f"0{n}b")
+                assert witness(find_violation_1(FiniteWord(text))) == brute_first_violation(text), text
+
+    def test_short_run_words_on_the_run_pairs(self, monkeypatch):
+        # short runs give many cores with few zeros; in 1100001010100011 a heavy
+        # core over two runs and three zeros comes before the one over three
+        # runs and two zeros, which gives the witness (length 5, start 7)
+        monkeypatch.setattr(analysis, "_RUN_PAIR_FACTOR", 10**12)
+        rng = random.Random(1613)
+        texts = ["1100001010100011"]
+        for _ in range(6000):
+            runs = [("1" * rng.randint(1, 3), "0" * rng.randint(1, 4)) for _ in range(rng.randint(3, 10))]
+            texts.append("".join(ones + zeros for ones, zeros in runs)[: rng.randint(8, 40)])
+        for text in texts:
+            assert witness(find_violation_1(FiniteWord(text))) == int64_first_violation(text), text
+
+    @given(planted_sparse_words())
+    @settings(max_examples=150, deadline=None)
+    def test_planted_late_violation_matches_window_scan(self, text):
+        w = FiniteWord(text)
+        assert len(analysis._one_runs(w)[0]) ** 2 <= analysis._RUN_PAIR_FACTOR * len(w)
+        found = find_violation_1(w)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_RUN_PAIR_FACTOR", 0)
+            assert witness(found) == witness(find_violation_1(w))
+
+    def test_dense_check_never_reaches_the_core_scan(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("core scan on a dense word")
+
+        monkeypatch.setattr(analysis, "_lengths_from_cores", unreachable)
+        rng = random.Random(2000)
+        for _ in range(20):
+            text = "10" + "".join(rng.choice("01") for _ in range(1998))  # like pnw check --word in the benchmark
+            assert witness(find_violation_1(FiniteWord(text))) == int64_first_violation(text)
 
 
 class TestPrefixNormalForms:

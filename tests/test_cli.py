@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prefixnormal import word_core
+from prefixnormal import analysis, word_core
 from prefixnormal.cli import build_parser, main
 
 
@@ -26,7 +26,7 @@ def run_cli(argv, stdin_text=None, capsys=None):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The factor lengths that the window kernel yields to compute_profile."""
+    """The factor lengths that the window kernel yields to its consumers."""
     lengths = []
     kernel = word_core._window_weights
 
@@ -36,6 +36,7 @@ def scanned(monkeypatch):
             yield i, weights
 
     monkeypatch.setattr(word_core, "_window_weights", counting)
+    monkeypatch.setattr(analysis, "_window_weights", counting)
     return lengths
 
 
@@ -137,6 +138,19 @@ class TestCheck:
             ["check", "fibonacci", "--prepend-ones", "1", "-n", "10000"], capsys=capsys
         )
         assert code == 0 and out.strip() == "NORMAL"
+
+    def test_run_sparse_word_scans_at_most_one_length(self, scanned, capsys):
+        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked by run pairs
+        argv = ["check", "lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
+        assert run_cli(argv, capsys=capsys) == (0, "NORMAL\n", "")
+        assert len(scanned) <= 1
+
+    def test_planted_violation_scans_its_length_only(self, scanned, capsys):
+        word = ("1" + "0" * 63) * 500
+        word = word[:20000] + "1" + word[20001:]  # 1 0^31 1 at position 19,969
+        code, out, _ = run_cli(["check", "--word", word], capsys=capsys)
+        assert (code, out) == (1, "len=33 start=19969 ones=2 prefix_ones=1\n")
+        assert scanned == [33]
 
     def test_non_utf8_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

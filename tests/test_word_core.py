@@ -1,6 +1,7 @@
 """Unit tests for words, Parikh vectors, rationals, and prefix profiles."""
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,11 @@ from prefixnormal import (
     prefix_weight,
     reverse,
 )
+from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
+from prefixnormal.word_core import _window_weights
 
-from oracles import brute_profile
+from oracles import brute_profile, int64_first_violation, int64_profile
 
 words = st.text(alphabet="01", min_size=0, max_size=64).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=64).map(FiniteWord)
@@ -233,3 +236,58 @@ class TestComputeProfile:
                 for i in range(1, n + 1)
             ]
             assert [profile.max_zeros_at(i) for i in range(1, n + 1)] == zero_maxs
+
+
+# The kernel's sums are uint8 up to 255 symbols, uint16 up to 65,535 and
+# uint32 beyond: these lengths sit on both sides of both boundaries.
+DTYPE_BOUNDARIES = (255, 256, 257, 65535, 65536, 65537)
+
+
+def boundary_word(kind: str, n: int) -> str:
+    if kind == "random":
+        rng = random.Random(n)
+        return "".join(rng.choice("01") for _ in range(n))
+    return ("1" if kind == "ones" else "0") * n
+
+
+class TestNarrowKernel:
+    @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
+    def test_sums_take_the_narrowest_type(self, n):
+        _, weights = next(_window_weights(FiniteWord.ones(n), range(1, 2)))
+        assert weights.dtype.itemsize == (1 if n < 256 else 2 if n < 65536 else 4)
+        assert weights.dtype.kind == "u"
+
+    @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
+    @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
+    def test_profile_matches_int64_kernel(self, kind, n):
+        text = boundary_word(kind, n)
+        profile = compute_profile(FiniteWord(text), 40)
+        assert (list(profile.max_ones), list(profile.min_ones)) == int64_profile(text, 40)
+
+    @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
+    @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
+    def test_violation_matches_int64_kernel(self, kind, n):
+        text = boundary_word(kind, n)
+        violation = find_violation_1(FiniteWord(text))
+        if kind != "random" and n > 65000:
+            # a constant word is prefix normal; the oracle's full int64 scan takes seconds here
+            expected = None
+        else:
+            expected = int64_first_violation(text)
+        assert (None if violation is None else astuple(violation)) == expected
+
+    def test_balance_constant_beyond_the_kernel_type(self):
+        w = FiniteWord(boundary_word("random", 200))
+        assert is_c_balanced(w, 2**16)
+        assert is_c_balanced(w, 10**30)
+
+    def test_kernel_values_leave_as_python_ints(self):
+        sparse = ("1" + "0" * 40) * 20 + "11"  # its violation is found by run pairs
+        dense = "10" + boundary_word("random", 1998)  # its violation is found by the window scan
+        for text in ("1" * 300, sparse, dense):
+            w = FiniteWord(text)
+            profile = compute_profile(w)
+            assert all(type(value) is int for value in profile.max_ones + profile.min_ones)
+        for text in (sparse, dense):
+            violation = find_violation_1(FiniteWord(text))
+            assert violation is not None and all(type(value) is int for value in astuple(violation))
