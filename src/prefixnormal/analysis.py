@@ -10,9 +10,11 @@ which makes abelian complexity a simple width computation.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -133,9 +135,9 @@ def check_stream_prefix_normal(source: PrefixSource, length: int) -> PNViolation
 # -- prefix normal forms and abelian complexity ----------------------------------
 
 
-def _word_with_prefix_weights(weights: tuple[int, ...]) -> FiniteWord:
+def _word_with_prefix_weights(weights: Sequence[int]) -> FiniteWord:
     """The word whose length-``i`` prefix has ``weights[i - 1]`` ones."""
-    return FiniteWord(np.diff(weights, prepend=0).astype(np.uint8).tobytes())
+    return FiniteWord(bytes(map(operator.sub, weights, itertools.chain((0,), weights))))
 
 
 def pnf1(profile: PrefixProfile) -> FiniteWord:
@@ -203,13 +205,10 @@ class MinDensityReport:
 
 def min_density(w: FiniteWord) -> MinDensityReport:
     """Exact minimum over the prefix densities of ``w``."""
-    n = len(w)
-    if n == 0:
+    if not w:
         raise InvalidInputError("minimum density of the empty word is undefined")
-    sums = w.prefix_sums()
-    best_num, best_den = int(sums[1]), 1
-    for i in range(2, n + 1):
-        weight = int(sums[i])
+    best_num, best_den = 1, 1  # the prefix 1 of a word that starts with 1; a first 0 replaces it
+    for i, weight in enumerate(itertools.accumulate(bytes(w)), 1):
         if weight * best_den < best_num * i:
             best_num, best_den = weight, i
     return MinDensityReport(delta=Fraction(best_num, best_den), iota=best_den, kappa=best_num)
@@ -232,9 +231,9 @@ class UltimatelyPeriodicWord:
             raise InvalidInputError("period must be non-empty")
         pre, per = bytes(preperiod), bytes(_primitive_root(period))
         # absorb the preperiod's tail that continues the period, rotating once
-        behind = (per * (len(pre) // len(per) + 1))[len(per) - len(pre) % len(per) :]
-        differ = np.flatnonzero(np.frombuffer(pre, np.uint8) != np.frombuffer(behind, np.uint8))
-        cut = int(differ[-1]) + 1 if differ.size else 0
+        cut = len(pre)
+        while cut and pre[cut - 1] == per[(cut - len(pre) - 1) % len(per)]:
+            cut -= 1
         r = (len(pre) - cut) % len(per)
         self.preperiod = FiniteWord(pre[:cut])
         self.period = FiniteWord(per[len(per) - r :] + per[: len(per) - r])

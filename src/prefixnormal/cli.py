@@ -15,8 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import analysis, generators, jumbled_index
 from .analysis import WINDOW_FACTOR
 from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
@@ -101,6 +99,8 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
     if args.length is not None and args.length < 0:
         raise UsageError("prefix length must be non-negative")
+    if (getattr(args, "prepend_ones", None) or 0) < 0:
+        raise UsageError("--prepend-ones must be non-negative")
     if args.word is not None or args.file is not None:
         if args.file is not None:
             text = args.file.read_text().splitlines()
@@ -124,11 +124,8 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
 
 
 def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
-    if not count:
-        return word
-    if count < 0:
-        raise UsageError("--prepend-ones must be non-negative")
-    return FiniteWord.ones(count) + word
+    # _resolve_word has rejected a negative count before producing any symbol
+    return FiniteWord.ones(count) + word if count else word
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -224,11 +221,11 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 
 def _cmd_index_query(args: argparse.Namespace) -> int:
     index = jumbled_index.deserialize(args.index_file.read_bytes())
-    answers = []
     misses = False
-    source = open(args.queries) if args.queries is not None else contextlib.nullcontext(sys.stdin)
-    with source as stream:
-        # file lines end at newlines only; str.splitlines also splits at \v, \f and others
+    with contextlib.ExitStack() as stack:
+        stream = stack.enter_context(open(args.queries)) if args.queries is not None else sys.stdin
+        out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
+        # answered line by line; file lines end at newlines only, str.splitlines also splits at \v, \f
         for line in itertools.chain.from_iterable(map(str.splitlines, stream)):
             if not line.strip():
                 continue
@@ -239,8 +236,7 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
                 raise UsageError(f"cannot parse query line {line!r}; expected 'ZEROS ONES'") from exc
             hit = index.query(zeros, ones)
             misses = misses or not hit
-            answers.append("yes" if hit else "no")
-    _emit(args, "\n".join(answers))
+            out.write("yes\n" if hit else "no\n")
     return 1 if args.strict and misses else 0
 
 
@@ -250,10 +246,10 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         words = (word, analysis.pnf1(profile), analysis.pnf0(profile))
     else:
         words = (_resolve_word(args),)
-    steps = np.arange(len(words[0]) + 1)
     # one row per prefix length: the length, then ones minus zeros of each word
-    table = np.column_stack([steps] + [2 * w.prefix_sums() - steps for w in words])
-    _emit(args, "\n".join("\t".join(map(str, row)) for row in table.tolist()))
+    walks = [itertools.accumulate(map((-1, 1).__getitem__, bytes(w)), initial=0) for w in words]
+    row = "\t".join(["{}"] * (1 + len(words)))
+    _emit(args, "\n".join(map(row.format, itertools.count(), *walks)))
     return 0
 
 

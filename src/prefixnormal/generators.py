@@ -12,12 +12,13 @@ case analysis (``math.isqrt`` supplies the exact integer square root).
 Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 ``_block_stream`` wraps as a :class:`WordStream`: a rational slope tiles one
 period, a quadratic slope concatenates standard words, a morphic tape expands
-until a block holds ``PERIOD_CHUNK`` symbols, paperfolding is computed
-``PERIOD_CHUNK`` indices and Champernowne ``PERIOD_CHUNK // 16`` integers at a
-time, and flipext is a generator of run lengths ``k`` whose runs ``0^k 1`` are
-appended whole. Lazy flipext is the seed, one run of 0s and the tail of the
-upper mechanical word, and a density staircase stage is ``w^k 0^run`` (proof
-sketches at ``lazy_alpha_flipext_stream`` and ``_density_stages``).
+until a block holds ``PERIOD_CHUNK`` symbols, paperfolding is built by
+reflection in doubling blocks, Champernowne is computed ``PERIOD_CHUNK // 16``
+integers at a time, and flipext is a generator of run lengths ``k`` whose runs
+``0^k 1`` are appended whole. Lazy flipext is the seed, one run of 0s and the
+tail of the upper mechanical word, and a density staircase stage is
+``w^k 0^run`` (proof sketches at ``paperfolding_stream``,
+``lazy_alpha_flipext_stream`` and ``_density_stages``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedParameterError,
 )
-from .word_core import FiniteWord
+from .word_core import _FLIP, FiniteWord
 
 #: Hard cap on materialized prefix length; a desk-scale guardrail.
 MATERIALIZE_CAP = 1 << 26
@@ -48,9 +49,8 @@ MATERIALIZE_CAP = 1 << 26
 #: value at this limit on one Xeon core, and hours for a 21-digit radicand.
 MAX_RADICAND = 10**10
 
-#: Block size of the producers: symbols of a rational period, morphic tape
-#: symbols expanded, or paperfolding indices per block. A long period is built
-#: only as far as it is read.
+#: Block size of the producers: symbols of a rational period or morphic tape
+#: symbols expanded per block. A long period is built only as far as it is read.
 PERIOD_CHUNK = 4096
 
 
@@ -468,14 +468,22 @@ def thue_morse_stream() -> WordStream:
 
 
 def _paperfolding_blocks() -> Iterator[bytes]:
-    """Symbol ``i - 1`` is 1 exactly when the odd part of ``i`` is 3 mod 4."""
-    for start in itertools.count(1, PERIOD_CHUNK):
-        i = np.arange(start, start + PERIOD_CHUNK, dtype=np.int64)
-        yield ((i // (i & -i)) % 4 == 3).astype(np.uint8).tobytes()
+    """``w_1``, then the new half ``0 complement(reverse(w_k))`` of each ``w_{k+1}``."""
+    word = b"\x00"
+    yield word
+    while True:
+        half = b"\x00" + word[::-1].translate(_FLIP)
+        yield half
+        word += half
 
 
 def paperfolding_stream() -> WordStream:
-    """The ordinary paperfolding word via the odd-part residue rule."""
+    """The ordinary paperfolding word, whose symbol ``i - 1`` is 1 exactly when
+    the odd part of ``i`` is 3 mod 4, built by reflection: ``w_1 = 0`` and
+    ``w_{k+1} = w_k 0 complement(reverse(w_k))``. Position ``2^k`` has odd
+    part 1. For ``0 < j = 2^v o < 2^k`` with ``o`` odd, the odd parts
+    ``2^(k-v) + o`` and ``2^(k-v) - o`` of ``2^k + j`` and ``2^k - j`` sum to
+    a multiple of 4, so they are 1 and 3 mod 4 in swapped order."""
     return _block_stream(_paperfolding_blocks())
 
 

@@ -21,6 +21,7 @@ Rational = Fraction
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 BitsLike = Union["FiniteWord", str, bytes, bytearray, memoryview, Iterable[int]]
 
@@ -34,7 +35,7 @@ class FiniteWord:
     ``str()`` renders the plain bitstring.
     """
 
-    __slots__ = ("_bits", "_sums")
+    __slots__ = ("_bits",)
 
     def __init__(self, bits: BitsLike = b""):
         if isinstance(bits, FiniteWord):
@@ -52,7 +53,6 @@ class FiniteWord:
             if raw.translate(None, b"\x00\x01"):
                 raise InvalidInputError("symbol values must be 0 or 1")
         self._bits = raw
-        self._sums: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, n: int) -> "FiniteWord":
@@ -68,14 +68,10 @@ class FiniteWord:
         return self._bits.count(1)
 
     def prefix_sums(self) -> np.ndarray:
-        """Array ``P`` with ``P[i]`` = number of 1s among the first ``i`` symbols."""
-        if self._sums is None:
-            sums = np.zeros(len(self._bits) + 1, dtype=np.int64)
-            if self._bits:
-                np.cumsum(np.frombuffer(self._bits, dtype=np.uint8), out=sums[1:])
-            sums.setflags(write=False)
-            self._sums = sums
-        return self._sums
+        """A new int64 array of ``n + 1`` counts: ``P[i]`` 1s among the first ``i`` symbols."""
+        sums = np.zeros(len(self._bits) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(self._bits, dtype=np.uint8), out=sums[1:])
+        return sums
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -150,7 +146,7 @@ def parikh(u: FiniteWord) -> ParikhVector:
 
 def complement(u: FiniteWord) -> FiniteWord:
     """Bitwise complement; an involution."""
-    return FiniteWord(u._bits.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00")))
+    return FiniteWord(u._bits.translate(_FLIP))
 
 
 def reverse(u: FiniteWord) -> FiniteWord:
@@ -162,7 +158,7 @@ def prefix_weight(w: FiniteWord, i: int) -> int:
     """Number of 1s among the first ``i`` symbols of ``w`` (``i = 0`` gives 0)."""
     if not 0 <= i <= len(w):
         raise RangeError(f"prefix length {i} out of range 0..{len(w)}")
-    return int(w.prefix_sums()[i])
+    return w._bits.count(1, 0, i)
 
 
 def prefix_density(w: FiniteWord, i: int) -> Fraction:

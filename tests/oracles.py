@@ -234,6 +234,17 @@ def rotate_preperiod_into_period(pre: str, per: str) -> tuple[str, str]:
     return pre, per
 
 
+def least_eventual_period_form(pre: str, per: str) -> tuple[str, str]:
+    """Canonical preperiod and period of ``x = pre + per * inf`` read off the
+    word itself: the least ``p`` with ``x[i] == x[i + p]`` on a whole period of
+    the tail, and the least ``c`` from which that holds for every ``i``. Then
+    ``x = x[:c] + x[c : c + p] * inf``."""
+    x, tail = pre + per * 3, range(len(pre), len(pre) + len(per))
+    p = next(p for p in range(1, len(per) + 1) if all(x[i] == x[i + p] for i in tail))
+    c = max((i + 1 for i in range(len(pre)) if x[i] != x[i + p]), default=0)
+    return x[:c], x[c : c + p]
+
+
 def divisor_primitive_root(text: str) -> str:
     """Primitive root of a non-empty word: the shortest prefix whose
     repetitions spell the word, found by scanning the divisors of its length."""

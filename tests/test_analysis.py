@@ -62,6 +62,7 @@ from oracles import (
     brute_profile,
     divisor_primitive_root,
     int64_first_violation,
+    least_eventual_period_form,
     rotate_preperiod_into_period,
     slicing_is_prenecklace_prefix,
 )
@@ -432,6 +433,12 @@ class TestMinDensity:
         report = min_density(FiniteWord("101010"))
         assert (report.delta, report.iota) == (Fraction(1, 2), 2)
 
+    def test_matches_fraction_scan_on_every_short_word(self):
+        for n in range(1, 13):
+            for text in map("".join, itertools.product("01", repeat=n)):
+                report = min_density(FiniteWord(text))
+                assert (report.delta, report.iota, report.kappa) == brute_min_density(text), text
+
     @given(nonempty_words)
     @settings(max_examples=200)
     def test_matches_brute_force(self, w):
@@ -470,6 +477,14 @@ class TestUltimatelyPeriodic:
                 for per in periods:
                     up = UltimatelyPeriodicWord(FiniteWord(pre), FiniteWord(per))
                     assert (str(up.preperiod), str(up.period)) == rotate_preperiod_into_period(pre, per)
+
+    def test_matches_least_eventual_period_on_every_short_pair(self):
+        for n in range(7):
+            for pre in map("".join, itertools.product("01", repeat=n)):
+                for m in range(1, 5):
+                    for per in map("".join, itertools.product("01", repeat=m)):
+                        up = UltimatelyPeriodicWord(FiniteWord(pre), FiniteWord(per))
+                        assert (str(up.preperiod), str(up.period)) == least_eventual_period_form(pre, per)
 
     def test_absorption_of_a_long_preperiod(self):
         rng = random.Random(20)

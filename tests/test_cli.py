@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib
 import io
+import pkgutil
 import re
 import sys
 
+import numpy as np
 import pytest
 
-from prefixnormal import analysis, word_core
+import prefixnormal
+from prefixnormal import FiniteWord, analysis, cli, compute_profile, word_core
+from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
 
@@ -132,6 +137,15 @@ class TestCheck:
         code, out, _ = run_cli(["check", "--word", "11100110110"], capsys=capsys)
         assert code == 1
         assert out.strip() == "len=5 start=6 ones=4 prefix_ones=3"
+
+    @pytest.mark.parametrize("command", ["check", "pnf"])
+    def test_negative_prepend_fails_before_the_source_is_built(self, command, monkeypatch, capsys):
+        def unbuilt(args):
+            raise AssertionError("a negative --prepend-ones must be rejected first")
+
+        monkeypatch.setitem(cli._BUILTINS, "fibonacci", unbuilt)
+        argv = [command, "fibonacci", "-n", "20000000", "--prepend-ones", "-1"]
+        assert run_cli(argv, capsys=capsys) == (2, "", "error: --prepend-ones must be non-negative\n")
 
     def test_prepended_fibonacci(self, capsys):
         code, out, _ = run_cli(
@@ -338,6 +352,42 @@ class TestIndex:
         code = main(["index", "query", str(index_file)])
         assert code == 0 and capsys.readouterr().out == "yes\nno\nno\nyes\n"
 
+    def test_each_answer_is_written_before_the_next_line_is_read(self, tmp_path, capsys, monkeypatch):
+        index_file = tmp_path / "w.pnji"
+        run_cli(["index", "build", "--word", "0101", "-o", str(index_file)], capsys=capsys)
+        lines, answers = ["1 1\n", "0 2\n", "2 0\n", "2 2\n"], ["yes\n", "no\n", "no\n", "yes\n"]
+        out = io.StringIO()
+
+        def stdin():
+            for k, line in enumerate(lines):
+                assert out.getvalue() == "".join(answers[:k])  # answers 1..k, before line k + 1 is read
+                yield line
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["index", "query", str(index_file)]) == 0
+        assert out.getvalue() == "".join(answers)
+
+    def test_output_file_strict_and_empty_input(self, tmp_path, capsys):
+        index_file, target = tmp_path / "w.pnji", tmp_path / "answers.txt"
+        run_cli(["index", "build", "--word", "0101", "-o", str(index_file)], capsys=capsys)
+        argv = ["index", "query", str(index_file), "--strict"]
+        assert run_cli(argv, stdin_text="3 3\n1 1\n", capsys=capsys) == (1, "no\nyes\n", "")
+        assert run_cli(argv + ["-o", str(target)], stdin_text="3 3\n1 1\n", capsys=capsys) == (1, "", "")
+        assert target.read_text() == "no\nyes\n"
+        assert run_cli(argv, stdin_text="", capsys=capsys) == (0, "", "")
+        assert run_cli(argv + ["-o", str(target)], stdin_text="\n", capsys=capsys) == (0, "", "")
+        assert target.read_text() == ""
+
+    def test_answers_before_a_malformed_line_stay_written(self, tmp_path, capsys):
+        index_file = tmp_path / "w.pnji"
+        run_cli(["index", "build", "--word", "0101", "-o", str(index_file)], capsys=capsys)
+        code, out, err = run_cli(
+            ["index", "query", str(index_file)], stdin_text="1 1\n3 3\none two\n2 2\n", capsys=capsys
+        )
+        assert (code, out) == (2, "yes\nno\n")
+        assert err == "error: cannot parse query line 'one two'; expected 'ZEROS ONES'\n"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["index", "query", str(tmp_path / "none.pnji")], capsys=capsys)
         assert code == 3
@@ -388,6 +438,66 @@ class TestPlotdata:
         code, out, _ = run_cli(["plotdata", "thue-morse", "-n", "12", "--pnf"], capsys=capsys)
         pnf1_column = [int(line.split("\t")[2]) for line in out.strip().splitlines()]
         assert pnf1_column == [0, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]
+
+    @staticmethod
+    def prefix_sum_rows(words):
+        """Row ``i`` is ``i`` and then ``2 P[i] - i`` of each word."""
+        walks = [(2 * w.prefix_sums() - np.arange(len(w) + 1)).tolist() for w in words]
+        return "".join("\t".join(map(str, row)) + "\n" for row in zip(range(len(words[0]) + 1), *walks))
+
+    @pytest.mark.parametrize("text", ["0", "1", "1100", "0" * 50, "1" * 50, "10" + "0110" * 40])
+    def test_word_rows_match_prefix_sums(self, text, capsys):
+        expected = self.prefix_sum_rows([FiniteWord(text)])
+        assert run_cli(["plotdata", "--word", text], capsys=capsys) == (0, expected, "")
+
+    @pytest.mark.parametrize("name", ["fibonacci", "champernowne", "paperfolding"])
+    def test_pnf_rows_match_prefix_sums(self, name, capsys):
+        n = 60
+        window = cli._BUILTINS[name](None).prefix(WINDOW_FACTOR * n)
+        profile = compute_profile(window, n)
+        expected = self.prefix_sum_rows([window[:n], analysis.pnf1(profile), analysis.pnf0(profile)])
+        code, out, _ = run_cli(["plotdata", name, "-n", str(n), "--pnf"], capsys=capsys)
+        assert (code, out) == (0, expected)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used by a command that needs no array scan")
+
+
+#: Commands that scan no word as an array, so they must not touch numpy.
+NUMPY_FREE = {
+    "fibonacci": ["generate", "fibonacci", "-n", "3000"],
+    "thue-morse": ["generate", "thue-morse", "-n", "3000"],
+    "paperfolding": ["generate", "paperfolding", "-n", "3000"],
+    "champernowne": ["generate", "champernowne", "-n", "3000"],
+    "mechanical-rational": ["generate", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
+    "mechanical-quadratic": ["generate", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
+    "density-staircase": ["generate", "density-staircase", "--alpha", "1/3", "-n", "3000"],
+    "density-word": ["density", "--word", "1101" * 300 + "0001" * 200],
+    "density-period": ["density", "--period", "0110100,1" + "0011" * 9],
+    "index-query-stdin": ["index", "query", "{index}"],
+    "index-query-file": ["index", "query", "{index}", "--queries", "{queries}"],
+    "plotdata-word": ["plotdata", "--word", "1101" * 300 + "0001" * 200],
+}
+
+
+class TestNumpyFreeCommands:
+    @pytest.mark.parametrize("name", NUMPY_FREE)
+    def test_same_bytes_without_numpy(self, name, tmp_path, monkeypatch, capsys):
+        index, queries = tmp_path / "w.pnji", tmp_path / "q.txt"
+        run_cli(["index", "build", "--word", "110100110010" * 20, "-o", str(index)], capsys=capsys)
+        pairs = "".join(f"{z} {o}\n" for z in range(0, 30, 3) for o in range(0, 30, 4))
+        queries.write_text(pairs)
+        argv = [arg.format(index=index, queries=queries) for arg in NUMPY_FREE[name]]
+        expected = run_cli(argv, stdin_text=pairs, capsys=capsys)
+        names = [f"prefixnormal.{info.name}" for info in pkgutil.iter_modules(prefixnormal.__path__)]
+        patched = [module for module in map(importlib.import_module, names) if hasattr(module, "np")]
+        assert patched
+        for module in patched:
+            monkeypatch.setattr(module, "np", _NoNumpy())
+        assert run_cli(argv, stdin_text=pairs, capsys=capsys) == expected
+        assert expected[0] == 0 and expected[1]
 
 
 class TestDeterminism:

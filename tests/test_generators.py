@@ -275,6 +275,12 @@ class TestMechanicalWords:
             assert characteristic_word(slope, 256) == upper[1:]
 
 
+@pytest.fixture(scope="module")
+def odd_part_rule():
+    """The paperfolding rule applied per index, up to 2**20 + 1 symbols."""
+    return oracles.paperfolding_symbols(2**20 + 1)
+
+
 class TestClassicWords:
     def test_thue_morse_golden_prefix(self):
         assert str(morphic_fixpoint(THUE_MORSE_MORPHISM, 32)) == (
@@ -298,6 +304,16 @@ class TestClassicWords:
         assert str(paperfolding(31)) == "0010011000110110001001110011011"
         assert paperfolding(1) == FiniteWord("0")
         assert paperfolding(3)[2] == 1
+
+    def test_paperfolding_by_reflection_every_short_length(self, odd_part_rule):
+        for n in range(1, 5001):
+            assert bytes(paperfolding(n)) == odd_part_rule[:n], n
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_paperfolding_by_reflection_around_powers_of_two(self, k, odd_part_rule):
+        # the reflection's blocks end at 2**k - 1 symbols
+        for n in {2**k - 1, 2**k, 2**k + 1} - {0}:
+            assert bytes(paperfolding(n)) == odd_part_rule[:n], n
 
     def test_champernowne_golden_prefix(self):
         assert str(champernowne(34)) == "0110111001011101111000100110101011"

@@ -4,6 +4,7 @@ import random
 from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,18 @@ class TestFiniteWord:
         assert FiniteWord.zeros(4).weight == 0
         assert FiniteWord("0101").weight == 2
 
+    def test_a_word_holds_only_its_bytes(self):
+        assert FiniteWord.__slots__ == ("_bits",)
+
+    @given(words)
+    def test_prefix_sums_are_a_new_int64_array_per_call(self, w):
+        first, second = w.prefix_sums(), w.prefix_sums()
+        assert first is not second and first.dtype == np.int64
+        expected = [str(w)[:i].count("1") for i in range(len(w) + 1)]
+        assert first.tolist() == expected
+        first[:] = -1  # a caller may write to its array: no other call sees it
+        assert w.prefix_sums().tolist() == expected
+
     def test_rational_is_exact_arbitrary_precision(self):
         from prefixnormal import Rational
 
@@ -102,9 +115,16 @@ class TestPrefixWeightDensity:
     def test_count_direct(self):
         assert prefix_weight(FiniteWord("110100110010"), 12) == 6
 
+    @given(words)
+    def test_every_length_matches_counting(self, w):
+        text = str(w)
+        assert [prefix_weight(w, i) for i in range(len(w) + 1)] == [text[:i].count("1") for i in range(len(w) + 1)]
+
     def test_out_of_range(self):
         with pytest.raises(RangeError):
             prefix_weight(FiniteWord("10"), 3)
+        with pytest.raises(RangeError):
+            prefix_weight(FiniteWord("10"), -1)
         with pytest.raises(RangeError):
             prefix_density(FiniteWord("10"), 0)
 
