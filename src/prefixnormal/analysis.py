@@ -14,9 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import InvalidInputError, NoBoundError, RangeError
 from .word_core import (
@@ -26,6 +24,9 @@ from .word_core import (
     _window_weights,
     complement,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PrefixSource(Protocol):
@@ -82,13 +83,14 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     for i, weights in _window_weights(w, lengths):
         limit = int(weights[0])
         if weights.max() > limit:
-            j = int(np.argmax(weights > limit))
+            j = int((weights > limit).argmax())
             return PNViolation(j + 1, i, int(weights[j]), limit)
     return None
 
 
 def _one_runs(w: FiniteWord) -> tuple[np.ndarray, np.ndarray]:
     """0-based starts and exclusive ends of the runs of 1s in ``w``."""
+    import numpy as np
     edges = np.diff(np.frombuffer(b"\x00" + bytes(w) + b"\x00", dtype=np.int8))  # signed: run ends are -1
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
@@ -97,14 +99,14 @@ def _lengths_from_cores(w: FiniteWord, starts: np.ndarray, ends: np.ndarray) -> 
     """The first violating length from the cores of :func:`find_violation_1`,
     or no length. A core over ``d + 1`` runs holds at least ``d`` zeros, so
     cores are taken by ``d`` until ``d`` reaches the fewest zeros found."""
-    zeros = np.arange(len(w) + 1) - w.prefix_sums()  # zeros[i] = Z(i)
+    zeros = complement(w).prefix_sums()  # zeros[i] = Z(i)
     fewest, rho = len(w), starts.size  # len(w) stands for "no heavy core"
     for d in range(rho):
         if d >= fewest:
             break
         core_zeros = zeros[starts[d:]] - zeros[starts[: rho - d]]  # zeros[end] = zeros[start] in a 1-run
         fewest = int(core_zeros.min(initial=fewest, where=zeros[ends[d:] - starts[: rho - d]] > core_zeros))
-    first = int(np.searchsorted(zeros, fewest + 1))
+    first = int(zeros.searchsorted(fewest + 1))
     return range(first, first + 1) if fewest < len(w) else range(0)
 
 
@@ -345,7 +347,7 @@ def _greatest_factor(w: FiniteWord, n: int) -> FiniteWord:
     raw, last = bytes(w), len(w) - n
     starts, ends = _one_runs(w)
     keep = starts <= last
-    starts, lead = starts[keep], np.minimum(ends - starts, n)[keep]
+    starts, lead = starts[keep], (ends - starts).clip(max=n)[keep]
     if not starts.size:
         return w[last:]
     j = max(starts[lead == lead.max()].tolist(), key=lambda j: raw[j : j + n])

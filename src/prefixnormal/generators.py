@@ -12,7 +12,7 @@ case analysis (``math.isqrt`` supplies the exact integer square root).
 Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 ``_block_stream`` wraps as a :class:`WordStream`: a rational slope tiles one
 period, a quadratic slope concatenates standard words, a morphic tape expands
-until a block holds ``PERIOD_CHUNK`` symbols, paperfolding is built by
+at most ``PERIOD_CHUNK`` tape symbols per block, paperfolding is built by
 reflection in doubling blocks, Champernowne is computed ``PERIOD_CHUNK // 16``
 integers at a time, and flipext is a generator of run lengths ``k`` whose runs
 ``0^k 1`` are appended whole. Lazy flipext is the seed, one run of 0s and the
@@ -29,8 +29,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
-
-import numpy as np
 
 from .analysis import find_violation_1, min_density
 from .errors import (
@@ -427,26 +425,29 @@ def _morphic_blocks(m: MorphismSpec) -> Iterator[bytes]:
     """The fixpoint of ``m``, block by block.
 
     ``tape`` is always the image of its first ``done`` symbols, so it starts
-    as the seed's image and is a prefix of the fixpoint. A block expands the
-    next unexpanded tape symbols, at most ``PERIOD_CHUNK`` at a time, and
-    keeps expanding the symbols it has just appended until it holds
-    ``PERIOD_CHUNK`` symbols; a bytearray keeps appending linear when images
-    are short. A finite fixpoint of a prolongable binary morphism is the
-    seed's image itself, so the first block already holds all of it.
+    as the seed's image and is a prefix of the fixpoint. Each block is the
+    image of the next unexpanded tape symbols, at most ``PERIOD_CHUNK`` of
+    them; a bytearray keeps appending linear when images are short. A finite
+    fixpoint of a prolongable binary morphism is the seed's image itself.
+    If the seed's image is ``s a^k`` with ``a`` fixed by ``m``, the fixpoint
+    is ``s a^omega``; any other infinite fixpoint grows exponentially, so its
+    blocks soon hold ``PERIOD_CHUNK`` symbols.
     """
     images = (bytes(m.image_of(0)), bytes(m.image_of(1)))
     tape = bytearray(images[m.seed])
     yield bytes(tape)
+    image = images[tape[1]]
+    if tape[1:] == image * (len(tape) - 1):  # s a^k, and a is its own image
+        yield from itertools.repeat(image * PERIOD_CHUNK)
     done = 1
     while True:
-        start = len(tape)
-        while len(tape) < start + PERIOD_CHUNK:
-            chunk = tape[done : done + PERIOD_CHUNK]
-            if not chunk:
-                raise InvalidInputError("morphism fixpoint is finite")
-            tape += b"".join([images[symbol] for symbol in chunk])
-            done += len(chunk)
-        yield bytes(tape[start:])
+        chunk = tape[done : done + PERIOD_CHUNK]
+        if not chunk:
+            raise InvalidInputError("morphism fixpoint is finite")
+        block = b"".join([images[symbol] for symbol in chunk])
+        tape += block
+        done += len(chunk)
+        yield block
 
 
 def morphic_stream(m: MorphismSpec) -> WordStream:
@@ -547,6 +548,7 @@ def _flipext_runs(seed: FiniteWord) -> Iterator[int]:
     positions are an append-only array with amortised doubling, so a step
     adds two views of it and rebuilds nothing.
     """
+    import numpy as np
     ones = np.flatnonzero(np.frombuffer(bytes(seed), dtype=np.uint8)) + 1
     n, weight = len(seed), len(ones)
     positions = np.zeros(2 * weight + 2, dtype=np.int64)  # p_t at index t

@@ -10,11 +10,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidInputError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exact arbitrary-precision rationals back every density and slope comparison.
 Rational = Fraction
@@ -69,6 +70,7 @@ class FiniteWord:
 
     def prefix_sums(self) -> np.ndarray:
         """A new int64 array of ``n + 1`` counts: ``P[i]`` 1s among the first ``i`` symbols."""
+        import numpy as np
         sums = np.zeros(len(self._bits) + 1, dtype=np.int64)
         np.cumsum(np.frombuffer(self._bits, dtype=np.uint8), out=sums[1:])
         return sums
@@ -240,6 +242,7 @@ def _window_weights(w: FiniteWord, lengths: range) -> Iterator[tuple[int, np.nda
     Consumers must not keep a yielded array past the next step: all lengths
     share one buffer.
     """
+    import numpy as np
     n = len(w)
     sums = w.prefix_sums().astype(np.min_scalar_type(n))
     buf = np.empty(n, dtype=sums.dtype)

@@ -1,10 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
-import importlib
 import io
-import pkgutil
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,11 +461,6 @@ class TestPlotdata:
         assert (code, out) == (0, expected)
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used by a command that needs no array scan")
-
-
 #: Commands that scan no word as an array, so they must not touch numpy.
 NUMPY_FREE = {
     "fibonacci": ["generate", "fibonacci", "-n", "3000"],
@@ -483,6 +479,10 @@ NUMPY_FREE = {
 
 
 class TestNumpyFreeCommands:
+    """numpy is imported only inside the functions that scan a word as an
+    array. With ``sys.modules["numpy"]`` set to None any ``import numpy``
+    raises ImportError, so these commands run without ever importing it."""
+
     @pytest.mark.parametrize("name", NUMPY_FREE)
     def test_same_bytes_without_numpy(self, name, tmp_path, monkeypatch, capsys):
         index, queries = tmp_path / "w.pnji", tmp_path / "q.txt"
@@ -491,13 +491,30 @@ class TestNumpyFreeCommands:
         queries.write_text(pairs)
         argv = [arg.format(index=index, queries=queries) for arg in NUMPY_FREE[name]]
         expected = run_cli(argv, stdin_text=pairs, capsys=capsys)
-        names = [f"prefixnormal.{info.name}" for info in pkgutil.iter_modules(prefixnormal.__path__)]
-        patched = [module for module in map(importlib.import_module, names) if hasattr(module, "np")]
-        assert patched
-        for module in patched:
-            monkeypatch.setattr(module, "np", _NoNumpy())
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert run_cli(argv, stdin_text=pairs, capsys=capsys) == expected
         assert expected[0] == 0 and expected[1]
+
+    def test_a_scanning_command_cannot_run_without_numpy(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError):
+            run_cli(["check", "--word", "1101"], capsys=capsys)
+
+    def test_fresh_process_imports_numpy_only_to_scan(self):
+        script = (
+            "import sys\n"
+            "import prefixnormal, prefixnormal.cli\n"
+            "from prefixnormal.cli import main\n"
+            "main(['generate', 'mechanical', '--slope', '3/101', '-n', '1000'])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "main(['check', '--word', '1101'])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        src = str(Path(prefixnormal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split("\n")[1:] == ["NORMAL", ""]
+        assert done.stderr.split() == ["False", "True"]
 
 
 class TestDeterminism:

@@ -674,24 +674,23 @@ class TestBlockProducersAgainstOracles:
         assert bytes(champernowne_stream().prefix(n)) == oracles.champernowne_symbols(n)
 
     @pytest.mark.parametrize(
-        "image0, image1, seed", [("001", "10", 0), ("0", "110", 1), ("01", "1", 0)]
+        "image0, image1, seed",
+        # the last three fix their second letter a, so their fixpoints are s a^omega
+        [("001", "10", 0), ("0", "110", 1), ("01", "1", 0), ("011", "1", 0), ("0", "10", 1)],
     )
     def test_other_morphisms(self, image0, image1, seed):
         m = MorphismSpec(FiniteWord(image0), FiniteWord(image1), seed=seed)
         assert bytes(morphic_fixpoint(m, 10**5)) == oracles.morphic_symbols(image0, image1, seed, 10**5)
 
     def test_slow_morphism_fills_whole_blocks(self):
-        # 0 -> 01, 1 -> 1 has one unexpanded tape symbol at a time, yet each
-        # block keeps expanding until it holds PERIOD_CHUNK symbols
-        n = 10**5
-        blocks = generators._morphic_blocks(MorphismSpec(FiniteWord("01"), FiniteWord("1")))
-        word = bytearray()
-        count = 0
-        while len(word) < n:
-            word += next(blocks)
-            count += 1
-        assert count <= -(-n // PERIOD_CHUNK) + 2
-        assert bytes(word[:n]) == oracles.morphic_symbols("01", "1", 0, n)
+        # a seed image s a^k with a fixed grows the tape only linearly; its
+        # fixpoint is s a^omega, and every block after s a^k is PERIOD_CHUNK a's
+        for image0, image1, seed in [("01", "1", 0), ("011", "1", 0), ("0", "10", 1)]:
+            m = MorphismSpec(FiniteWord(image0), FiniteWord(image1), seed=seed)
+            blocks = generators._morphic_blocks(m)
+            seed_image = bytes(m.image_of(seed))
+            assert next(blocks) == seed_image
+            assert [next(blocks) for _ in range(3)] == [seed_image[1:2] * PERIOD_CHUNK] * 3
 
     def test_finite_fixpoint_raises(self):
         stream = morphic_stream(MorphismSpec(FiniteWord("01"), FiniteWord(""), seed=0))
