@@ -1,0 +1,137 @@
+"""Per-layer timings for the ``BENCH_*.json`` files, at several sizes so that
+scaling shows.
+
+Each source tree (a directory that holds the ``prefixnormal`` package, such
+as ``src`` of a checkout) is timed in fresh processes pinned to one CPU.
+Rounds alternate which tree runs first. A row gives the median and quartiles
+of one layer at one size over the rounds; each layer also gets the exponent
+of a least-squares fit of log time against log n.
+
+    python scripts/bench_layers.py --tree parent=../parent/src --tree change=src \\
+        --sizes 4096 16384 65536 --rounds 5 --out BENCH_13.json
+
+The kernel rows scan the word ``1`` followed by the Fibonacci word. It is
+prefix normal and 1-balanced, so ``find_violation_1`` and
+``is_c_balanced(w, 1)`` scan every factor length, as the full profile does;
+the child checks both verdicts before it times anything.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced")
+
+
+def pin_to_one_cpu() -> int | None:
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
+def child(sizes: list[int]) -> dict:
+    """Time every layer once per size in this process; the tree is on sys.path."""
+    import prefixnormal as pn
+    from prefixnormal.analysis import find_violation_1, is_c_balanced
+
+    scans = {
+        "word_core.compute_profile": pn.compute_profile,
+        "analysis.find_violation_1": find_violation_1,
+        "analysis.is_c_balanced": lambda w: is_c_balanced(w, 1),
+    }
+    fibonacci = pn.morphic_fixpoint(pn.FIBONACCI_MORPHISM, max(sizes))
+    words = {n: pn.FiniteWord("1") + fibonacci[: n - 1] for n in sizes}
+    for w in words.values():
+        if find_violation_1(w) is not None or not is_c_balanced(w, 1):
+            raise SystemExit("the benchmark word must be prefix normal and 1-balanced")
+    times: dict = {layer: {} for layer in LAYERS}
+    for layer, scan in scans.items():
+        for n, w in words.items():
+            start = time.perf_counter()
+            scan(w)
+            times[layer][n] = time.perf_counter() - start
+    return {"times": times, "numpy": sys.modules["numpy"].__version__}
+
+
+def run_child(tree: str, sizes: list[int]) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+    argv = [sys.executable, os.path.abspath(__file__), "--child", *map(str, sizes)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def exponent(sizes: list[int], seconds: list[float]) -> float | None:
+    if len(sizes) < 2:
+        return None
+    xs, ys = [math.log(n) for n in sizes], [math.log(t) for t in seconds]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--child"]:
+        pin_to_one_cpu()
+        print(json.dumps(child([int(n) for n in sys.argv[2:]])))
+        return
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR",
+                        help="a source tree to time, under a label; repeat to compare trees")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[4096, 16384, 65536])
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    args = parser.parse_args()
+    trees = dict(spec.split("=", 1) for spec in args.tree)
+    cpu = pin_to_one_cpu()
+    runs: dict = {label: {layer: {n: [] for n in args.sizes} for layer in LAYERS} for label in trees}
+    numpy_version = None
+    for round_ in range(args.rounds):
+        order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
+        for label in order:
+            result = run_child(trees[label], args.sizes)
+            numpy_version = result["numpy"]
+            for layer in LAYERS:
+                for n in args.sizes:
+                    runs[label][layer][n].append(result["times"][layer][str(n)])
+    rows, exponents = [], []
+    for label in trees:
+        for layer in LAYERS:
+            medians = []
+            for n in args.sizes:
+                seconds = sorted(runs[label][layer][n])
+                q1, median, q3 = statistics.quantiles(seconds, n=4) if len(seconds) > 1 else seconds * 3
+                medians.append(median)
+                rows.append({"layer": layer, "tree": label, "n": n, "median_s": median, "q1_s": q1, "q3_s": q3,
+                             "runs_s": seconds})
+            exponents.append({"layer": layer, "tree": label, "exponent": exponent(args.sizes, medians)})
+    report = {
+        "script": "scripts/bench_layers.py",
+        "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
+        "rounds": args.rounds,
+        "trees": list(trees),
+        "machine": {"platform": platform.platform(), "processor": platform.processor() or platform.machine(),
+                    "cpus": os.cpu_count(), "pinned_cpu": cpu, "python": platform.python_version(),
+                    "numpy": numpy_version},
+        "rows": rows,
+        "exponents": exponents,
+    }
+    with open(args.out, "w") as out:
+        json.dump(report, out, indent=1)
+        out.write("\n")
+    for row in rows:
+        print(f"{row['layer']:28s} {row['tree']:8s} n={row['n']:6d} median {row['median_s']:.4f} s")
+    for item in exponents:
+        print(f"{item['layer']:28s} {item['tree']:8s} exponent {item['exponent']}")
+
+
+if __name__ == "__main__":
+    main()

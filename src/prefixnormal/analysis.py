@@ -21,7 +21,7 @@ from .word_core import (
     FiniteWord,
     ParikhVector,
     PrefixProfile,
-    _window_weights,
+    _window_blocks,
     complement,
 )
 
@@ -64,7 +64,7 @@ _RUN_PAIR_FACTOR = 16
 def find_violation_1(w: FiniteWord) -> PNViolation | None:
     """First factor with more 1s than the same-length prefix, shortest then
     leftmost, or None for a 1-prefix normal ``w``. Words with few 1-runs scan
-    only the length their run pairs give; others scan each length up to it.
+    only the length their run pairs give; others scan blocks of lengths up to it.
 
     A core runs from a 1-run start to a 1-run end; it has length ``L``, ``W``
     ones and ``Z = L - W`` zeros. A best window's span from first to last 1,
@@ -80,19 +80,20 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     lengths = range(1, len(w) + 1)
     if starts.size**2 <= _RUN_PAIR_FACTOR * len(w):
         lengths = _lengths_from_cores(w, starts, ends)
-    for i, weights in _window_weights(w, lengths):
-        limit = int(weights[0])
-        if weights.max() > limit:
-            j = int((weights > limit).argmax())
-            return PNViolation(j + 1, i, int(weights[j]), limit)
+    for rows, highs, _ in _window_blocks(w, lengths, minima=False):
+        over = (highs.max(1) > highs[:, 0]).tolist()  # a list: `in` beats ndarray.any() on a few rows
+        if True in over:
+            r = over.index(True)
+            j = int((highs[r] > highs[r, 0]).argmax())
+            return PNViolation(j + 1, rows[r], int(highs[r, j]), int(highs[r, 0]))
     return None
 
 
 def _one_runs(w: FiniteWord) -> tuple[np.ndarray, np.ndarray]:
     """0-based starts and exclusive ends of the runs of 1s in ``w``."""
     import numpy as np
-    edges = np.diff(np.frombuffer(b"\x00" + bytes(w) + b"\x00", dtype=np.int8))  # signed: run ends are -1
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    edges = np.flatnonzero(np.diff(np.frombuffer(b"\x00" + bytes(w) + b"\x00", dtype=np.int8)))
+    return edges[::2], edges[1::2]  # between the 0s put around w, run starts and ends alternate
 
 
 def _lengths_from_cores(w: FiniteWord, starts: np.ndarray, ends: np.ndarray) -> range:
@@ -286,7 +287,7 @@ def is_c_balanced(w: FiniteWord, c: int) -> bool:
     """True when any two equal-length factors differ by at most ``c`` 1s."""
     if c < 1:
         raise RangeError("balance constant must be positive")
-    return all(int(ones.max() - ones.min()) <= c for _, ones in _window_weights(w, range(1, len(w) + 1)))
+    return all(int((hi.max(1) - lo.min(1)).max()) <= c for _, hi, lo in _window_blocks(w, range(1, len(w) + 1)))
 
 
 def prepend_ones_bound(profile: PrefixProfile, c: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidInputError, RangeError
@@ -232,22 +233,43 @@ class PrefixProfile:
         return i - self.max_ones_at(i)
 
 
-def _window_weights(w: FiniteWord, lengths: range) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(i, weights)`` for each factor length ``i`` in ``lengths``:
-    ``weights[j] = P[j + i] - P[j]`` is the number of 1s in the factor at
-    0-based ``j``, so ``weights[0]`` is the prefix weight. This is the one
-    quadratic scan behind every factor statistic. The sums are cast once to
-    the narrowest unsigned type holding ``n`` (uint16 below 2**16 symbols);
-    each lies in ``0..n`` and ``P[j + i] >= P[j]``, so no difference wraps.
-    Consumers must not keep a yielded array past the next step: all lengths
-    share one buffer.
-    """
+_BLOCK_CELLS = 1 << 18  # most cells of one window block: 512 KB of uint16 sums
+
+
+def _window_blocks(
+    w: FiniteWord, lengths: range, minima: bool = True
+) -> Iterator[tuple[range, np.ndarray, np.ndarray | None]]:
+    """Yield ``(rows, highs, lows)`` over blocks of consecutive ``lengths``, the
+    one quadratic scan behind every factor statistic: ``highs[r, j]`` is the
+    weight ``P[i + j] - P[j]`` of the factor of length ``i = rows[r]`` at ``j``.
+    Rows are as wide as the first; past the word ``highs`` counts 0s, leaving a
+    suffix of the last real window, which neither raises a row maximum nor
+    exceeds a bound first. ``lows`` (None unless ``minima``) puts the last
+    ``len(rows) - 1`` starts first, counting 1s past the word, which cannot
+    lower a row minimum. Heights double from 1 within ``_BLOCK_CELLS``. Sums
+    padded with 1s may wrap the narrowest unsigned type holding ``n``, but each
+    difference is a count in ``0..n``. Keep no block past the next step."""
     import numpy as np
-    n = len(w)
-    sums = w.prefix_sums().astype(np.min_scalar_type(n))
-    buf = np.empty(n, dtype=sums.dtype)
-    for i in lengths:
-        yield i, np.subtract(sums[i:], sums[: n - i + 1], out=buf[: n - i + 1])
+    n, dtype, pad = len(w), np.min_scalar_type(len(w)), min(len(lengths), isqrt(_BLOCK_CELLS))
+    padded = b"\0" + w._bits + b"\0" * pad + (w._bits + b"\1" * pad if minima else b"")  # pad >= height - 1
+    sums = np.add.accumulate(np.frombuffer(padded, np.uint8), dtype=dtype)
+    sums0, sums1 = sums[: n + 1 + pad], sums[n + pad :]  # sums of w 0^pad, and of w 1^pad offset by P[n]
+    buf = np.empty(max(n, min(_BLOCK_CELLS, 2 * n * len(lengths))), dtype)
+    a, size = lengths.start, 1
+    while a < lengths.stop:
+        width = n - a + 1
+        b = max(1, min(size, lengths.stop - a, _BLOCK_CELLS // (width + size - 1)))
+        if b == 1:
+            highs = lows = np.subtract(sums0[a : a + width], sums0[:width], out=buf[:width])[None]
+        else:  # np.ndarray(shape, dtype, x, 0, x.strides * 2) has row r at x[r:], checked to lie in x
+            last, block = width - b + 1, buf[: b * (width + b - 1)].reshape(b, width + b - 1)
+            highs, lows = block[:, b - 1 :], block[:, :width]
+            np.subtract(np.ndarray((b, width), dtype, sums0[a:], 0, sums.strides * 2), sums0[:width], out=highs)
+            if minima:
+                tail = np.ndarray((b, b - 1), dtype, sums1[a + last :], 0, sums.strides * 2)
+                np.subtract(tail, sums1[last:width], out=block[:, : b - 1])
+        yield range(a, a + b), highs, lows if minima else None
+        a, size = a + b, 2 * b
 
 
 def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
@@ -265,6 +287,8 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
         longest = n
     elif not 1 <= longest <= n:
         raise RangeError(f"factor length {longest} out of range 1..{n}")
-    extremes = ((int(ones.max()), int(ones.min())) for _, ones in _window_weights(w, range(1, longest + 1)))
-    maxs, mins = zip(*extremes)
-    return PrefixProfile(length=longest, max_ones=maxs, min_ones=mins)
+    maxs, mins = [], []
+    for _, highs, lows in _window_blocks(w, range(1, longest + 1)):
+        maxs += highs.max(1).tolist()
+        mins += lows.min(1).tolist()
+    return PrefixProfile(length=longest, max_ones=tuple(maxs), min_ones=tuple(mins))

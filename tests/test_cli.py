@@ -32,17 +32,18 @@ def run_cli(argv, stdin_text=None, capsys=None):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The factor lengths that the window kernel yields to its consumers."""
+    """The factor lengths that the window kernel yields to its consumers,
+    every length of every block."""
     lengths = []
-    kernel = word_core._window_weights
+    kernel = word_core._window_blocks
 
-    def counting(*args):
-        for i, weights in kernel(*args):
-            lengths.append(i)
-            yield i, weights
+    def counting(*args, **kwargs):
+        for rows, highs, lows in kernel(*args, **kwargs):
+            lengths.extend(rows)
+            yield rows, highs, lows
 
-    monkeypatch.setattr(word_core, "_window_weights", counting)
-    monkeypatch.setattr(analysis, "_window_weights", counting)
+    monkeypatch.setattr(word_core, "_window_blocks", counting)
+    monkeypatch.setattr(analysis, "_window_blocks", counting)
     return lengths
 
 

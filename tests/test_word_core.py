@@ -1,6 +1,7 @@
 """Unit tests for words, Parikh vectors, rationals, and prefix profiles."""
 
 import random
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -24,9 +25,10 @@ from prefixnormal import (
     prefix_weight,
     reverse,
 )
+from prefixnormal import analysis, word_core
 from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
-from prefixnormal.word_core import _window_weights
+from prefixnormal.word_core import _window_blocks
 
 from oracles import brute_profile, int64_first_violation, int64_profile
 
@@ -273,9 +275,10 @@ def boundary_word(kind: str, n: int) -> str:
 class TestNarrowKernel:
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     def test_sums_take_the_narrowest_type(self, n):
-        _, weights = next(_window_weights(FiniteWord.ones(n), range(1, 2)))
-        assert weights.dtype.itemsize == (1 if n < 256 else 2 if n < 65536 else 4)
-        assert weights.dtype.kind == "u"
+        _, highs, lows = next(_window_blocks(FiniteWord.ones(n), range(1, 2)))
+        assert highs.dtype == lows.dtype
+        assert highs.dtype.itemsize == (1 if n < 256 else 2 if n < 65536 else 4)
+        assert highs.dtype.kind == "u"
 
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
@@ -311,3 +314,74 @@ class TestNarrowKernel:
         for text in (sparse, dense):
             violation = find_violation_1(FiniteWord(text))
             assert violation is not None and all(type(value) is int for value in astuple(violation))
+
+
+@st.composite
+def block_edge_words(draw) -> str:
+    """Words of 1 to 300 symbols, from nearly all 0s to nearly all 1s."""
+    n = draw(st.integers(1, 300))
+    density = draw(st.sampled_from([0.02, 0.2, 0.5, 0.8, 0.98]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return "".join("1" if rng.random() < density else "0" for _ in range(n))
+
+
+def witness(violation):
+    return None if violation is None else astuple(violation)
+
+
+# A cap of 1 cell gives only 1-row blocks; 7 and 64 give 1-row blocks on long
+# widths and short padded blocks near the end of a scan; the default cap lets
+# heights double from 1 up to the partial block that ends the scan.
+BLOCK_CAPS = (1, 7, 64, word_core._BLOCK_CELLS)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("cells", BLOCK_CAPS)
+    @pytest.mark.parametrize("lengths", [range(1, 301), range(1, 120), range(290, 301), range(0)])
+    def test_blocks_cover_the_lengths_within_the_cap(self, cells, lengths, monkeypatch):
+        monkeypatch.setattr(word_core, "_BLOCK_CELLS", cells)
+        n = 300
+        blocks = [(rows, highs.shape, lows.shape) for rows, highs, lows in _window_blocks(FiniteWord.ones(n), lengths)]
+        assert [i for rows, _, _ in blocks for i in rows] == list(lengths)
+        heights = [len(rows) for rows, _, _ in blocks]
+        assert heights[:1] in ([], [1])
+        assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
+        for rows, high_shape, low_shape in blocks:
+            width = n - rows[0] + 1
+            assert high_shape == low_shape == (len(rows), width)
+            assert len(rows) == 1 or len(rows) * (width + len(rows) - 1) <= cells
+        if cells > 1 and lengths.stop > n:
+            assert max(heights) > 1
+
+    @pytest.mark.parametrize("cells", BLOCK_CAPS)
+    @given(text=block_edge_words(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_consumers_match_the_int64_kernel(self, cells, text, data):
+        w = FiniteWord(text)
+        longest = data.draw(st.integers(1, len(text)), label="longest")
+        maxs, mins = int64_profile(text, len(text))
+        spread = max(hi - lo for hi, lo in zip(maxs, mins))
+        expected = int64_first_violation(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(word_core, "_BLOCK_CELLS", cells)
+            profile = compute_profile(w, longest)
+            assert (list(profile.max_ones), list(profile.min_ones)) == (maxs[:longest], mins[:longest])
+            for factor in (0, 10**12):  # the window scan, then run pairs for every word
+                patch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+                assert witness(find_violation_1(w)) == expected
+            assert is_c_balanced(w, max(spread, 1))
+            assert spread <= 1 or not is_c_balanced(w, spread - 1)
+
+    def test_memory_is_linear_in_the_word(self):
+        # 2**18 symbols take uint32 sums, and a block holds one row of them at
+        # this width; a buffer of height * n sums would break the bound
+        n = 1 << 18
+        w = FiniteWord(np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes())
+        for scan in (lambda: find_violation_1(w), lambda: compute_profile(w, 64)):
+            tracemalloc.start()
+            try:
+                scan()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * n + 4 * word_core._BLOCK_CELLS
