@@ -8,17 +8,21 @@ of one layer at one size over the rounds; each layer also gets the exponent
 of a least-squares fit of log time against log n.
 
     python scripts/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --sizes 4096 16384 65536 --rounds 5 --out BENCH_13.json
+        --sizes 4096 16384 65536 --rounds 5 --out BENCH_14.json
 
 The kernel rows scan the word ``1`` followed by the Fibonacci word. It is
 prefix normal and 1-balanced, so ``find_violation_1`` and
 ``is_c_balanced(w, 1)`` scan every factor length, as the full profile does;
-the child checks both verdicts before it times anything.
+the child checks both verdicts before it times anything. The generator row
+times ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal
+seed of minimum density 1/2; the child returns a sha256 of each word it
+produced, and the script exits non-zero if two trees produce different words.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -28,7 +32,9 @@ import subprocess
 import sys
 import time
 
-LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced")
+LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced",
+          "generators.flipext_stream")
+FLIPEXT_SEED = "11010011"
 
 
 def pin_to_one_cpu() -> int | None:
@@ -60,7 +66,13 @@ def child(sizes: list[int]) -> dict:
             start = time.perf_counter()
             scan(w)
             times[layer][n] = time.perf_counter() - start
-    return {"times": times, "numpy": sys.modules["numpy"].__version__}
+    digests = {}
+    for n in sizes:
+        start = time.perf_counter()
+        word = pn.flipext_stream(pn.FiniteWord(FLIPEXT_SEED)).prefix(n)
+        times["generators.flipext_stream"][n] = time.perf_counter() - start
+        digests[n] = hashlib.sha256(bytes(word)).hexdigest()
+    return {"times": times, "digests": digests, "numpy": sys.modules["numpy"].__version__}
 
 
 def run_child(tree: str, sizes: list[int]) -> dict:
@@ -93,12 +105,15 @@ def main() -> None:
     trees = dict(spec.split("=", 1) for spec in args.tree)
     cpu = pin_to_one_cpu()
     runs: dict = {label: {layer: {n: [] for n in args.sizes} for layer in LAYERS} for label in trees}
-    numpy_version = None
+    numpy_version, digests = None, {}
     for round_ in range(args.rounds):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
             result = run_child(trees[label], args.sizes)
             numpy_version = result["numpy"]
+            for n, digest in result["digests"].items():
+                if digests.setdefault(n, (label, digest))[1] != digest:
+                    raise SystemExit(f"trees {digests[n][0]} and {label} generate different words at n={n}")
             for layer in LAYERS:
                 for n in args.sizes:
                     runs[label][layer][n].append(result["times"][layer][str(n)])
@@ -116,6 +131,7 @@ def main() -> None:
     report = {
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
+        "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "rounds": args.rounds,
         "trees": list(trees),
         "machine": {"platform": platform.platform(), "processor": platform.processor() or platform.machine(),

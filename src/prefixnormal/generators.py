@@ -14,17 +14,20 @@ Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 period, a quadratic slope concatenates standard words, a morphic tape expands
 at most ``PERIOD_CHUNK`` tape symbols per block, paperfolding is built by
 reflection in doubling blocks, Champernowne is computed ``PERIOD_CHUNK // 16``
-integers at a time, and flipext is a generator of run lengths ``k`` whose runs
-``0^k 1`` are appended whole. Lazy flipext is the seed, one run of 0s and the
-tail of the upper mechanical word, and a density staircase stage is
-``w^k 0^run`` (proof sketches at ``paperfolding_stream``,
+integers at a time, and flipext is a generator of run lengths ``k``, each
+found from the seed's 1s and the most recent 1s, whose runs ``0^k 1`` are
+appended whole. Lazy flipext is the seed, one run of 0s and the tail of the
+upper mechanical word, and a density staircase stage is ``w^k 0^run`` (proof
+sketches at ``paperfolding_stream``, ``_flipext_runs``,
 ``lazy_alpha_flipext_stream`` and ``_density_stages``).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -527,43 +530,32 @@ def _require_prefix_normal_seed(w: FiniteWord) -> None:
         raise InvalidInputError(f"seed is not prefix normal ({violation.render()})")
 
 
-def _run_blocks(seed: FiniteWord, runs: Iterable[int]) -> Iterator[Iterable[int]]:
-    """``seed`` followed by ``0^k 1`` for each run length ``k`` of ``runs``."""
-    yield bytes(seed)
-    for k in runs:
-        yield itertools.repeat(0, k)  # lazy: a run may be far longer than what is read
-        yield b"\x01"
-
-
 def _flipext_runs(seed: FiniteWord) -> Iterator[int]:
     """Run lengths ``k`` of iterated flipext: each appends the minimal ``0^k 1``.
 
-    The appended run length is the smallest that keeps the word prefix normal.
-    Only factors ending at the freshly appended 1 can violate normality: a
-    length-``l`` suffix of weight ``t`` followed by ``0^k 1`` must not beat the
-    prefix, so ``k >= p_{t+1} - l - 1`` over the 1-based positions
-    ``p_1 = 1 < ... < p_W`` of the 1s. For each ``t`` the shortest such suffix
-    starts at the ``t``-th last 1, ``l = n + 1 - p_{W+1-t}``, which leaves
-    ``k = max(0, max over 1 <= t < W of p_{t+1} + p_{W+1-t} - n - 2)``. The
-    positions are an append-only array with amortised doubling, so a step
-    adds two views of it and rebuilds nothing.
+    Let ``h(0) < h(1) < ...`` be the 0-based positions of the 1s. A word is
+    prefix normal exactly when ``h(x) + h(y) <= h(x + y)`` below its weight:
+    the window from the ``y``-th to the ``(x+y)``-th 1 holds ``x + 1`` ones.
+    So a step on length ``n`` and weight ``W`` puts its 1 at
+    ``h(W) = max(n, max over 1 <= x < W of h(x) + h(W - x))``. The max needs
+    only ``x <= w0``, the seed's weight, by induction on ``W``: for a pair
+    ``x, y > w0``, if the 1 at ``h(y)`` followed a 1 then
+    ``h(x) + h(y) <= h(x + 1) + h(y - 1)`` and the pair moves down; otherwise
+    ``h(y) = h(x') + h(y - x')`` with ``x' <= w0``, and superadditivity gives
+    ``h(x) + h(y) <= h(x') + h(W - x')``. The state is ``h(1..w0)`` and the
+    last ``w0`` positions, so a step costs O(w0) and every run is shorter
+    than ``h(w0) < 2 |seed|``.
     """
-    import numpy as np
-    ones = np.flatnonzero(np.frombuffer(bytes(seed), dtype=np.uint8)) + 1
-    n, weight = len(seed), len(ones)
-    positions = np.zeros(2 * weight + 2, dtype=np.int64)  # p_t at index t
-    positions[1 : weight + 1] = ones
+    ones = [i for i, bit in enumerate(bytes(seed)) if bit]
+    head, recent = ones[1:], collections.deque(ones, maxlen=len(ones))  # h(1..w0), h(W-w0..W-1)
+    n = len(seed)
     while True:
-        k = 0
-        if weight >= 2:
-            k = max(0, int((positions[2 : weight + 1] + positions[weight:1:-1]).max()) - n - 2)
-        yield k
-        n += k + 1
-        weight += 1
-        if weight == len(positions):
-            # entries past the weight are never read before being written
-            positions = np.resize(positions, 2 * weight)
-        positions[weight] = n
+        one = max(n, max(map(operator.add, head, reversed(recent)), default=0))
+        yield one - n
+        n = one + 1
+        if len(head) < len(recent):  # the first step appends h(w0)
+            head.append(one)
+        recent.append(one)
 
 
 def flipext(w: FiniteWord) -> FiniteWord:
@@ -575,7 +567,7 @@ def flipext(w: FiniteWord) -> FiniteWord:
 def flipext_stream(w: FiniteWord) -> WordStream:
     """The limit of iterating :func:`flipext`; every prefix is prefix normal."""
     _require_prefix_normal_seed(w)
-    return _block_stream(_run_blocks(w, _flipext_runs(w)))
+    return _block_stream(itertools.chain((bytes(w),), (bytes(k) + b"\x01" for k in _flipext_runs(w))))
 
 
 def _lazy_end(w: FiniteWord, slope: SlopeSpec) -> int:

@@ -72,9 +72,7 @@ class FiniteWord:
     def prefix_sums(self) -> np.ndarray:
         """A new int64 array of ``n + 1`` counts: ``P[i]`` 1s among the first ``i`` symbols."""
         import numpy as np
-        sums = np.zeros(len(self._bits) + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(self._bits, dtype=np.uint8), out=sums[1:])
-        return sums
+        return np.add.accumulate(np.frombuffer(b"\0" + self._bits, dtype=np.uint8), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._bits)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,7 @@ from prefixnormal import (
     characteristic_stream,
     characteristic_word,
     complement,
+    compute_profile,
     density_stages,
     fibonacci_stream,
     flipext,
@@ -46,6 +48,7 @@ from prefixnormal import (
     morphic_stream,
     paperfolding,
     paperfolding_stream,
+    pnf1,
     prefix_density,
     thue_morse_stream,
 )
@@ -380,6 +383,18 @@ class TestFlipext:
             prefix = stream.prefix(k * report.iota)
             assert prefix_density(prefix, k * report.iota) == report.delta
 
+    def test_engine_state_is_bounded_and_numpy_free(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now raises
+        runs = generators._flipext_runs(FiniteWord("11010011"))
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(runs, 20_000):  # about 40,000 symbols
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 10
+
 
 class TestLazyFlipext:
     def test_worked_example(self):
@@ -545,7 +560,6 @@ class TestStagedDensityConstruction:
             raise AssertionError("flipext engine used")
 
         monkeypatch.setattr(generators, "_flipext_runs", refuse)
-        monkeypatch.setattr(generators, "_run_blocks", refuse)
         stages = density_stages(Fraction(1, 3), geometric_density_sequence(Fraction(1, 3)), 6)
         assert len(stages[-1].word) == 651
         for seed, slope in [("1", SQRT2_SLOPE), ("11010", SlopeSpec.rational(2, 5))]:
@@ -611,6 +625,19 @@ def lazy_flipext_cases(draw):
     return seed, slope, draw(st.integers(len(seed), 1500))
 
 
+@st.composite
+def heavy_flipext_cases(draw):
+    # a seeded Random, since hypothesis leans to small values; pnf1 of a word
+    # with a 1 is prefix normal, starts with 1 and keeps the word's weight
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = rng.random()  # so that the weights spread over 1..60
+    text = "1" + "".join("1" if rng.random() < density else "0" for _ in range(rng.randint(0, 59)))
+    seed = str(pnf1(compute_profile(FiniteWord(text))))
+    if rng.random() < 0.5:
+        seed += "0" * rng.randint(1, 20)
+    return seed, rng.randint(len(seed), 1500)
+
+
 class TestBlockProducersAgainstOracles:
     """The block producers against the former one-symbol-at-a-time code."""
 
@@ -663,6 +690,14 @@ class TestBlockProducersAgainstOracles:
         for seed in PREFIX_NORMAL_SEEDS:
             got = flipext_stream(FiniteWord(seed)).prefix(2000)
             assert bytes(got) == oracles.flipext_symbols(seed, 2000), seed
+
+    @given(heavy_flipext_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_flipext_engine_from_heavy_seeds(self, case):
+        seed, n = case
+        assert bytes(flipext_stream(FiniteWord(seed)).prefix(n)) == oracles.flipext_symbols(seed, n)
+        step = bytes(flipext(FiniteWord(seed)))  # up to the next 1
+        assert step == oracles.flipext_symbols(seed, len(step)) and step[-1] == 1
 
     @pytest.mark.parametrize(
         "n", [1, PERIOD_CHUNK - 1, PERIOD_CHUNK, PERIOD_CHUNK + 1, 3 * PERIOD_CHUNK + 7, 10**5]
