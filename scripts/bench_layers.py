@@ -4,8 +4,10 @@ scaling shows.
 Each source tree (a directory that holds the ``prefixnormal`` package, such
 as ``src`` of a checkout) is timed in fresh processes pinned to one CPU.
 Rounds alternate which tree runs first. A row gives the median and quartiles
-of one layer at one size over the rounds; each layer also gets the exponent
-of a least-squares fit of log time against log n.
+of one layer at one size over the rounds, and its spread ratio
+(q3 - q1) / median; a row whose ratio exceeds 0.10 gets a warning, since it
+cannot show a 10% change. Each layer also gets the exponent of a
+least-squares fit of log time against log n.
 
     python scripts/bench_layers.py --tree parent=../parent/src --tree change=src \\
         --sizes 4096 16384 65536 --rounds 5 --out BENCH_14.json
@@ -35,6 +37,8 @@ import time
 LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced",
           "generators.flipext_stream")
 FLIPEXT_SEED = "11010011"
+#: Largest spread ratio (q3 - q1) / median at which a row can show a 10% change.
+SPREAD_LIMIT = 0.10
 
 
 def pin_to_one_cpu() -> int | None:
@@ -126,7 +130,7 @@ def main() -> None:
                 q1, median, q3 = statistics.quantiles(seconds, n=4) if len(seconds) > 1 else seconds * 3
                 medians.append(median)
                 rows.append({"layer": layer, "tree": label, "n": n, "median_s": median, "q1_s": q1, "q3_s": q3,
-                             "runs_s": seconds})
+                             "spread_ratio": (q3 - q1) / median, "runs_s": seconds})
             exponents.append({"layer": layer, "tree": label, "exponent": exponent(args.sizes, medians)})
     report = {
         "script": "scripts/bench_layers.py",
@@ -144,7 +148,11 @@ def main() -> None:
         json.dump(report, out, indent=1)
         out.write("\n")
     for row in rows:
-        print(f"{row['layer']:28s} {row['tree']:8s} n={row['n']:6d} median {row['median_s']:.4f} s")
+        print(f"{row['layer']:28s} {row['tree']:8s} n={row['n']:6d} median {row['median_s']:.4f} s"
+              f" spread {row['spread_ratio']:.3f}")
+        if row["spread_ratio"] > SPREAD_LIMIT:
+            print(f"warning: {row['layer']} {row['tree']} n={row['n']}: spread ratio {row['spread_ratio']:.3f}"
+                  f" exceeds {SPREAD_LIMIT}, so this row cannot show a 10% change", file=sys.stderr)
     for item in exponents:
         print(f"{item['layer']:28s} {item['tree']:8s} exponent {item['exponent']}")
 

@@ -5,9 +5,10 @@ morphic fixpoints (Fibonacci, Thue-Morse), the paperfolding and binary
 Champernowne words, the two prefix-normality-preserving extension operators,
 and the staged aperiodic construction hitting a prescribed minimum density.
 
-Slope arithmetic never touches floating point: floors, ceilings, and order
-comparisons of ``(a + b*sqrt(d))/c`` are decided by integer squaring with sign
-case analysis (``math.isqrt`` supplies the exact integer square root).
+Slope arithmetic never touches floating point: the floor of
+``(a + b*sqrt(d))/c`` is exact through ``math.isqrt``, and it decides every
+order too, since a quadratic irrational minus a rational is irrational and so
+is positive exactly when its floor is >= 0.
 
 Every producer is an iterator of blocks of symbols (bytes or lazy runs) that
 ``_block_stream`` wraps as a :class:`WordStream`: a rational slope tiles one
@@ -25,6 +26,7 @@ sketches at ``paperfolding_stream``, ``_flipext_runs``,
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -55,17 +57,6 @@ MAX_RADICAND = 10**10
 PERIOD_CHUNK = 4096
 
 
-def _sign_linear(a: int, b: int, d: int) -> int:
-    """Sign of ``a + b*sqrt(d)`` for a non-square ``d >= 2``."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if b > 0:
-        if a >= 0:
-            return 1
-        return 1 if a * a < b * b * d else -1
-    return -_sign_linear(-a, -b, d)
-
-
 def _strip_square_factors(b: int, d: int) -> tuple[int, int]:
     """Rewrite ``b*sqrt(d)`` with a square-free radicand."""
     f = 2
@@ -77,6 +68,7 @@ def _strip_square_factors(b: int, d: int) -> tuple[int, int]:
     return b, d
 
 
+@functools.total_ordering
 class QuadraticIrrational:
     """Exact value ``(a + b*sqrt(d))/c`` with ``b != 0`` and square-free ``d >= 2``.
 
@@ -159,34 +151,26 @@ class QuadraticIrrational:
     # -- comparisons ----------------------------------------------------------
 
     def _cmp(self, other: Union[int, Fraction, "QuadraticIrrational"]) -> int:
+        """Sign of ``self - other``: an irrational difference is > 0 iff its floor is >= 0."""
         if isinstance(other, QuadraticIrrational):
             if other.d != self.d:
                 raise UnsupportedParameterError("cannot compare different radicands")
             a = self.a * other.c - other.a * self.c
             b = self.b * other.c - other.b * self.c
-            return _sign_linear(a, b, self.d)
-        other = Fraction(other)
-        p, q = other.numerator, other.denominator
-        return _sign_linear(self.a * q - p * self.c, self.b * q, self.d)
+            if b == 0:
+                return (a > 0) - (a < 0)
+            diff = self._with(a, b, self.c * other.c)
+        else:
+            diff = self - other
+        return 1 if math.floor(diff) >= 0 else -1
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadraticIrrational):
             return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        if isinstance(other, (int, Fraction)):
-            return False  # genuinely irrational
-        return NotImplemented
+        return NotImplemented  # the identity fallback keeps a QI unequal to every rational
 
     def __hash__(self) -> int:
         return hash((QuadraticIrrational, self.a, self.b, self.c, self.d))
@@ -238,10 +222,7 @@ class SlopeSpec:
 
     def compare(self, other: Union[int, Fraction]) -> int:
         """Sign of ``slope - other`` decided exactly."""
-        if self.is_rational:
-            diff = self.value - Fraction(other)
-            return (diff > 0) - (diff < 0)
-        return self.value._cmp(other)
+        return (self.value > other) - (self.value < other)
 
     def __str__(self) -> str:
         if self.is_rational:

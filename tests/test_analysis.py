@@ -454,11 +454,15 @@ class TestUltimatelyPeriodic:
         up2 = UltimatelyPeriodicWord(FiniteWord(""), FiniteWord("110110"))
         assert str(up2.period) == "110"
         assert up2 == UltimatelyPeriodicWord(FiniteWord(""), FiniteWord("110"))
+        same = UltimatelyPeriodicWord(FiniteWord("11"), FiniteWord("01"))
+        assert same == up and hash(same) == hash(up)
 
     def test_prefix(self):
         up = UltimatelyPeriodicWord(FiniteWord("1"), FiniteWord("10"))
         assert str(up.prefix(7)) == "1101010"
         assert up.prefix(0) == FiniteWord("")
+        with pytest.raises(RangeError):
+            up.prefix(-1)
 
     def test_primitive_root_matches_divisor_scan(self):
         for n in range(1, 13):
@@ -566,6 +570,8 @@ class TestBalanceAndPrepending:
     def test_no_bound_for_all_ones(self):
         with pytest.raises(NoBoundError):
             prepend_ones_bound(compute_profile(FiniteWord.ones(8)), 1)
+        with pytest.raises(RangeError):
+            prepend_ones_bound(compute_profile(FiniteWord("0110")), 0)
 
     def test_unbalanced_profile_rejected(self):
         with pytest.raises(InvalidInputError):

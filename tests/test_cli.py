@@ -73,6 +73,12 @@ class TestGenerate:
         code, _, err = run_cli(["generate", "fibonacci"], capsys=capsys)
         assert code == 2 and "length" in err
 
+    @pytest.mark.parametrize(
+        "name, option", [("mechanical", "--slope"), ("flipext-omega", "--seed"), ("density-staircase", "--alpha")]
+    )
+    def test_missing_parameter_usage_error(self, name, option, capsys):
+        assert run_cli(["generate", name, "-n", "5"], capsys=capsys) == (2, "", f"error: {name} requires {option}\n")
+
     def test_malformed_slope_usage_error(self, capsys):
         code, _, _ = run_cli(
             ["generate", "mechanical", "--slope", "sqrt(2)", "-n", "4"], capsys=capsys
@@ -184,6 +190,10 @@ class TestCheck:
         code, out, err = run_cli(["check", "--word", "0110x"], capsys=capsys)
         assert code == 2 and out == "" and "not a binary word" in err
 
+    def test_length_beyond_word_is_usage_error(self, capsys):
+        argv = ["check", "--word", "0101", "-n", "9"]
+        assert run_cli(argv, capsys=capsys) == (2, "", "error: requested length 9 exceeds word length 4\n")
+
     def test_zero_flavour(self, capsys):
         code, out, _ = run_cli(["check", "--word", "0010", "--zero"], capsys=capsys)
         assert code == 0
@@ -279,6 +289,10 @@ class TestAbelian:
         code, out, err = run_cli(["abelian", "--word", ""] + word_range, capsys=capsys)
         assert (code, out) == (2, "")
         assert err == "error: cannot profile the empty word\n"
+
+    def test_malformed_range_usage_error(self, capsys):
+        code, out, err = run_cli(["abelian", "--word", "0101", "--range", "bad"], capsys=capsys)
+        assert (code, out) == (2, "") and "cannot parse range" in err
 
 
 class TestDensity:

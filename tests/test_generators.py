@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -169,6 +170,43 @@ class TestQuadraticIrrational:
             oracle = mpmath.floor((a + b * mpmath.sqrt(d)) / c)
             assert math.floor(value) == int(oracle), (a, b, c, d)
 
+    def test_order_against_high_precision_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+
+        def high(v):
+            if isinstance(v, QuadraticIrrational):
+                return (v.a + v.b * mpmath.sqrt(v.d)) / v.c
+            return mpmath.mpf(v.numerator) / v.denominator
+
+        rng = random.Random(271828)
+
+        def draw(d):
+            b = rng.choice([-1, 1]) * rng.randint(1, 10**3)
+            return QuadraticIrrational(rng.randint(-10**4, 10**4), b, rng.randint(1, 10**3), d)
+
+        for i in range(500):
+            x = draw(rng.choice([2, 3, 5, 6, 7, 10, 13]))
+            m, q, k = math.floor(x), rng.randint(1, 10**4), rng.randint(1, 5)
+            y = [
+                rng.choice([m, m + 1, rng.randint(-10**4, 10**4)]),
+                Fraction(rng.choice([m * q + rng.randint(0, q), rng.randint(-10**8, 10**8)]), q),
+                x,
+                draw(x.d),
+                QuadraticIrrational(k * x.a + rng.randint(-3, 3), k * x.b, k * x.c, x.d),  # equal b/c
+            ][i % 5]
+            diff = high(x) - high(y)
+            sign = 0 if abs(diff) < mpmath.mpf(10) ** -50 else (1 if diff > 0 else -1)
+            got = [x < y, x <= y, x > y, x >= y, x == y, x != y, y < x, y <= x, y > x, y >= x, y == x, y != x]
+            want = [sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0, sign != 0]
+            want += [sign > 0, sign >= 0, sign < 0, sign <= 0, sign == 0, sign != 0]
+            assert got == want, (x, y)
+        x, y = QuadraticIrrational(0, 1, 1, 2), QuadraticIrrational(0, 1, 1, 3)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(UnsupportedParameterError):
+                op(x, y)
+        assert (x == Fraction(2, 5)) is False
+
 
 class TestSlopeSpec:
     def test_parse_rational(self):
@@ -302,6 +340,8 @@ class TestClassicWords:
             MorphismSpec(FiniteWord("10"), FiniteWord("1"), seed=0)
         with pytest.raises(InvalidInputError):
             MorphismSpec(FiniteWord("0"), FiniteWord("1"), seed=0)
+        with pytest.raises(InvalidInputError):
+            MorphismSpec(FiniteWord("01"), FiniteWord("10"), seed=2)
 
     def test_paperfolding_golden_prefix(self):
         assert str(paperfolding(31)) == "0010011000110110001001110011011"
@@ -524,6 +564,8 @@ class TestStagedDensityConstruction:
             density_stages(Fraction(1, 3), [Fraction(3, 2)], 1)
         with pytest.raises(InvalidInputError):
             density_stages(Fraction(1, 3), [Fraction(1, 2)], 2)
+        with pytest.raises(RangeError):
+            density_stages(Fraction(1, 3), [Fraction(1, 2)], 0)
 
     @pytest.mark.parametrize(
         "target, limit, a1",

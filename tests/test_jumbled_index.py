@@ -16,6 +16,7 @@ from prefixnormal import (
     serialize,
 )
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
+from prefixnormal.jumbled_index import _HEADER
 
 from oracles import factor_one_counts
 
@@ -106,6 +107,8 @@ class TestSerialization:
             deserialize(b"XXXX" + blob[4:])
         with pytest.raises(IndexFormatError):
             deserialize(blob[:4] + (99).to_bytes(4, "little") + blob[8:])
+        with pytest.raises(IndexFormatError):
+            deserialize(_HEADER.pack(b"PNJI", 1, 0))  # an index of the empty word
 
     def test_invariant_violation_rejected(self):
         good = serialize(build_index(FiniteWord("0110")))

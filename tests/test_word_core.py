@@ -50,6 +50,8 @@ class TestFiniteWord:
             FiniteWord("012")
         with pytest.raises(InvalidInputError):
             FiniteWord([0, 2])
+        with pytest.raises(InvalidInputError):
+            FiniteWord("1é")
 
     def test_sequence_protocol(self):
         w = FiniteWord("10110")
