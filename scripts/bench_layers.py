@@ -7,10 +7,13 @@ Rounds alternate which tree runs first. A row gives the median and quartiles
 of one layer at one size over the rounds, and its spread ratio
 (q3 - q1) / median; a row whose ratio exceeds 0.10 gets a warning, since it
 cannot show a 10% change. Each layer also gets the exponent of a
-least-squares fit of log time against log n.
+least-squares fit of log time against log n. Every tree after the first
+gets, per layer and size, the median and quartiles of its per-round ratio
+to the first tree: the two ran back to back, so the ratio is less exposed to
+the drift that moves absolute medians between rounds and between files.
 
     python scripts/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --sizes 4096 16384 65536 --rounds 5 --out BENCH_14.json
+        --sizes 4096 16384 65536 --rounds 9 --out BENCH_16.json
 
 The kernel rows scan the word ``1`` followed by the Fibonacci word. It is
 prefix normal and 1-balanced, so ``find_violation_1`` and
@@ -19,6 +22,9 @@ the child checks both verdicts before it times anything. The generator row
 times ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal
 seed of minimum density 1/2; the child returns a sha256 of each word it
 produced, and the script exits non-zero if two trees produce different words.
+The ``cli.pnf_fibonacci`` row times a whole ``pnf fibonacci -n n/4`` process,
+interpreter start included, whose 4n analysis window would be ``n`` symbols;
+its output must also match between trees.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ import time
 
 LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced",
           "generators.flipext_stream")
+#: A layer timed as one fresh ``pnw`` process per size.
+PNF_LAYER = "cli.pnf_fibonacci"
 FLIPEXT_SEED = "11010011"
 #: Largest spread ratio (q3 - q1) / median at which a row can show a 10% change.
 SPREAD_LIMIT = 0.10
@@ -86,6 +94,20 @@ def run_child(tree: str, sizes: list[int]) -> dict:
     return json.loads(done.stdout)
 
 
+def run_pnf(tree: str, n: int) -> tuple[float, str]:
+    """Seconds of one ``pnf fibonacci -n n/4`` process and a sha256 of its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+    argv = [sys.executable, "-m", "prefixnormal.cli", "pnf", "fibonacci", "-n", str(n // 4)]
+    start = time.perf_counter()
+    done = subprocess.run(argv, env=env, capture_output=True, check=True)
+    return time.perf_counter() - start, hashlib.sha256(done.stdout).hexdigest()
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    values = sorted(values)
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
 def exponent(sizes: list[int], seconds: list[float]) -> float | None:
     if len(sizes) < 2:
         return None
@@ -108,40 +130,59 @@ def main() -> None:
     args = parser.parse_args()
     trees = dict(spec.split("=", 1) for spec in args.tree)
     cpu = pin_to_one_cpu()
-    runs: dict = {label: {layer: {n: [] for n in args.sizes} for layer in LAYERS} for label in trees}
+    layers = (*LAYERS, PNF_LAYER)
+    # runs[label][layer][n] holds one time per round, in round order, so rounds pair up across trees
+    runs: dict = {label: {layer: {n: [] for n in args.sizes} for layer in layers} for label in trees}
     numpy_version, digests = None, {}
+
+    def same_output(what: str, label: str, digest: str) -> None:
+        if digests.setdefault(what, (label, digest))[1] != digest:
+            raise SystemExit(f"trees {digests[what][0]} and {label} differ: {what}")
+
     for round_ in range(args.rounds):
         order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
         for label in order:
             result = run_child(trees[label], args.sizes)
             numpy_version = result["numpy"]
             for n, digest in result["digests"].items():
-                if digests.setdefault(n, (label, digest))[1] != digest:
-                    raise SystemExit(f"trees {digests[n][0]} and {label} generate different words at n={n}")
+                same_output(f"flipext word at n={n}", label, digest)
             for layer in LAYERS:
                 for n in args.sizes:
                     runs[label][layer][n].append(result["times"][layer][str(n)])
-    rows, exponents = [], []
+            for n in args.sizes:
+                seconds, digest = run_pnf(trees[label], n)
+                same_output(f"pnf fibonacci output at n={n // 4}", label, digest)
+                runs[label][PNF_LAYER][n].append(seconds)
+    rows, exponents, ratios = [], [], []
+    baseline = next(iter(trees))
     for label in trees:
-        for layer in LAYERS:
+        for layer in layers:
             medians = []
             for n in args.sizes:
-                seconds = sorted(runs[label][layer][n])
-                q1, median, q3 = statistics.quantiles(seconds, n=4) if len(seconds) > 1 else seconds * 3
+                q1, median, q3 = quartiles(runs[label][layer][n])
                 medians.append(median)
                 rows.append({"layer": layer, "tree": label, "n": n, "median_s": median, "q1_s": q1, "q3_s": q3,
-                             "spread_ratio": (q3 - q1) / median, "runs_s": seconds})
+                             "spread_ratio": (q3 - q1) / median, "runs_s": sorted(runs[label][layer][n])})
+                if label != baseline:
+                    paired = [t / b for t, b in zip(runs[label][layer][n], runs[baseline][layer][n])]
+                    q1, median, q3 = quartiles(paired)
+                    ratios.append({"layer": layer, "tree": label, "baseline": baseline, "n": n,
+                                   "median": median, "q1": q1, "q3": q3, "per_round": paired})
             exponents.append({"layer": layer, "tree": label, "exponent": exponent(args.sizes, medians)})
     report = {
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
+        "process": f"{PNF_LAYER}: one fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` process",
+        "comparing": "cite the paired ratios for a change between trees: absolute medians drift between rounds,"
+                     " and medians from different BENCH files are not comparable",
         "rounds": args.rounds,
         "trees": list(trees),
         "machine": {"platform": platform.platform(), "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count(), "pinned_cpu": cpu, "python": platform.python_version(),
                     "numpy": numpy_version},
         "rows": rows,
+        "ratios": ratios,
         "exponents": exponents,
     }
     with open(args.out, "w") as out:
@@ -155,6 +196,9 @@ def main() -> None:
                   f" exceeds {SPREAD_LIMIT}, so this row cannot show a 10% change", file=sys.stderr)
     for item in exponents:
         print(f"{item['layer']:28s} {item['tree']:8s} exponent {item['exponent']}")
+    for item in ratios:
+        print(f"{item['layer']:28s} {item['tree']}/{item['baseline']} n={item['n']:6d} ratio {item['median']:.3f}"
+              f" (q1 {item['q1']:.3f}, q3 {item['q3']:.3f})")
 
 
 if __name__ == "__main__":

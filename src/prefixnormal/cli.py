@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analysis, generators, jumbled_index
-from .analysis import WINDOW_FACTOR
+from .analysis import WINDOW_FACTOR, UltimatelyPeriodicWord
 from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
 from .generators import SlopeSpec, WordStream
-from .word_core import FiniteWord, PrefixProfile, compute_profile
+from .word_core import FiniteWord, compute_profile
 
 
 class UsageError(Exception):
@@ -84,6 +84,32 @@ _BUILTINS = {
         slope=SlopeSpec.parse(_required(args, "slope")), w=FiniteWord(args.seed or "1")
     ),
     "density-staircase": _density_staircase,
+}
+
+
+def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]:
+    """A balanced word of slope ``a`` has ``ceil(i*a)`` 1s in its heaviest and
+    ``floor(i*a)`` in its lightest factors of length ``i``, the prefix weights
+    of its upper and lower mechanical words of intercept 0."""
+    return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
+
+
+#: Builtins whose infinite word has normal forms in closed form: the reason,
+#: and a map from the arguments and a length ``n`` to the first ``n`` symbols
+#: of (pnf1, pnf0), or to None where the reason does not hold. The source is
+#: built first, so an entry reads validated parameters.
+_EXACT_FORMS = {
+    "fibonacci": ("the Fibonacci word is Sturmian", lambda args, n: _mechanical_forms(generators.FIBONACCI_SLOPE, n)),
+    # a p/q word is periodic, and every intercept and direction has the same factors
+    "mechanical": ("a mechanical word is balanced", lambda args, n: _mechanical_forms(SlopeSpec.parse(args.slope), n)),
+    "lazy-flipext-omega": (
+        "from seed 1 it is the upper mechanical word of its slope",
+        lambda args, n: _mechanical_forms(SlopeSpec.parse(args.slope), n) if (args.seed or "1") == "1" else None,
+    ),
+    "thue-morse": (
+        "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
+        lambda args, n: (UltimatelyPeriodicWord("1", "10").prefix(n), UltimatelyPeriodicWord("0", "01").prefix(n)),
+    ),
 }
 
 
@@ -154,35 +180,48 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _profile_for_output(args: argparse.Namespace) -> tuple[FiniteWord, PrefixProfile, int]:
-    """The output word, its profile over a widened analysis window, and the
-    length up to which that profile is trusted.
+def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord, FiniteWord, str | None]:
+    """The output word, its two normal forms, and the stderr note on them
+    (None for a literal word, which is its own window: its forms are exact).
 
-    Builtin sources are materialized once, ``WINDOW_FACTOR`` times longer
-    than the printed length (overridable via --window), so every printed
-    position lies in the trusted quarter of the window; the output word is
-    the window's prefix, and only its lengths are profiled, over every
-    factor of the window. Literal words are their own window.
+    A builtin with an ``_EXACT_FORMS`` entry gets the closed forms of its
+    infinite word, and only its printed symbols are materialized. --window
+    and --prepend-ones ask for a finite window, and -n 0 is left to the
+    window's profile to reject. Other builtins are materialized once,
+    ``WINDOW_FACTOR`` times longer than the printed length (overridable via
+    --window), so every printed position lies in the trusted quarter of the
+    window; the output word is the window's prefix, and only its lengths are
+    profiled, over every factor of the window.
     """
+    prepend = getattr(args, "prepend_ones", None)
+    if args.builtin in _EXACT_FORMS and args.length and args.window is None and prepend is None:
+        word = _resolve_word(args)
+        reason, exact_forms = _EXACT_FORMS[args.builtin]
+        forms = exact_forms(args, len(word))
+        if forms is not None:
+            return word, *forms, f"all {len(word)} positions are exact: {reason}"
     window = _resolve_word(args, widen=True)
-    wide = _apply_prepend(window, getattr(args, "prepend_ones", None))
+    wide = _apply_prepend(window, prepend)
     # a literal is printed whole; a builtin up to -n symbols after the prepended ones
     out_len = len(wide) if args.builtin is None else len(wide) - len(window) + args.length
+    profile = compute_profile(wide, out_len)
+    forms = analysis.pnf1(profile), analysis.pnf0(profile)
+    if args.builtin is None:
+        return wide[:out_len], *forms, None
     reliable = analysis.reliable_pnf_window(len(wide))
-    return wide[:out_len], compute_profile(wide, out_len), reliable
+    if reliable < out_len:
+        note = f"positions beyond {reliable} may change with a longer analysis window"
+    else:
+        note = f"all {out_len} positions lie within the reliable range"
+    basis = f"the reliable range comes from the {WINDOW_FACTOR}n window heuristic and is not certified"
+    return wide[:out_len], *forms, f"{note}; {basis}"
 
 
 def _cmd_pnf(args: argparse.Namespace) -> int:
-    _, profile, reliable = _profile_for_output(args)
-    _emit(args, f"{analysis.pnf1(profile)}\n{analysis.pnf0(profile)}")
-    if args.builtin is None:
-        return 0  # a literal word is its own window: its normal forms are exact
-    if reliable < profile.length:
-        note = f"positions beyond {reliable} may change with a longer analysis window"
-    else:
-        note = f"all {profile.length} positions lie within the reliable range"
-    basis = f"the reliable range comes from the {WINDOW_FACTOR}n window heuristic and is not certified"
-    print(f"note: {note}; {basis}", file=sys.stderr)
+    _, pnf1, pnf0, note = _forms_for_output(args)
+    _emit(args, f"{pnf1}\n{pnf0}")
+    if note is not None:
+        print(f"note: {note}", file=sys.stderr)
     return 0
 
 
@@ -242,8 +281,7 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     if args.pnf:
-        word, profile, _ = _profile_for_output(args)
-        words = (word, analysis.pnf1(profile), analysis.pnf0(profile))
+        words = _forms_for_output(args)[:3]
     else:
         words = (_resolve_word(args),)
     # one row per prefix length: the length, then ones minus zeros of each word

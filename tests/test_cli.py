@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import FiniteWord, analysis, cli, compute_profile, word_core
+from prefixnormal import FiniteWord, analysis, cli, compute_profile, generators, word_core
 from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
@@ -206,7 +210,7 @@ class TestPnf:
         code, out, err = run_cli(["pnf", "fibonacci", "-n", "20"], capsys=capsys)
         assert code == 0
         assert out.splitlines() == ["10100101001001010010", "00100101001001010010"]
-        assert "reliable" in err
+        assert err.startswith("note: all 20 positions are exact: the Fibonacci word is Sturmian")
 
     def test_trusted_range_is_not_certified(self, capsys):
         # the 4n window is a heuristic: a wider one changes these normal forms
@@ -239,7 +243,7 @@ class TestPnf:
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
     def test_profiles_only_printed_lengths(self, command, scanned, capsys):
         # the 4n window is read whole, but only lengths 1..n are profiled
-        code, _, _ = run_cli(command + ["fibonacci", "-n", "50"], capsys=capsys)
+        code, _, _ = run_cli(command + ["paperfolding", "-n", "50"], capsys=capsys)
         assert code == 0 and scanned == list(range(1, 51))
 
     def test_prepended_builtin_is_its_own_normal_form(self, capsys):
@@ -251,6 +255,150 @@ class TestPnf:
         assert code == 0
         _, generated, _ = run_cli(["generate", "thue-morse", "-n", "20"], capsys=capsys)
         assert out.splitlines()[0] == "11" + generated.strip()
+
+
+def exact_forms(argv, capsys):
+    """The two normal forms that ``argv`` prints, checked to be reported exact."""
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 0 and " positions are exact: " in err
+    return tuple(map(FiniteWord, out.split()))
+
+
+def window_forms(window, n):
+    profile = compute_profile(window, n)
+    return analysis.pnf1(profile), analysis.pnf0(profile)
+
+
+QUADRATIC_SLOPES = ["(3-1*sqrt(5))/2", "(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/2", "(5-1*sqrt(7))/3", "(-2+1*sqrt(13))/3"]
+
+
+class TestExactForms:
+    """Sturmian, mechanical and Thue-Morse sources print the closed normal
+    forms of their infinite words, which a long enough window confirms."""
+
+    @staticmethod
+    def assert_every_4n_window_agrees(source, pnf1, pnf0):
+        """For every n up to N = len(pnf1), the 4n window's normal forms are
+        the first n symbols of ``pnf1`` and ``pnf0``. A window's heaviest
+        (lightest) factor of length i only gains (loses) 1s as the window
+        grows, so length i agrees on every window from 4i to 4N once it
+        agrees on those two."""
+        window = source.prefix(WINDOW_FACTOR * len(pnf1))
+        assert window_forms(window, len(pnf1)) == (pnf1, pnf0)
+        sums = window.prefix_sums()
+        pairs = zip(itertools.accumulate(bytes(pnf1)), itertools.accumulate(bytes(pnf0)))
+        for i, (heaviest, lightest) in enumerate(pairs, 1):
+            weights = sums[i : WINDOW_FACTOR * i + 1] - sums[: (WINDOW_FACTOR - 1) * i + 1]
+            assert (weights.max(), weights.min()) == (heaviest, lightest), i
+
+    def test_thue_morse_every_length_to_2000(self, capsys):
+        pnf1, pnf0 = exact_forms(["pnf", "thue-morse", "-n", "2000"], capsys)
+        assert (pnf1[:5], pnf0[:5]) == (FiniteWord("11010"), FiniteWord("00101"))
+        self.assert_every_4n_window_agrees(generators.thue_morse_stream(), pnf1, pnf0)
+        for n in (1, 2, 3, 350, 1777):
+            assert exact_forms(["pnf", "thue-morse", "-n", str(n)], capsys) == (pnf1[:n], pnf0[:n])
+
+    def test_fibonacci_every_length_to_400(self, capsys):
+        pnf1, pnf0 = exact_forms(["pnf", "fibonacci", "-n", "400"], capsys)
+        self.assert_every_4n_window_agrees(generators.fibonacci_stream(), pnf1, pnf0)
+        for n in (1, 2, 3, 89, 233):
+            assert exact_forms(["pnf", "fibonacci", "-n", str(n)], capsys) == (pnf1[:n], pnf0[:n])
+
+    @pytest.mark.parametrize("n", [7920, 7960, 8000])
+    def test_fibonacci_at_the_benchmark_lengths(self, n, capsys):
+        window = generators.fibonacci_stream().prefix(WINDOW_FACTOR * n)
+        assert exact_forms(["pnf", "fibonacci", "-n", str(n)], capsys) == window_forms(window, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.integers(1, 1500),
+        p_share=st.fractions(0, 1),
+        intercept=st.fractions(0, 1, max_denominator=40).filter(lambda x: x < 1),
+        upper=st.booleans(),
+        n=st.integers(1, 200),
+    )
+    def test_rational_slopes_match_a_whole_period(self, q, p_share, intercept, upper, n):
+        # a p/q word repeats its first q symbols, so n + q of them hold every factor up to length n
+        p = round(p_share * q)
+        direction = "--upper" if upper else "--lower"
+        argv = ["pnf", "mechanical", "--slope", f"{p}/{q}", "--intercept", f"{intercept}", direction, "-n", str(n)]
+        stream = generators.mechanical_stream(generators.SlopeSpec.rational(p, q), intercept, upper=upper)
+        out, err = io.StringIO(), io.StringIO()  # capsys is function-scoped, so hypothesis cannot reuse it
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0 and " positions are exact: " in err.getvalue()
+        assert tuple(map(FiniteWord, out.getvalue().split())) == window_forms(stream.prefix(n + q), n)
+
+    @pytest.mark.parametrize("slope", QUADRATIC_SLOPES)
+    @pytest.mark.parametrize("direction", ["--upper", "--lower"])
+    def test_quadratic_slopes_match_a_64n_window(self, slope, direction, capsys):
+        n = 300
+        forms = exact_forms(["pnf", "mechanical", "--slope", slope, direction, "-n", str(n)], capsys)
+        stream = generators.mechanical_stream(generators.SlopeSpec.parse(slope), 0, upper=direction == "--upper")
+        assert forms == window_forms(stream.prefix(64 * n), n)
+
+    @pytest.mark.parametrize("slope", ["1/3", "2/7", "(-1+1*sqrt(2))/1", "(3-1*sqrt(5))/2"])
+    def test_lazy_flipext_from_seed_1_is_the_upper_mechanical_word(self, slope, capsys):
+        upper = ["mechanical", "--upper", "--slope", slope, "-n", "500"]
+        lazy = ["lazy-flipext-omega", "--slope", slope, "-n", "500"]
+        assert run_cli(["generate"] + lazy, capsys=capsys) == run_cli(["generate"] + upper, capsys=capsys)
+        assert exact_forms(["pnf"] + lazy, capsys) == exact_forms(["pnf"] + upper, capsys)
+
+    def test_lazy_flipext_from_another_seed_keeps_the_window(self, capsys):
+        code, out, err = run_cli(["pnf", "lazy-flipext-omega", "--slope", "1/3", "--seed", "11", "-n", "40"], capsys=capsys)
+        stream = generators.lazy_alpha_flipext_stream(FiniteWord("11"), generators.SlopeSpec.rational(1, 3))
+        assert code == 0 and out == "{}\n{}\n".format(*window_forms(stream.prefix(WINDOW_FACTOR * 40), 40))
+        assert "not certified" in err
+
+    def test_sparse_rational_slope_is_exact(self, capsys):
+        # a 4n window of 40 symbols holds no 1 of the slope-1/1000 word
+        assert run_cli(["pnf", "mechanical", "--slope", "1/1000", "-n", "10"], capsys=capsys)[:2] == (
+            0, "1000000000\n0000000000\n"
+        )
+
+    @pytest.mark.parametrize("option", [["--window", "400"], ["--prepend-ones", "0"]])
+    def test_window_options_keep_the_window(self, option, scanned, capsys):
+        code, out, err = run_cli(["pnf", "fibonacci", "-n", "100"] + option, capsys=capsys)
+        assert code == 0 and "not certified" in err and scanned == list(range(1, 101))
+        assert out == "{}\n{}\n".format(*exact_forms(["pnf", "fibonacci", "-n", "100"], capsys))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fibonacci", "-n", "0"], "cannot profile the empty word"),
+            (["thue-morse", "-n", "-1"], "prefix length must be non-negative"),
+            (["fibonacci"], "builtin sources require -n/--length"),
+            (["mechanical", "-n", "5"], "mechanical requires --slope"),
+            (["mechanical", "--slope", "3/2", "-n", "5"], "slope must lie in [0, 1]"),
+            (["mechanical", "--slope=-1/2", "-n", "5"], "slope must lie in [0, 1]"),
+            (["mechanical", "--slope", "1/2", "--intercept", "1", "-n", "5"], "intercept must lie in [0, 1)"),
+            (["mechanical", "--slope", "(-1+1*sqrt(2))/1", "--intercept", "1/2", "-n", "5"],
+             "irrational slopes support intercept 0 only"),
+            (["lazy-flipext-omega", "--slope", "0", "-n", "5"], "slope must lie in (0, 1]"),
+            (["lazy-flipext-omega", "--slope", "3/2", "-n", "5"], "slope must lie in (0, 1]"),
+            (["fibonacci", "--word", "01", "-n", "2"], "exactly one of BUILTIN, --word, or --file is required"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
+    def test_errors_keep_their_exit_code(self, command, argv, message, capsys):
+        assert run_cli(command + argv, capsys=capsys) == (2, "", f"error: {message}\n")
+
+    def test_fresh_process_loads_no_numpy_and_scans_nothing(self):
+        script = (
+            "import sys\n"
+            "from prefixnormal import cli, word_core\n"
+            "def scan(*args):\n"
+            "    raise AssertionError('compute_profile called')\n"
+            "cli.compute_profile = word_core.compute_profile = scan\n"
+            "cli.main(['pnf', 'fibonacci', '-n', '8000'])\n"
+            "cli.main(['pnf', 'thue-morse', '-n', '350'])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        src = str(Path(prefixnormal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert [len(line) for line in done.stdout.splitlines()] == [8000, 8000, 350, 350]
+        assert done.stderr.splitlines()[-1] == "False"
 
 
 class TestAbelian:
@@ -490,6 +638,11 @@ NUMPY_FREE = {
     "index-query-stdin": ["index", "query", "{index}"],
     "index-query-file": ["index", "query", "{index}", "--queries", "{queries}"],
     "plotdata-word": ["plotdata", "--word", "1101" * 300 + "0001" * 200],
+    "pnf-fibonacci": ["pnf", "fibonacci", "-n", "3000"],
+    "pnf-thue-morse": ["pnf", "thue-morse", "-n", "3000"],
+    "pnf-mechanical-rational": ["pnf", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
+    "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
+    "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],
 }
 
 
