@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 from .errors import InvalidInputError, NoBoundError, RangeError
 from .word_core import (
@@ -35,8 +34,7 @@ class PrefixSource(Protocol):
     def prefix(self, n: int) -> FiniteWord: ...
 
 
-@dataclass(frozen=True)
-class PNViolation:
+class PNViolation(NamedTuple):
     """Witness that a word is not prefix normal.
 
     The factor of ``factor_length`` symbols starting at 1-based position
@@ -193,8 +191,7 @@ def reliable_pnf_window(window_length: int) -> int:
 # -- minimum density --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinDensityReport:
+class MinDensityReport(NamedTuple):
     """Minimum prefix density of a word, with the least index attaining it.
 
     ``delta`` equals ``Fraction(kappa, iota)``; ``iota`` is the least prefix

@@ -3,6 +3,10 @@ forms, abelian complexity, density reports, jumbled indexing, and plot data.
 
 Exit codes: 0 success or positive verdict, 1 semantic negative (violation
 found, or a query miss under --strict), 2 usage error, 3 I/O or format error.
+
+Each command imports the layers it runs when it runs, so a command loads
+``generators`` only for a builtin source and ``analysis`` or
+``jumbled_index`` only when it analyzes or indexes.
 """
 
 from __future__ import annotations
@@ -11,15 +15,20 @@ import argparse
 import contextlib
 import itertools
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import analysis, generators, jumbled_index
-from .analysis import WINDOW_FACTOR, UltimatelyPeriodicWord
 from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
-from .generators import SlopeSpec, WordStream
-from .word_core import FiniteWord, compute_profile
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from types import ModuleType
+
+    from .generators import SlopeSpec, WordStream
+    from .word_core import FiniteWord
+
+#: Most answers of a --queries file written with one call.
+_QUERY_BLOCK = 4096
 
 
 class UsageError(Exception):
@@ -30,10 +39,21 @@ class WordFileError(Exception):
     """Raised for a --file that holds no binary word; mapped to exit code 3."""
 
 
+def _generators() -> ModuleType:
+    """The generators module, imported the first time a builtin source is built."""
+    from . import generators
+    return generators
+
+
+def _word(text: str) -> FiniteWord:
+    from .word_core import FiniteWord
+    return FiniteWord(text)
+
+
 def _parse_fraction(text: str) -> Fraction:
     """A rational in the ``p/q`` grammar of :meth:`SlopeSpec.parse`."""
     with contextlib.suppress(InvalidInputError):
-        spec = SlopeSpec.parse(text)
+        spec = _generators().SlopeSpec.parse(text)
         if spec.is_rational:
             return spec.value
     raise UsageError(f"cannot parse rational {text!r}")
@@ -59,29 +79,30 @@ def _required(args: argparse.Namespace, flag: str) -> str:
     return value
 
 
+def _slope(args: argparse.Namespace) -> SlopeSpec:
+    return _generators().SlopeSpec.parse(_required(args, "slope"))
+
+
 def _density_staircase(args: argparse.Namespace) -> WordStream:
     alpha = _parse_fraction(_required(args, "alpha"))
     a1 = _parse_fraction(args.a1) if args.a1 else None
-    return generators.aperiodic_density_stream(
-        alpha, generators.geometric_density_sequence(alpha, a1)
-    )
+    generators = _generators()
+    return generators.aperiodic_density_stream(alpha, generators.geometric_density_sequence(alpha, a1))
 
 
 #: Builtin word sources by name; each factory reads its parameters from the
 #: parsed arguments and raises UsageError when a required one is missing.
 _BUILTINS = {
-    "fibonacci": lambda args: generators.fibonacci_stream(),
-    "thue-morse": lambda args: generators.thue_morse_stream(),
-    "paperfolding": lambda args: generators.paperfolding_stream(),
-    "champernowne": lambda args: generators.champernowne_stream(),
-    "mechanical": lambda args: generators.mechanical_stream(
-        SlopeSpec.parse(_required(args, "slope")),
-        _parse_fraction(args.intercept),
-        upper=bool(args.upper),
+    "fibonacci": lambda args: _generators().fibonacci_stream(),
+    "thue-morse": lambda args: _generators().thue_morse_stream(),
+    "paperfolding": lambda args: _generators().paperfolding_stream(),
+    "champernowne": lambda args: _generators().champernowne_stream(),
+    "mechanical": lambda args: _generators().mechanical_stream(
+        _slope(args), _parse_fraction(args.intercept), upper=bool(args.upper)
     ),
-    "flipext-omega": lambda args: generators.flipext_stream(FiniteWord(_required(args, "seed"))),
-    "lazy-flipext-omega": lambda args: generators.lazy_alpha_flipext_stream(
-        slope=SlopeSpec.parse(_required(args, "slope")), w=FiniteWord(args.seed or "1")
+    "flipext-omega": lambda args: _generators().flipext_stream(_word(_required(args, "seed"))),
+    "lazy-flipext-omega": lambda args: _generators().lazy_alpha_flipext_stream(
+        slope=_slope(args), w=_word(args.seed or "1")
     ),
     "density-staircase": _density_staircase,
 }
@@ -91,7 +112,14 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
     """A balanced word of slope ``a`` has ``ceil(i*a)`` 1s in its heaviest and
     ``floor(i*a)`` in its lightest factors of length ``i``, the prefix weights
     of its upper and lower mechanical words of intercept 0."""
+    generators = _generators()
     return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
+
+
+def _thue_morse_forms(args: argparse.Namespace, n: int) -> tuple[FiniteWord, FiniteWord]:
+    """The first ``n`` symbols of 1(10)^omega and of 0(01)^omega."""
+    from .analysis import UltimatelyPeriodicWord
+    return UltimatelyPeriodicWord("1", "10").prefix(n), UltimatelyPeriodicWord("0", "01").prefix(n)
 
 
 #: Builtins whose infinite word has normal forms in closed form: the reason,
@@ -99,16 +127,19 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
 #: of (pnf1, pnf0), or to None where the reason does not hold. The source is
 #: built first, so an entry reads validated parameters.
 _EXACT_FORMS = {
-    "fibonacci": ("the Fibonacci word is Sturmian", lambda args, n: _mechanical_forms(generators.FIBONACCI_SLOPE, n)),
+    "fibonacci": (
+        "the Fibonacci word is Sturmian",
+        lambda args, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
+    ),
     # a p/q word is periodic, and every intercept and direction has the same factors
-    "mechanical": ("a mechanical word is balanced", lambda args, n: _mechanical_forms(SlopeSpec.parse(args.slope), n)),
+    "mechanical": ("a mechanical word is balanced", lambda args, n: _mechanical_forms(_slope(args), n)),
     "lazy-flipext-omega": (
         "from seed 1 it is the upper mechanical word of its slope",
-        lambda args, n: _mechanical_forms(SlopeSpec.parse(args.slope), n) if (args.seed or "1") == "1" else None,
+        lambda args, n: _mechanical_forms(_slope(args), n) if (args.seed or "1") == "1" else None,
     ),
     "thue-morse": (
         "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
-        lambda args, n: (UltimatelyPeriodicWord("1", "10").prefix(n), UltimatelyPeriodicWord("0", "01").prefix(n)),
+        _thue_morse_forms,
     ),
 }
 
@@ -131,11 +162,11 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
         if args.file is not None:
             text = args.file.read_text().splitlines()
             try:
-                word = FiniteWord(text[0].strip() if text else "")
+                word = _word(text[0].strip() if text else "")
             except InvalidInputError as exc:
                 raise WordFileError(f"{args.file}: {exc}") from exc
         else:
-            word = FiniteWord(args.word)
+            word = _word(args.word)
         if args.length is not None:
             if args.length > len(word):
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
@@ -145,13 +176,14 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     if length is None:
         raise UsageError("builtin sources require -n/--length")
     if widen:
+        from .analysis import WINDOW_FACTOR
         length = max(WINDOW_FACTOR * length if args.window is None else args.window, length)
     return _BUILTINS[args.builtin](args).prefix(length)
 
 
 def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
     # _resolve_word has rejected a negative count before producing any symbol
-    return FiniteWord.ones(count) + word if count else word
+    return _word("1" * count) + word if count else word
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -170,8 +202,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .analysis import find_violation_0, find_violation_1
     word = _apply_prepend(_resolve_word(args), args.prepend_ones)
-    finder = analysis.find_violation_0 if args.zero else analysis.find_violation_1
+    finder = find_violation_0 if args.zero else find_violation_1
     violation = finder(word)
     if violation is None:
         _emit(args, "NORMAL")
@@ -200,15 +233,17 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
         forms = exact_forms(args, len(word))
         if forms is not None:
             return word, *forms, f"all {len(word)} positions are exact: {reason}"
+    from .analysis import WINDOW_FACTOR, pnf0, pnf1, reliable_pnf_window
+    from .word_core import compute_profile
     window = _resolve_word(args, widen=True)
     wide = _apply_prepend(window, prepend)
     # a literal is printed whole; a builtin up to -n symbols after the prepended ones
     out_len = len(wide) if args.builtin is None else len(wide) - len(window) + args.length
     profile = compute_profile(wide, out_len)
-    forms = analysis.pnf1(profile), analysis.pnf0(profile)
+    forms = pnf1(profile), pnf0(profile)
     if args.builtin is None:
         return wide[:out_len], *forms, None
-    reliable = analysis.reliable_pnf_window(len(wide))
+    reliable = reliable_pnf_window(len(wide))
     if reliable < out_len:
         note = f"positions beyond {reliable} may change with a longer analysis window"
     else:
@@ -226,56 +261,70 @@ def _cmd_pnf(args: argparse.Namespace) -> int:
 
 
 def _cmd_abelian(args: argparse.Namespace) -> int:
+    from .analysis import abelian_complexity
+    from .word_core import compute_profile
     word = _resolve_word(args)
     # compute_profile reports an empty word before any range is read
     lo, hi = _parse_range(args.range, len(word)) if word else (1, 0)
     if hi > len(word):
         raise UsageError(f"range end {hi} exceeds word length {len(word)}")
     profile = compute_profile(word, hi)
-    lines = [f"{n}\t{analysis.abelian_complexity(profile, n)}" for n in range(lo, hi + 1)]
+    lines = [f"{n}\t{abelian_complexity(profile, n)}" for n in range(lo, hi + 1)]
     _emit(args, "\n".join(lines))
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .analysis import UltimatelyPeriodicWord, min_density, min_density_up
     if args.period is not None:
         if args.word is not None or args.builtin is not None or args.file is not None:
             raise UsageError("--period cannot be combined with another word source")
         pre_text, _, per_text = args.period.partition(",")
-        up = analysis.UltimatelyPeriodicWord(FiniteWord(pre_text), FiniteWord(per_text))
-        delta = analysis.min_density_up(up)
+        up = UltimatelyPeriodicWord(_word(pre_text), _word(per_text))
+        delta = min_density_up(up)
         _emit(args, f"{delta.numerator}/{delta.denominator}")
         return 0
     word = _resolve_word(args)
-    report = analysis.min_density(word)
+    report = min_density(word)
     _emit(args, f"{report.delta.numerator}/{report.delta.denominator} {report.iota} {report.kappa}")
     return 0
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    blob = jumbled_index.serialize(jumbled_index.build_index(_resolve_word(args)))
+    from .jumbled_index import build_index, serialize
+    blob = serialize(build_index(_resolve_word(args)))
     args.index_file.write_bytes(blob)
     return 0
 
 
 def _cmd_index_query(args: argparse.Namespace) -> int:
-    index = jumbled_index.deserialize(args.index_file.read_bytes())
+    from .jumbled_index import deserialize
+    index = deserialize(args.index_file.read_bytes())
     misses = False
     with contextlib.ExitStack() as stack:
         stream = stack.enter_context(open(args.queries)) if args.queries is not None else sys.stdin
         out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
-        # answered line by line; file lines end at newlines only, str.splitlines also splits at \v, \f
-        for line in itertools.chain.from_iterable(map(str.splitlines, stream)):
-            if not line.strip():
-                continue
-            try:
-                zeros_text, ones_text = line.split()
-                zeros, ones = int(zeros_text), int(ones_text)
-            except ValueError as exc:
-                raise UsageError(f"cannot parse query line {line!r}; expected 'ZEROS ONES'") from exc
-            hit = index.query(zeros, ones)
-            misses = misses or not hit
-            out.write("yes\n" if hit else "no\n")
+        # stdin is answered line by line, a file _QUERY_BLOCK answers per write
+        block, answers = (1 if args.queries is None else _QUERY_BLOCK), []
+        try:
+            # file lines end at newlines only, str.splitlines also splits at \v, \f
+            for line in itertools.chain.from_iterable(map(str.splitlines, stream)):
+                if not line.strip():
+                    continue
+                try:
+                    zeros_text, ones_text = line.split()
+                    zeros, ones = int(zeros_text), int(ones_text)
+                except ValueError as exc:
+                    raise UsageError(f"cannot parse query line {line!r}; expected 'ZEROS ONES'") from exc
+                hit = index.query(zeros, ones)
+                misses = misses or not hit
+                answers.append("yes\n" if hit else "no\n")
+                if len(answers) == block:
+                    out.write("".join(answers))
+                    answers.clear()
+        finally:  # the answers before a malformed line are written too
+            if answers:
+                out.write("".join(answers))
     return 1 if args.strict and misses else 0
 
 

@@ -31,18 +31,16 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .analysis import find_violation_1, min_density
 from .errors import (
     InvalidInputError,
     RangeError,
     ResourceLimitError,
     UnsupportedParameterError,
 )
-from .word_core import _FLIP, FiniteWord
+from .word_core import _FLIP, BitsLike, FiniteWord, _FrozenSlots
 
 #: Hard cap on materialized prefix length; a desk-scale guardrail.
 MATERIALIZE_CAP = 1 << 26
@@ -188,8 +186,7 @@ _QUADRATIC_SLOPE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SlopeSpec:
+class SlopeSpec(NamedTuple):
     """An exact slope: either a rational ``p/q`` or ``(a + b*sqrt(d))/c``."""
 
     value: Union[Fraction, QuadraticIrrational]
@@ -376,25 +373,21 @@ def characteristic_word(slope: SlopeSpec, n: int) -> FiniteWord:
 # -- morphic fixpoints and classic sequences ------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
+class MorphismSpec(_FrozenSlots):
     """A binary morphism with a designated seed symbol.
 
     The image of the seed must start with the seed and have length at least 2,
     so that iterating the morphism from the seed converges to a fixpoint.
     """
 
-    image0: FiniteWord
-    image1: FiniteWord
-    seed: int = 0
+    __slots__ = ("image0", "image1", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image0", FiniteWord(self.image0))
-        object.__setattr__(self, "image1", FiniteWord(self.image1))
-        if self.seed not in (0, 1):
+    def __init__(self, image0: BitsLike, image1: BitsLike, seed: int = 0):
+        super().__init__(FiniteWord(image0), FiniteWord(image1), seed)
+        if seed not in (0, 1):
             raise InvalidInputError("seed must be 0 or 1")
-        seed_image = self.image_of(self.seed)
-        if len(seed_image) < 2 or seed_image[0] != self.seed:
+        seed_image = self.image_of(seed)
+        if len(seed_image) < 2 or seed_image[0] != seed:
             raise InvalidInputError("morphism is not prolongable from its seed")
 
     def image_of(self, symbol: int) -> FiniteWord:
@@ -504,6 +497,7 @@ def champernowne(n: int) -> FiniteWord:
 
 
 def _require_prefix_normal_seed(w: FiniteWord) -> None:
+    from .analysis import find_violation_1
     if w.weight == 0:
         raise InvalidInputError("seed must contain at least one 1")
     violation = find_violation_1(w)
@@ -557,6 +551,7 @@ def _lazy_end(w: FiniteWord, slope: SlopeSpec) -> int:
     if slope.compare(0) <= 0 or slope.compare(1) > 0:
         raise RangeError("slope must lie in (0, 1]")
     _require_prefix_normal_seed(w)
+    from .analysis import min_density
     if slope.compare(min_density(w).delta) > 0:
         raise InvalidInputError("seed minimum density is below the slope")
     inverse = 1 / slope.value if slope.is_rational else slope.value.reciprocal()
@@ -585,8 +580,7 @@ def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
 # -- staged aperiodic construction with prescribed minimum density ---------------
 
 
-@dataclass(frozen=True)
-class DensityStage:
+class DensityStage(NamedTuple):
     """One stage of the staged construction: the word so far and its parameters."""
 
     index: int

@@ -9,21 +9,22 @@ Parikh vector reduces to two array lookups.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .errors import IndexFormatError, InvalidInputError
-from .word_core import FiniteWord, PrefixProfile, compute_profile
+from .word_core import FiniteWord, PrefixProfile, _FrozenSlots, compute_profile
 
 _MAGIC = b"PNJI"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 
 
-@dataclass(frozen=True)
-class JumbledIndex:
+class JumbledIndex(_FrozenSlots):
     """Constant-time Parikh-vector membership queries over one word's factors."""
 
-    profile: PrefixProfile
+    __slots__ = ("profile",)
+
+    def __init__(self, profile: PrefixProfile):
+        super().__init__(profile)
 
     @property
     def word_length(self) -> int:

@@ -8,7 +8,6 @@ no floating point is used anywhere in comparisons.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
@@ -184,8 +183,37 @@ def lex_compare(u: FiniteWord, v: FiniteWord) -> LexOrder:
     return LexOrder.LESS if u._bits < v._bits else LexOrder.GREATER
 
 
-@dataclass(frozen=True)
-class PrefixProfile:
+class _FrozenSlots:
+    """An immutable value whose ``__slots__`` are its fields: equality, hash,
+    repr and pickling follow the fields, which ``__init__`` sets in order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PrefixProfile(_FrozenSlots):
     """Maximum and minimum 1s over factors of each length of some word.
 
     ``max_ones[k]`` / ``min_ones[k]`` hold the extreme number of 1s over all
@@ -194,23 +222,21 @@ class PrefixProfile:
     statistics are derived, never stored.
     """
 
-    length: int
-    max_ones: tuple[int, ...]
-    min_ones: tuple[int, ...]
+    __slots__ = ("length", "max_ones", "min_ones")
 
-    def __post_init__(self) -> None:
-        n = self.length
-        if n < 1:
+    def __init__(self, length: int, max_ones: tuple[int, ...], min_ones: tuple[int, ...]):
+        if length < 1:
             raise InvalidInputError("profile requires a non-empty word")
-        if len(self.max_ones) != n or len(self.min_ones) != n:
+        if len(max_ones) != length or len(min_ones) != length:
             raise InvalidInputError("profile arrays must cover lengths 1..n")
         prev_max, prev_min = 0, 0
-        for i, (hi, lo) in enumerate(zip(self.max_ones, self.min_ones), start=1):
+        for i, (hi, lo) in enumerate(zip(max_ones, min_ones), start=1):
             if not 0 <= lo <= hi <= i:
                 raise InvalidInputError(f"profile values out of bounds at length {i}")
             if hi - prev_max not in (0, 1) or lo - prev_min not in (0, 1):
                 raise InvalidInputError(f"profile steps must be 0 or 1 at length {i}")
             prev_max, prev_min = hi, lo
+        super().__init__(length, max_ones, min_ones)
 
     def _check(self, i: int) -> None:
         if not 1 <= i <= self.length:

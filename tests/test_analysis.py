@@ -3,7 +3,6 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -202,7 +201,7 @@ class TestPrefixNormalChecks:
 
 
 def witness(violation):
-    return None if violation is None else astuple(violation)
+    return None if violation is None else tuple(violation)
 
 
 @st.composite

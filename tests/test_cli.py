@@ -552,6 +552,33 @@ class TestIndex:
         assert (code, out) == (2, "yes\nno\n")
         assert err == "error: cannot parse query line 'one two'; expected 'ZEROS ONES'\n"
 
+    @staticmethod
+    def counted_query_file(tmp_path, capsys, monkeypatch, text):
+        """Exit code and the write calls of ``index query --queries`` on ``text``."""
+        index_file, queries = tmp_path / "w.pnji", tmp_path / "q.txt"
+        run_cli(["index", "build", "--word", "0101", "-o", str(index_file)], capsys=capsys)
+        queries.write_text(text)
+        writes = []
+
+        class CountingOut(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", CountingOut())
+        return main(["index", "query", str(index_file), "--queries", str(queries)]), writes
+
+    def test_a_queries_file_is_answered_one_block_per_write(self, tmp_path, capsys, monkeypatch):
+        code, writes = self.counted_query_file(tmp_path, capsys, monkeypatch, "1 1\n3 3\n" * 5000)
+        assert code == 0 and "".join(writes) == "yes\nno\n" * 5000
+        assert [text.count("\n") for text in writes] == [4096, 4096, 10_000 - 2 * 4096]
+
+    def test_a_queries_file_keeps_the_answers_before_a_malformed_line(self, tmp_path, capsys, monkeypatch):
+        code, writes = self.counted_query_file(tmp_path, capsys, monkeypatch, "1 1\n" * 5000 + "one two\n1 1\n")
+        assert code == 2 and "".join(writes) == "yes\n" * 5000
+        assert [len(text) for text in writes] == [4 * 4096, 4 * 904]
+        assert capsys.readouterr().err == "error: cannot parse query line 'one two'; expected 'ZEROS ONES'\n"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["index", "query", str(tmp_path / "none.pnji")], capsys=capsys)
         assert code == 3
@@ -683,6 +710,47 @@ class TestNumpyFreeCommands:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.split("\n")[1:] == ["NORMAL", ""]
         assert done.stderr.split() == ["False", "True"]
+
+
+#: Fresh-process shapes: their code after ``from prefixnormal.cli import main``
+#: (None: only the first statement runs), and every ``prefixnormal`` module they load.
+MODULE_LOADS = {
+    "import prefixnormal": (None, set()),
+    "import prefixnormal.cli": ("", {"cli", "errors"}),
+    "generate mechanical": (
+        "main(['generate', 'mechanical', '--slope', '3/101', '-n', '1000'])",
+        {"cli", "errors", "generators", "word_core"},
+    ),
+    "pnf fibonacci": ("main(['pnf', 'fibonacci', '-n', '1000'])", {"cli", "errors", "generators", "word_core"}),
+    "index query": (
+        "main(['index', 'query', {index!r}, '--queries', {queries!r}])",
+        {"cli", "errors", "jumbled_index", "word_core"},
+    ),
+    "density --word": ("main(['density', '--word', '1101' * 300])", {"cli", "errors", "analysis", "word_core"}),
+}
+
+
+class TestModuleLoads:
+    """A command loads only the layers it runs, and a command that needs no
+    numpy loads no ``dataclasses`` either. One fresh process per shape."""
+
+    @pytest.mark.parametrize("shape", MODULE_LOADS)
+    def test_a_fresh_process_loads_only_what_it_runs(self, shape, tmp_path, capsys):
+        index, queries = tmp_path / "w.pnji", tmp_path / "q.txt"
+        run_cli(["index", "build", "--word", "110100110010" * 20, "-o", str(index)], capsys=capsys)
+        queries.write_text("3 4\n10 12\n" * 1000)
+        code, expected = MODULE_LOADS[shape]
+        lines = ["import sys", "import prefixnormal" if code is None else "from prefixnormal.cli import main"]
+        lines += [
+            (code or "").format(index=str(index), queries=str(queries)),
+            "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('prefixnormal.'))",
+            "print(loaded, 'dataclasses' in sys.modules, 'numpy' in sys.modules, file=sys.stderr)",
+        ]
+        src = str(Path(prefixnormal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == f"{sorted(expected)} False False"
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 """The package's public namespace and the README's library and CLI examples."""
 
+import importlib
 import io
 import re
 import shlex
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import prefixnormal
 from prefixnormal.cli import main
@@ -18,6 +21,57 @@ def test_star_exports_resolve_and_exclude_modules():
         value = getattr(prefixnormal, name)
         assert not isinstance(value, types.ModuleType), name
     assert {"FiniteWord", "max_word", "min_word", "build_index"} <= set(prefixnormal.__all__)
+
+
+#: Every public name of the package, under its defining module.
+PUBLIC = {
+    "errors": [
+        "IndexFormatError", "InvalidInputError", "NoBoundError", "RangeError", "ResourceLimitError",
+        "UnsupportedParameterError",
+    ],
+    "word_core": [
+        "FiniteWord", "LexOrder", "ParikhVector", "PrefixProfile", "Rational", "complement", "compute_profile",
+        "lex_compare", "parikh", "prefix_density", "prefix_weight", "reverse",
+    ],
+    "generators": [
+        "DensityStage", "FIBONACCI_MORPHISM", "FIBONACCI_SLOPE", "MATERIALIZE_CAP", "MorphismSpec",
+        "QuadraticIrrational", "SQRT2_SLOPE", "SlopeSpec", "THUE_MORSE_MORPHISM", "WordStream",
+        "aperiodic_density_stream", "champernowne", "champernowne_stream", "characteristic_stream",
+        "characteristic_word", "density_stages", "fibonacci_stream", "flipext", "flipext_stream",
+        "geometric_density_sequence", "lazy_alpha_flipext", "lazy_alpha_flipext_stream", "mechanical_lower",
+        "mechanical_stream", "mechanical_upper", "morphic_fixpoint", "morphic_stream", "paperfolding",
+        "paperfolding_stream", "thue_morse_stream",
+    ],
+    "analysis": [
+        "MinDensityReport", "PNViolation", "UltimatelyPeriodicWord", "abelian_complexity",
+        "check_stream_prefix_normal", "empirical_min_prepend", "find_violation_0", "find_violation_1",
+        "format_parikh_set", "is_c_balanced", "is_prefix_normal_0", "is_prefix_normal_1", "is_prenecklace_prefix",
+        "max_word", "min_density", "min_density_up", "min_word", "parikh_set", "pnf0", "pnf1",
+        "prepend_ones_bound", "reliable_pnf_window",
+    ],
+    "jumbled_index": ["JumbledIndex", "build_index", "deserialize", "serialize"],
+}
+
+
+def test_all_lists_the_public_names_and_each_is_its_defining_modules_object():
+    assert prefixnormal.__all__ == sorted(name for names in PUBLIC.values() for name in names)
+    assert len(prefixnormal.__all__) == 74 and prefixnormal.__version__ == "0.1.0"
+    for module, names in PUBLIC.items():
+        defining = importlib.import_module(f"prefixnormal.{module}")
+        for name in names:
+            assert getattr(prefixnormal, name) is getattr(defining, name), name
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    namespace = {}
+    exec("from prefixnormal import *", namespace)
+    assert set(prefixnormal.__all__) <= set(namespace)
+    assert set(prefixnormal.__all__) <= set(dir(prefixnormal))
+
+
+def test_an_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'prefixnormal' has no attribute 'no_such_name'"):
+        prefixnormal.no_such_name
 
 
 def test_readme_quick_start_runs():

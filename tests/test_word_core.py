@@ -1,8 +1,8 @@
 """Unit tests for words, Parikh vectors, rationals, and prefix profiles."""
 
+import pickle
 import random
 import tracemalloc
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +14,13 @@ from prefixnormal import (
     FiniteWord,
     InvalidInputError,
     LexOrder,
+    MinDensityReport,
+    MorphismSpec,
     ParikhVector,
     PrefixProfile,
     RangeError,
+    SlopeSpec,
+    build_index,
     complement,
     compute_profile,
     lex_compare,
@@ -262,6 +266,44 @@ class TestComputeProfile:
             assert [profile.max_zeros_at(i) for i in range(1, n + 1)] == zero_maxs
 
 
+class TestValueTypes:
+    """Profiles, indexes and morphisms are immutable values: equal by fields,
+    hashable, and shown and pickled by their fields. The plain records are
+    named tuples."""
+
+    VALUES = {
+        "PrefixProfile": (
+            lambda: PrefixProfile(length=2, max_ones=(1, 2), min_ones=(0, 1)),
+            "PrefixProfile(length=2, max_ones=(1, 2), min_ones=(0, 1))",
+        ),
+        "JumbledIndex": (
+            lambda: build_index(FiniteWord("0110")),
+            "JumbledIndex(profile=PrefixProfile(length=4, max_ones=(1, 2, 2, 2), min_ones=(0, 1, 2, 2)))",
+        ),
+        "MorphismSpec": (
+            lambda: MorphismSpec("01", "10"),
+            "MorphismSpec(image0=FiniteWord('01'), image1=FiniteWord('10'), seed=0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equality_hash_repr_pickle_and_no_assignment(self, name):
+        make, text = self.VALUES[name]
+        value = make()
+        assert value == make() and hash(value) == hash(make()) and repr(value) == text
+        assert value != tuple(value.__slots__) and pickle.loads(pickle.dumps(value)) == value
+        field = value.__slots__[0]
+        with pytest.raises(AttributeError, match=field):
+            setattr(value, field, None)
+        assert not hasattr(value, "__dict__")
+
+    def test_records_are_named_tuples(self):
+        violation = find_violation_1(FiniteWord("0110"))
+        assert violation == (2, 1, 1, 0) and violation.factor_start == 2
+        assert MinDensityReport(Fraction(1, 2), 2, 1) == (Fraction(1, 2), 2, 1)
+        assert tuple(SlopeSpec.rational(1, 3)) == (Fraction(1, 3),)
+
+
 # The kernel's sums are uint8 up to 255 symbols, uint16 up to 65,535 and
 # uint32 beyond: these lengths sit on both sides of both boundaries.
 DTYPE_BOUNDARIES = (255, 256, 257, 65535, 65536, 65537)
@@ -299,7 +341,7 @@ class TestNarrowKernel:
             expected = None
         else:
             expected = int64_first_violation(text)
-        assert (None if violation is None else astuple(violation)) == expected
+        assert (None if violation is None else tuple(violation)) == expected
 
     def test_balance_constant_beyond_the_kernel_type(self):
         w = FiniteWord(boundary_word("random", 200))
@@ -315,7 +357,7 @@ class TestNarrowKernel:
             assert all(type(value) is int for value in profile.max_ones + profile.min_ones)
         for text in (sparse, dense):
             violation = find_violation_1(FiniteWord(text))
-            assert violation is not None and all(type(value) is int for value in astuple(violation))
+            assert violation is not None and all(type(value) is int for value in tuple(violation))
 
 
 @st.composite
@@ -328,7 +370,7 @@ def block_edge_words(draw) -> str:
 
 
 def witness(violation):
-    return None if violation is None else astuple(violation)
+    return None if violation is None else tuple(violation)
 
 
 # A cap of 1 cell gives only 1-row blocks; 7 and 64 give 1-row blocks on long
