@@ -25,10 +25,20 @@ produced, and the script exits non-zero if two trees produce different words.
 The ``cli.pnf_fibonacci`` row times a whole ``pnf fibonacci -n n/4`` process,
 interpreter start included, whose 4n analysis window would be ``n`` symbols;
 its output must also match between trees. The rows of ``PROCESS_LAYERS``
-time one whole fresh process each at a fixed size, whatever ``--sizes``
-says: importing the CLI, and three commands that load no numpy. Their
-standard output must match between trees too; ``index query`` reads an
-index that the first tree builds once.
+time a whole fresh process at a fixed size, whatever ``--sizes`` says:
+importing the CLI, three commands that load no numpy, and one ``max_word``
+call on a random word of ``LEX_PROCESS_SIZE`` symbols. Their standard output
+must match between trees too; ``index query`` reads an index that the first
+tree builds once. A process row runs ``PROCESS_REPEATS`` processes per tree
+and round and keeps their median, since one process varies by tens of percent.
+
+The lexicographic rows time ``max_word`` and ``min_word`` at ``LEX_LENGTHS``
+seeded lengths on four words of each size: a random word, its 1-prefix normal
+form, a word with a 1 at about every 64th symbol, and ``(01)^(n/2)``. The
+index rows time ``DESERIALIZE_CALLS`` calls of ``deserialize`` on the index of
+the random word, and ``QUERY_PAIRS`` queries around its band of 1s, 1% of them
+longer than the word. A sha256 of the factors and of the answers must match
+between trees.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -46,20 +57,33 @@ import tempfile
 import time
 from pathlib import Path
 
+#: Lexicographic extremes, timed over ``LEX_LENGTHS`` lengths on each of these words.
+LEX_WORDS = ("random", "normal", "sparse", "alternating")
+LEX_LAYERS = tuple(f"analysis.{name}.{word}" for name in ("max_word", "min_word") for word in LEX_WORDS)
+LEX_LENGTHS = 64
+#: ``deserialize`` calls and query pairs timed per size; 1% of the queries are longer than the word.
+DESERIALIZE_CALLS = 10
+QUERY_PAIRS = 100_000
 LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced",
-          "generators.flipext_stream")
-#: A layer timed as one fresh ``pnw`` process per size.
+          "generators.flipext_stream", *LEX_LAYERS, "jumbled_index.deserialize", "jumbled_index.query")
+#: A layer timed as fresh ``pnw`` processes per size.
 PNF_LAYER = "cli.pnf_fibonacci"
 FLIPEXT_SEED = "11010011"
 #: ``python -c`` code that runs ``pnw`` on the arguments after it, as the benchmark does.
 PNW = "import sys; from prefixnormal.cli import main; sys.exit(main())"
-#: Layers timed as one fresh process at a fixed size: ``python -c`` code and its arguments.
+#: Layers timed as fresh processes at a fixed size: ``python -c`` code and its arguments.
 PROCESS_LAYERS = {
     "startup.import_cli": ("import prefixnormal.cli", []),
     "cli.index_query": (PNW, ["index", "query", "{index}", "--queries", "{queries}"]),
     "cli.density_word": (PNW, ["density", "--word", "1101" * 300 + "0001" * 200]),
     "cli.generate_mechanical": (PNW, ["generate", "mechanical", "--slope", "3/101", "-n", "2000"]),
+    "library.lex": ("import sys, prefixnormal as pn; w = pn.FiniteWord(open(sys.argv[1]).read());"
+                    " print(pn.max_word(w, len(w) // 2))", ["{lex_word}"]),
 }
+#: Fresh processes per tree and round for a process row; the round keeps their median.
+PROCESS_REPEATS = 5
+#: Symbols of the random word of ``library.lex``.
+LEX_PROCESS_SIZE = 16384
 #: The index and the 2,000 query pairs of ``cli.index_query``.
 INDEX_SOURCE = ["fibonacci", "-n", "2048"]
 QUERIES = "".join(f"{zeros} {ones}\n" for zeros in range(50) for ones in range(40))
@@ -101,7 +125,38 @@ def child(sizes: list[int]) -> dict:
         start = time.perf_counter()
         word = pn.flipext_stream(pn.FiniteWord(FLIPEXT_SEED)).prefix(n)
         times["generators.flipext_stream"][n] = time.perf_counter() - start
-        digests[n] = hashlib.sha256(bytes(word)).hexdigest()
+        digests[f"flipext word at n={n}"] = hashlib.sha256(bytes(word)).hexdigest()
+    for n in sizes:
+        rng = random.Random(n)
+        noise = pn.FiniteWord(rng.getrandbits(1) for _ in range(n))
+        profile = pn.compute_profile(noise)
+        lex_words = {"random": noise, "normal": pn.pnf1(profile), "alternating": pn.FiniteWord("01" * (n // 2)),
+                     "sparse": pn.FiniteWord(rng.randrange(64) == 0 for _ in range(n))}
+        lengths = sorted(rng.sample(range(1, n + 1), LEX_LENGTHS))
+        for name, extreme in (("max_word", pn.max_word), ("min_word", pn.min_word)):
+            for kind, w in lex_words.items():
+                start = time.perf_counter()
+                factors = [extreme(w, i) for i in lengths]
+                times[f"analysis.{name}.{kind}"][n] = time.perf_counter() - start
+                digests[f"{name} on the {kind} word at n={n}"] = hashlib.sha256(str(factors).encode()).hexdigest()
+        blob = pn.serialize(pn.JumbledIndex(profile))
+        start = time.perf_counter()
+        for _ in range(DESERIALIZE_CALLS):
+            index = pn.deserialize(blob)
+        times["jumbled_index.deserialize"][n] = time.perf_counter() - start
+        pairs = []  # about half inside the band of 1s of their length, the rest just outside it
+        for _ in range(QUERY_PAIRS):
+            i = rng.randint(1, n) if rng.randrange(100) else n + rng.randint(1, 99)
+            lo, hi = (profile.min_ones_at(i), profile.max_ones_at(i)) if i <= n else (0, i)
+            width = (hi - lo) // 2 + 1
+            ones = min(i, max(0, rng.randint(lo - width, hi + width)))
+            pairs.append((i - ones, ones))
+        answers, query = bytearray(QUERY_PAIRS), index.query
+        start = time.perf_counter()
+        for k, (zeros, ones) in enumerate(pairs):
+            answers[k] = query(zeros, ones)
+        times["jumbled_index.query"][n] = time.perf_counter() - start
+        digests[f"index answers at n={n}"] = hashlib.sha256(answers).hexdigest()
     return {"times": times, "digests": digests, "numpy": sys.modules["numpy"].__version__}
 
 
@@ -112,12 +167,19 @@ def run_child(tree: str, sizes: list[int]) -> dict:
     return json.loads(done.stdout)
 
 
-def run_process(tree: str, argv: list[str]) -> tuple[float, str]:
-    """Seconds of one fresh ``python argv`` process and a sha256 of its stdout."""
+def run_process(tree: str, argv: list[str], repeats: int = 1) -> tuple[float, str]:
+    """Median seconds of ``repeats`` fresh ``python argv`` processes, and a
+    sha256 of their stdout, which must not vary."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
-    return time.perf_counter() - start, hashlib.sha256(done.stdout).hexdigest()
+    seconds, outputs = [], set()
+    for _ in range(repeats):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+        seconds.append(time.perf_counter() - start)
+        outputs.add(hashlib.sha256(done.stdout).hexdigest())
+    if len(outputs) > 1:
+        raise SystemExit(f"python {' '.join(argv)} printed different outputs in one tree")
+    return statistics.median(seconds), outputs.pop()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -159,26 +221,29 @@ def main() -> None:
             raise SystemExit(f"trees {digests[what][0]} and {label} differ: {what}")
 
     with tempfile.TemporaryDirectory() as scratch:
-        files = {"index": str(Path(scratch, "index.pnji")), "queries": str(Path(scratch, "queries.txt"))}
+        files = {name: str(Path(scratch, name)) for name in ("index", "queries", "lex_word")}
         Path(files["queries"]).write_text(QUERIES)
+        rng = random.Random(LEX_PROCESS_SIZE)
+        Path(files["lex_word"]).write_text("".join(rng.choice("01") for _ in range(LEX_PROCESS_SIZE)))
         run_process(next(iter(trees.values())), ["-c", PNW, "index", "build", *INDEX_SOURCE, "-o", files["index"]])
         for round_ in range(args.rounds):
             order = list(trees) if round_ % 2 == 0 else list(reversed(trees))
             for label in order:
                 result = run_child(trees[label], args.sizes)
                 numpy_version = result["numpy"]
-                for n, digest in result["digests"].items():
-                    same_output(f"flipext word at n={n}", label, digest)
+                for what, digest in result["digests"].items():
+                    same_output(what, label, digest)
                 for layer in LAYERS:
                     for n in args.sizes:
                         runs[label][layer][n].append(result["times"][layer][str(n)])
                 for n in args.sizes:
                     argv = ["-m", "prefixnormal.cli", "pnf", "fibonacci", "-n", str(n // 4)]
-                    seconds, digest = run_process(trees[label], argv)
+                    seconds, digest = run_process(trees[label], argv, PROCESS_REPEATS)
                     same_output(f"pnf fibonacci output at n={n // 4}", label, digest)
                     runs[label][PNF_LAYER][n].append(seconds)
                 for layer, (code, arguments) in PROCESS_LAYERS.items():
-                    seconds, digest = run_process(trees[label], ["-c", code, *(a.format(**files) for a in arguments)])
+                    argv = ["-c", code, *(a.format(**files) for a in arguments)]
+                    seconds, digest = run_process(trees[label], argv, PROCESS_REPEATS)
                     same_output(f"{layer} output", label, digest)
                     runs[label][layer][None].append(seconds)
     rows, exponents, ratios = [], [], []
@@ -202,11 +267,17 @@ def main() -> None:
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
-        "process": f"{PNF_LAYER}: one fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` process",
-        "processes": {layer: f"one fresh `python -c {code!r} {' '.join(arguments)}` process, n null"
+        "process": f"{PNF_LAYER}: fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` processes",
+        "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"
                       for layer, (code, arguments) in PROCESS_LAYERS.items()},
         "index": f"`pnw index build {' '.join(INDEX_SOURCE)}`, built by the first tree;"
                  f" queries: zeros 0..49 by ones 0..39, 2,000 pairs",
+        "process_repeats": f"each process row is the median of {PROCESS_REPEATS} fresh processes per tree and round",
+        "lex": f"max_word and min_word at {LEX_LENGTHS} seeded lengths of a random word of n symbols, its 1-prefix"
+               f" normal form, a word with 1s at about 1 in 64 symbols, and (01)^(n/2);"
+               f" library.lex: max_word(w, {LEX_PROCESS_SIZE // 2}) on a random word of {LEX_PROCESS_SIZE} symbols",
+        "index_layers": f"{DESERIALIZE_CALLS} deserialize calls on the index of the random word of n symbols, and"
+                        f" {QUERY_PAIRS:,} query pairs around its band of 1s, 1% longer than the word",
         "comparing": "cite the paired ratios for a change between trees: absolute medians drift between rounds,"
                      " and medians from different BENCH files are not comparable",
         "rounds": args.rounds,

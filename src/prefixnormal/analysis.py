@@ -337,19 +337,27 @@ def is_prenecklace_prefix(w: FiniteWord) -> bool:
 def _greatest_factor(w: FiniteWord, n: int) -> FiniteWord:
     """A window starting inside a run of 1s loses to the window at the run's
     start, and a window with fewer leading 1s loses outright, so only the run
-    starts with the most leading 1s, ``min(run length, n)``, are compared. If
-    no window starts with a 1, the last window is the greatest. Both public
-    extremes call this, so neither one runs inside the other."""
+    starts with the most leading 1s, ``m = min(run length, n)``, are compared.
+    ``m`` grows run by run: each search for ``1^(m + 1)`` resumes after the
+    last run found, so the word is read about once and no needle is longer
+    than ``m + 1``. If no window starts with a 1, the last window is the
+    greatest. Both public extremes call this, so neither one runs inside the
+    other."""
     if not 1 <= n <= len(w):
         raise RangeError(f"factor length {n} out of range 1..{len(w)}")
     raw, last = bytes(w), len(w) - n
-    starts, ends = _one_runs(w)
-    keep = starts <= last
-    starts, lead = starts[keep], (ends - starts).clip(max=n)[keep]
-    if not starts.size:
+    m = at = 0  # runs that start before `at`, and at or before last, have at most m 1s
+    while m < n and (at := raw.find(b"\1" * (m + 1), at, last + m + 1)) >= 0:  # the next run with more
+        end = raw.find(b"\0", at)
+        m, at = min(n, (end if end >= 0 else len(raw)) - at), end
+    if m == 0:
         return w[last:]
-    j = max(starts[lead == lead.max()].tolist(), key=lambda j: raw[j : j + n])
-    return w[j : j + n]
+    if m == n:
+        return FiniteWord.ones(n)
+    # no run starting at or before last has more than m 1s, so each 1^m up to last + m is such a run
+    pieces = raw[: last + m].split(b"\1" * m)
+    starts = itertools.accumulate(map(m.__add__, map(len, pieces[1:-1])), initial=len(pieces[0]))
+    return FiniteWord(max(raw[j : j + n] for j in starts))
 
 
 def max_word(w: FiniteWord, n: int) -> FiniteWord:

@@ -380,7 +380,7 @@ class MorphismSpec(_FrozenSlots):
     so that iterating the morphism from the seed converges to a fixpoint.
     """
 
-    __slots__ = ("image0", "image1", "seed")
+    __slots__ = _fields = ("image0", "image1", "seed")
 
     def __init__(self, image0: BitsLike, image1: BitsLike, seed: int = 0):
         super().__init__(FiniteWord(image0), FiniteWord(image1), seed)

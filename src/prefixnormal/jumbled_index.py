@@ -21,10 +21,13 @@ _HEADER = struct.Struct("<4sIQ")
 class JumbledIndex(_FrozenSlots):
     """Constant-time Parikh-vector membership queries over one word's factors."""
 
-    __slots__ = ("profile",)
+    _fields = ("profile",)
+    __slots__ = (*_fields, "_lo", "_hi")  # bounds on the 1s by factor length; length 0 has lo > hi
 
     def __init__(self, profile: PrefixProfile):
         super().__init__(profile)
+        object.__setattr__(self, "_lo", (1, *profile.min_ones))
+        object.__setattr__(self, "_hi", (0, *profile.max_ones))
 
     @property
     def word_length(self) -> int:
@@ -37,9 +40,12 @@ class JumbledIndex(_FrozenSlots):
         answered False rather than raised.
         """
         n = zeros + ones
-        if zeros < 0 or ones < 0 or not 1 <= n <= self.profile.length:
+        if n < 0:  # otherwise a negative count puts ones outside 0..n, so outside the bounds
             return False
-        return self.profile.min_ones[n - 1] <= ones <= self.profile.max_ones[n - 1]
+        try:
+            return self._lo[n] <= ones <= self._hi[n]
+        except IndexError:  # longer than the word
+            return False
 
 
 def build_index(w: FiniteWord) -> JumbledIndex:

@@ -8,6 +8,7 @@ no floating point is used anywhere in comparisons.
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
@@ -184,17 +185,18 @@ def lex_compare(u: FiniteWord, v: FiniteWord) -> LexOrder:
 
 
 class _FrozenSlots:
-    """An immutable value whose ``__slots__`` are its fields: equality, hash,
-    repr and pickling follow the fields, which ``__init__`` sets in order."""
+    """An immutable ``__slots__`` value: equality, hash, repr and pickling
+    follow its ``_fields``, which ``__init__`` sets in order. Other slots may
+    hold values derived from the fields."""
 
-    __slots__ = ()
+    __slots__ = _fields = ()
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
@@ -206,7 +208,7 @@ class _FrozenSlots:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -222,20 +224,24 @@ class PrefixProfile(_FrozenSlots):
     statistics are derived, never stored.
     """
 
-    __slots__ = ("length", "max_ones", "min_ones")
+    __slots__ = _fields = ("length", "max_ones", "min_ones")
 
     def __init__(self, length: int, max_ones: tuple[int, ...], min_ones: tuple[int, ...]):
         if length < 1:
             raise InvalidInputError("profile requires a non-empty word")
         if len(max_ones) != length or len(min_ones) != length:
             raise InvalidInputError("profile arrays must cover lengths 1..n")
-        prev_max, prev_min = 0, 0
-        for i, (hi, lo) in enumerate(zip(max_ones, min_ones), start=1):
-            if not 0 <= lo <= hi <= i:
-                raise InvalidInputError(f"profile values out of bounds at length {i}")
-            if hi - prev_max not in (0, 1) or lo - prev_min not in (0, 1):
-                raise InvalidInputError(f"profile steps must be 0 or 1 at length {i}")
-            prev_max, prev_min = hi, lo
+        unit_steps = {0, 1}.issuperset  # steps of 0 or 1 from 0 keep each count in 0..i
+        if not (unit_steps(map(operator.sub, max_ones, (0, *max_ones)))
+                and unit_steps(map(operator.sub, min_ones, (0, *min_ones)))
+                and all(map(operator.le, min_ones, max_ones))):
+            prev_max, prev_min = 0, 0  # find the first bad length
+            for i, (hi, lo) in enumerate(zip(max_ones, min_ones), start=1):
+                if not 0 <= lo <= hi <= i:
+                    raise InvalidInputError(f"profile values out of bounds at length {i}")
+                if hi - prev_max not in (0, 1) or lo - prev_min not in (0, 1):
+                    raise InvalidInputError(f"profile steps must be 0 or 1 at length {i}")
+                prev_max, prev_min = hi, lo
         super().__init__(length, max_ones, min_ones)
 
     def _check(self, i: int) -> None:

@@ -57,6 +57,20 @@ def brute_first_violation(text: str) -> tuple[int, int, int, int] | None:
     return None
 
 
+def profile_error(max_ones, min_ones) -> str | None:
+    """What the per-length check of a prefix profile reports, or None when it
+    accepts: at the first length ``i`` where ``0 <= min <= max <= i`` fails,
+    or where either count steps by other than 0 or 1, bounds checked first."""
+    prev_max, prev_min = 0, 0
+    for i, (hi, lo) in enumerate(zip(max_ones, min_ones), start=1):
+        if not 0 <= lo <= hi <= i:
+            return f"profile values out of bounds at length {i}"
+        if hi - prev_max not in (0, 1) or lo - prev_min not in (0, 1):
+            return f"profile steps must be 0 or 1 at length {i}"
+        prev_max, prev_min = hi, lo
+    return None
+
+
 def int64_window_weights(text: str, longest: int):
     """Yield ``(i, weights)`` for factor lengths ``1..longest``: ``weights[j]``
     is the 1-count of the length-``i`` factor at 0-based ``j``, as the

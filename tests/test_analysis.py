@@ -69,6 +69,16 @@ from oracles import (
 words = st.text(alphabet="01", min_size=0, max_size=48).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=48).map(FiniteWord)
 
+
+def runs_word(first: str, runs: list[int]) -> FiniteWord:
+    """Runs of the given lengths, alternating letters from ``first``."""
+    letters = itertools.cycle(first + ("1" if first == "0" else "0"))
+    return FiniteWord("".join(letter * run for letter, run in zip(letters, runs)))
+
+
+#: Words of a few long runs, whose extremes start inside few candidate runs.
+run_words = st.builds(runs_word, st.sampled_from("01"), st.lists(st.integers(1, 150), min_size=1, max_size=6))
+
 LONG_WORD_KINDS = ["random", "prefix-normal", "thue-morse", "fibonacci", "alternating", "ones-then-zeros"]
 
 
@@ -638,6 +648,23 @@ class TestLexOrderOperations:
         windows = [text[j : j + n] for j in range(len(text) - n + 1)]
         assert str(max_word(w, n)) == max(windows)
         assert str(min_word(w, n)) == min(windows)
+
+    @given(run_words, st.data())
+    @settings(max_examples=300)
+    def test_extremes_on_few_long_runs(self, w, data):
+        n = data.draw(st.integers(min_value=1, max_value=len(w)))
+        assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(str(w), n)
+
+    @given(st.one_of(nonempty_words, run_words), st.integers(min_value=0, max_value=3))
+    def test_extremes_near_full_length(self, w, gap):
+        n = max(1, len(w) - gap)
+        assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(str(w), n)
+
+    @given(st.sampled_from("01"), st.integers(min_value=1, max_value=300), st.data())
+    def test_extremes_of_constant_words(self, letter, length, data):
+        n = data.draw(st.integers(min_value=1, max_value=length))
+        w = FiniteWord(letter * length)
+        assert (str(max_word(w, n)), str(min_word(w, n))) == brute_extreme_factors(str(w), n)
 
     def test_extremes_exhaustive_short_words(self):
         for length in range(1, 11):

@@ -1,6 +1,7 @@
 """Unit tests for the jumbled pattern matching index and its wire format."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from prefixnormal import (
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
 from prefixnormal.jumbled_index import _HEADER
 
-from oracles import factor_one_counts
+from oracles import factor_one_counts, profile_error
 
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=48).map(FiniteWord)
 
@@ -50,6 +51,9 @@ class TestBuildAndQuery:
         assert not index.query(0, 0)
         assert not index.query(4, 4)
         assert not index.query(-1, 2)
+        # a negative count with a length in 1..4: the other count is out of its bounds
+        for zeros, ones in ((-1, 5), (5, -1), (-2, 3), (3, -2), (-1, -1), (-3, 1)):
+            assert not index.query(zeros, ones)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -109,6 +113,16 @@ class TestSerialization:
             deserialize(blob[:4] + (99).to_bytes(4, "little") + blob[8:])
         with pytest.raises(IndexFormatError):
             deserialize(_HEADER.pack(b"PNJI", 1, 0))  # an index of the empty word
+
+    def test_invariant_message_names_the_first_bad_length(self):
+        profile = build_index(FiniteWord("0110100")).profile
+        maxs = (*profile.max_ones[:4], profile.max_ones[4] + 2, *profile.max_ones[5:])
+        blob = _HEADER.pack(b"PNJI", 1, 7) + struct.pack("<7Q", *profile.min_ones) + struct.pack("<7Q", *maxs)
+        with pytest.raises(IndexFormatError) as info:
+            deserialize(blob)
+        expected = profile_error(maxs, profile.min_ones)
+        assert expected.endswith("length 5")
+        assert str(info.value) == f"stored arrays violate profile invariants: {expected}"
 
     def test_invariant_violation_rejected(self):
         good = serialize(build_index(FiniteWord("0110")))

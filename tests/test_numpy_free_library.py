@@ -1,0 +1,85 @@
+"""The lexicographic extremes and the index read path need no numpy.
+
+With ``sys.modules["numpy"]`` set to None any ``import numpy`` raises
+ImportError, so a call that returns the same value as with numpy never
+imported it. Building an index scans the word, so the index is built first,
+with numpy.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import prefixnormal
+from prefixnormal import (
+    FiniteWord,
+    build_index,
+    deserialize,
+    is_prenecklace_prefix,
+    max_word,
+    min_word,
+    serialize,
+)
+
+rng = random.Random(1719)
+WORDS = {
+    "random": FiniteWord(rng.getrandbits(1) for _ in range(600)),
+    "sparse": FiniteWord(rng.randrange(16) == 0 for _ in range(600)),
+    "alternating": FiniteWord("01" * 300),
+    "ones": FiniteWord.ones(50),
+    "prenecklace": FiniteWord("11100") + FiniteWord("110") * 15,
+}
+LENGTHS = (1, 2, 7, 40, 49, 50)
+INDEX = build_index(WORDS["random"])
+BLOB = serialize(INDEX)
+PAIRS = [(zeros, ones) for zeros in range(-1, 40, 3) for ones in range(-1, 40, 2)] + [(300, 301), (0, 0)]
+
+CALLS = {
+    "max_word": lambda: [max_word(w, n) for w in WORDS.values() for n in LENGTHS],
+    "min_word": lambda: [min_word(w, n) for w in WORDS.values() for n in LENGTHS],
+    "is_prenecklace_prefix": lambda: [is_prenecklace_prefix(w) for w in WORDS.values()],
+    "serialize": lambda: serialize(INDEX),
+    "deserialize": lambda: deserialize(BLOB),
+    "JumbledIndex.query": lambda: [INDEX.query(zeros, ones) for zeros, ones in PAIRS],
+}
+
+
+class TestNumpyFreeLibrary:
+    @pytest.mark.parametrize("name", CALLS)
+    def test_same_result_without_numpy(self, name, monkeypatch):
+        expected = CALLS[name]()
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert CALLS[name]() == expected
+
+    def test_a_scan_cannot_run_without_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError):
+            build_index(FiniteWord("0110"))
+
+    def test_fresh_process_loads_no_numpy(self, tmp_path):
+        index = tmp_path / "w.pnji"
+        index.write_bytes(BLOB)
+        w = FiniteWord("0110" * 40 + "1110")
+        script = (
+            "import pathlib, sys\n"
+            "import prefixnormal as pn\n"
+            f"w = pn.FiniteWord({str(w)!r})\n"
+            "print(pn.max_word(w, 9), pn.min_word(w, 9), pn.is_prenecklace_prefix(w))\n"
+            f"blob = pathlib.Path({str(index)!r}).read_bytes()\n"
+            "ix = pn.deserialize(blob)\n"
+            "print(pn.serialize(ix) == blob, ix.query(3, 4), ix.query(601, 0))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(prefixnormal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"{max_word(w, 9)} {min_word(w, 9)} {is_prenecklace_prefix(w)}",
+            f"True {INDEX.query(3, 4)} False",
+            "False",
+        ]

@@ -34,7 +34,7 @@ from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
 from prefixnormal.word_core import _window_blocks
 
-from oracles import brute_profile, int64_first_violation, int64_profile
+from oracles import brute_profile, int64_first_violation, int64_profile, profile_error
 
 words = st.text(alphabet="01", min_size=0, max_size=64).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=64).map(FiniteWord)
@@ -216,6 +216,34 @@ class TestComputeProfile:
             PrefixProfile(length=2, max_ones=(0, 2), min_ones=(0, 0))
         with pytest.raises(InvalidInputError):
             PrefixProfile(length=2, max_ones=(1, 1), min_ones=(1, 2))
+        # each check alone, and both at one length, where the bounds are reported
+        for maxs, mins, message in (
+            ((0, 0, 1), (0, 1, 1), "out of bounds at length 2"),
+            ((1, 1, 3), (0, 0, 0), "steps must be 0 or 1 at length 3"),
+            ((1, 3, 3), (0, 0, 0), "out of bounds at length 2"),
+            ((0, 2, 2), (0, 0, 0), "steps must be 0 or 1 at length 2"),
+            ((-1, 0), (-1, 0), "out of bounds at length 1"),
+        ):
+            assert profile_error(maxs, mins).endswith(message)
+            with pytest.raises(InvalidInputError, match=message):
+                PrefixProfile(len(maxs), maxs, mins)
+
+    @given(nonempty_words, st.lists(st.tuples(st.booleans(), st.integers(0, 63), st.integers(-2, 2)), max_size=3))
+    @settings(max_examples=300)
+    def test_validation_matches_per_length_oracle(self, w, edits):
+        # a valid profile with up to three counts moved: the same verdict and the same first bad length
+        profile = compute_profile(w)
+        arrays = [list(profile.max_ones), list(profile.min_ones)]
+        for in_max, at, delta in edits:
+            arrays[not in_max][at % len(w)] += delta
+        maxs, mins = map(tuple, arrays)
+        expected = profile_error(maxs, mins)
+        if expected is None:
+            assert PrefixProfile(len(w), maxs, mins).min_ones == mins
+        else:
+            with pytest.raises(InvalidInputError) as info:
+                PrefixProfile(len(w), maxs, mins)
+            assert str(info.value) == expected
 
     @given(nonempty_words)
     @settings(max_examples=150)
