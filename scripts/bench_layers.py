@@ -18,19 +18,25 @@ the drift that moves absolute medians between rounds and between files.
 The kernel rows scan the word ``1`` followed by the Fibonacci word. It is
 prefix normal and 1-balanced, so ``find_violation_1`` and
 ``is_c_balanced(w, 1)`` scan every factor length, as the full profile does;
-the child checks both verdicts before it times anything. The generator row
-times ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal
-seed of minimum density 1/2; the child returns a sha256 of each word it
-produced, and the script exits non-zero if two trees produce different words.
+the child checks both verdicts before it times anything. The
+``analysis.find_violation_1.sparse`` row checks ``(1 0^63)^(n/64)``, which is
+prefix normal with n/64 runs of 1s, so up to n = 65,536 its run pairs decide
+it. The generator row times
+``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal seed of
+minimum density 1/2; the child returns a sha256 of each word it produced,
+and the script exits non-zero if two trees produce different words.
 The ``cli.pnf_fibonacci`` row times a whole ``pnf fibonacci -n n/4`` process,
 interpreter start included, whose 4n analysis window would be ``n`` symbols;
 its output must also match between trees. The rows of ``PROCESS_LAYERS``
 time a whole fresh process at a fixed size, whatever ``--sizes`` says:
-importing the CLI, three commands that load no numpy, and one ``max_word``
-call on a random word of ``LEX_PROCESS_SIZE`` symbols. Their standard output
-must match between trees too; ``index query`` reads an index that the first
-tree builds once. A process row runs ``PROCESS_REPEATS`` processes per tree
-and round and keeps their median, since one process varies by tens of percent.
+importing the CLI, five commands that load no numpy (among them ``check`` of
+a word settled by its first run, and ``generate lazy-flipext-omega`` from
+its default seed ``1``), ``check`` of a prefix normal word, which scans with
+numpy, and one ``max_word`` call on a random word of ``LEX_PROCESS_SIZE``
+symbols. Their standard output and exit code must match between trees
+too; ``index query`` reads an index that the first tree builds once. A
+process row runs ``PROCESS_REPEATS`` processes per tree and round and keeps
+their median, since one process varies by tens of percent.
 
 The lexicographic rows time ``max_word`` and ``min_word`` at ``LEX_LENGTHS``
 seeded lengths on four words of each size: a random word, its 1-prefix normal
@@ -64,19 +70,26 @@ LEX_LENGTHS = 64
 #: ``deserialize`` calls and query pairs timed per size; 1% of the queries are longer than the word.
 DESERIALIZE_CALLS = 10
 QUERY_PAIRS = 100_000
-LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.is_c_balanced",
-          "generators.flipext_stream", *LEX_LAYERS, "jumbled_index.deserialize", "jumbled_index.query")
+LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.find_violation_1.sparse",
+          "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS,
+          "jumbled_index.deserialize", "jumbled_index.query")
 #: A layer timed as fresh ``pnw`` processes per size.
 PNF_LAYER = "cli.pnf_fibonacci"
 FLIPEXT_SEED = "11010011"
 #: ``python -c`` code that runs ``pnw`` on the arguments after it, as the benchmark does.
 PNW = "import sys; from prefixnormal.cli import main; sys.exit(main())"
+#: ``10`` and 1,998 random symbols, like the benchmark's ``check --word``: it violates at length 2.
+CHECK_WORD = "10" + "".join(random.Random(1998).choices("01", k=1998))
 #: Layers timed as fresh processes at a fixed size: ``python -c`` code and its arguments.
 PROCESS_LAYERS = {
     "startup.import_cli": ("import prefixnormal.cli", []),
     "cli.index_query": (PNW, ["index", "query", "{index}", "--queries", "{queries}"]),
     "cli.density_word": (PNW, ["density", "--word", "1101" * 300 + "0001" * 200]),
     "cli.generate_mechanical": (PNW, ["generate", "mechanical", "--slope", "3/101", "-n", "2000"]),
+    "cli.generate_lazy_flipext": (PNW, ["generate", "lazy-flipext-omega", "--slope", "(-1+1*sqrt(2))/1",
+                                        "-n", "2000"]),
+    "cli.check_violation": (PNW, ["check", "--word", CHECK_WORD]),
+    "cli.check_normal": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "2048"]),
     "library.lex": ("import sys, prefixnormal as pn; w = pn.FiniteWord(open(sys.argv[1]).read());"
                     " print(pn.max_word(w, len(w) // 2))", ["{lex_word}"]),
 }
@@ -104,19 +117,23 @@ def child(sizes: list[int]) -> dict:
     import prefixnormal as pn
     from prefixnormal.analysis import find_violation_1, is_c_balanced
 
-    scans = {
-        "word_core.compute_profile": pn.compute_profile,
-        "analysis.find_violation_1": find_violation_1,
-        "analysis.is_c_balanced": lambda w: is_c_balanced(w, 1),
-    }
     fibonacci = pn.morphic_fixpoint(pn.FIBONACCI_MORPHISM, max(sizes))
     words = {n: pn.FiniteWord("1") + fibonacci[: n - 1] for n in sizes}
+    sparse = {n: pn.FiniteWord(b"\1" + b"\0" * 63) * (n // 64) for n in sizes}
     for w in words.values():
         if find_violation_1(w) is not None or not is_c_balanced(w, 1):
             raise SystemExit("the benchmark word must be prefix normal and 1-balanced")
+    if any(find_violation_1(w) is not None for w in sparse.values()):
+        raise SystemExit("the sparse benchmark word must be prefix normal")
+    scans = {
+        "word_core.compute_profile": (pn.compute_profile, words),
+        "analysis.find_violation_1": (find_violation_1, words),
+        "analysis.find_violation_1.sparse": (find_violation_1, sparse),
+        "analysis.is_c_balanced": (lambda w: is_c_balanced(w, 1), words),
+    }
     times: dict = {layer: {} for layer in LAYERS}
-    for layer, scan in scans.items():
-        for n, w in words.items():
+    for layer, (scan, scanned) in scans.items():
+        for n, w in scanned.items():
             start = time.perf_counter()
             scan(w)
             times[layer][n] = time.perf_counter() - start
@@ -169,14 +186,17 @@ def run_child(tree: str, sizes: list[int]) -> dict:
 
 def run_process(tree: str, argv: list[str], repeats: int = 1) -> tuple[float, str]:
     """Median seconds of ``repeats`` fresh ``python argv`` processes, and a
-    sha256 of their stdout, which must not vary."""
+    sha256 of their exit code and stdout, which must not vary. Exit code 1 is
+    ``pnw check``'s verdict on a word that is not prefix normal."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
     seconds, outputs = [], set()
     for _ in range(repeats):
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
         seconds.append(time.perf_counter() - start)
-        outputs.add(hashlib.sha256(done.stdout).hexdigest())
+        if done.returncode not in (0, 1):
+            raise subprocess.CalledProcessError(done.returncode, done.args, done.stdout, done.stderr)
+        outputs.add(hashlib.sha256(b"%d\n" % done.returncode + done.stdout).hexdigest())
     if len(outputs) > 1:
         raise SystemExit(f"python {' '.join(argv)} printed different outputs in one tree")
     return statistics.median(seconds), outputs.pop()
@@ -266,6 +286,7 @@ def main() -> None:
     report = {
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
+        "sparse_word": "analysis.find_violation_1.sparse: (1 0^63)^(n/64), prefix normal, decided by its run pairs",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "process": f"{PNF_LAYER}: fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` processes",
         "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"
@@ -293,15 +314,15 @@ def main() -> None:
         json.dump(report, out, indent=1)
         out.write("\n")
     for row in rows:
-        print(f"{row['layer']:28s} {row['tree']:8s} n={row['n'] or '-':>6} median {row['median_s']:.4f} s"
+        print(f"{row['layer']:32s} {row['tree']:8s} n={row['n'] or '-':>6} median {row['median_s']:.4f} s"
               f" spread {row['spread_ratio']:.3f}")
         if row["spread_ratio"] > SPREAD_LIMIT:
             print(f"warning: {row['layer']} {row['tree']} n={row['n']}: spread ratio {row['spread_ratio']:.3f}"
                   f" exceeds {SPREAD_LIMIT}, so this row cannot show a 10% change", file=sys.stderr)
     for item in exponents:
-        print(f"{item['layer']:28s} {item['tree']:8s} exponent {item['exponent']}")
+        print(f"{item['layer']:32s} {item['tree']:8s} exponent {item['exponent']}")
     for item in ratios:
-        print(f"{item['layer']:28s} {item['tree']}/{item['baseline']} n={item['n'] or '-':>6}"
+        print(f"{item['layer']:32s} {item['tree']}/{item['baseline']} n={item['n'] or '-':>6}"
               f" ratio {item['median']:.3f} (q1 {item['q1']:.3f}, q3 {item['q3']:.3f})")
 
 

@@ -61,8 +61,14 @@ _RUN_PAIR_FACTOR = 16
 
 def find_violation_1(w: FiniteWord) -> PNViolation | None:
     """First factor with more 1s than the same-length prefix, shortest then
-    leftmost, or None for a 1-prefix normal ``w``. Words with few 1-runs scan
-    only the length their run pairs give; others scan blocks of lengths up to it.
+    leftmost, or None for a 1-prefix normal ``w``.
+
+    If ``w`` starts with ``1^m 0``, the prefix of each length up to ``m`` is
+    all 1s, and the one of length ``m + 1`` is beaten only by ``1^(m + 1)``,
+    so one bytes search settles every length up to ``m + 1`` without numpy,
+    and ``1^m 0^k`` is prefix normal. Of the lengths left, words with few
+    1-runs scan only the length their run pairs give; others scan blocks of
+    lengths up to it.
 
     A core runs from a 1-run start to a 1-run end; it has length ``L``, ``W``
     ones and ``Z = L - W`` zeros. A best window's span from first to last 1,
@@ -72,12 +78,20 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     0s of the length-``i`` prefix, a core beats it at ``i < L`` iff
     ``Z(i) > Z``, and at ``i >= L`` only if ``W > P(L)``, i.e. ``Z(L) > Z``.
     So the first violation comes from the heavy core (``Z(L) > Z``) with
-    fewest zeros, at the shortest prefix holding one zero more.
+    fewest zeros, at the shortest prefix holding one zero more. A core of one
+    run is heavy only if it is longer than ``m``, which the search decided.
     """
-    starts, ends = _one_runs(w)
-    lengths = range(1, len(w) + 1)
-    if starts.size**2 <= _RUN_PAIR_FACTOR * len(w):
-        lengths = _lengths_from_cores(w, starts, ends)
+    raw, n = bytes(w), len(w)
+    m = n - len(raw.lstrip(b"\1"))
+    at = raw.find(b"\1" * (m + 1))
+    if at >= 0:
+        return PNViolation(at + 1, m + 1, m + 1, m)
+    later = raw.count(b"\0\1")  # runs of 1s that do not start the word
+    if not later:  # 1^m 0^k, and 0^k for m = 0 since 1 was not found
+        return None
+    lengths = range(m + 2, n + 1)
+    if (later + 1) ** 2 <= _RUN_PAIR_FACTOR * n:
+        lengths = _lengths_from_cores(w, *_one_runs(w))
     for rows, highs, _ in _window_blocks(w, lengths, minima=False):
         over = (highs.max(1) > highs[:, 0]).tolist()  # a list: `in` beats ndarray.any() on a few rows
         if True in over:
@@ -96,11 +110,12 @@ def _one_runs(w: FiniteWord) -> tuple[np.ndarray, np.ndarray]:
 
 def _lengths_from_cores(w: FiniteWord, starts: np.ndarray, ends: np.ndarray) -> range:
     """The first violating length from the cores of :func:`find_violation_1`,
-    or no length. A core over ``d + 1`` runs holds at least ``d`` zeros, so
-    cores are taken by ``d`` until ``d`` reaches the fewest zeros found."""
+    or no length, for a word with no heavy core of one run. A core over
+    ``d + 1`` runs holds at least ``d`` zeros, so cores are taken by ``d``
+    from 1 until ``d`` reaches the fewest zeros found."""
     zeros = complement(w).prefix_sums()  # zeros[i] = Z(i)
     fewest, rho = len(w), starts.size  # len(w) stands for "no heavy core"
-    for d in range(rho):
+    for d in range(1, rho):
         if d >= fewest:
             break
         core_zeros = zeros[starts[d:]] - zeros[starts[: rho - d]]  # zeros[end] = zeros[start] in a 1-run

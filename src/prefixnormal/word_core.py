@@ -51,8 +51,11 @@ class FiniteWord:
                 raise InvalidInputError(f"not a binary word: {bits!r}")
             raw = encoded.translate(_FROM_ASCII)
         else:
-            raw = bytes(bits)
-            if raw.translate(None, b"\x00\x01"):
+            try:
+                raw = bytes(bits)
+            except ValueError:  # a value outside 0..255
+                raw = None
+            if raw is None or raw.translate(None, b"\x00\x01"):
                 raise InvalidInputError("symbol values must be 0 or 1")
         self._bits = raw
 

@@ -21,6 +21,7 @@ from prefixnormal import (
     complement,
     compute_profile,
     empirical_min_prepend,
+    find_violation_0,
     find_violation_1,
     is_c_balanced,
     is_prefix_normal_0,
@@ -224,6 +225,42 @@ def planted_sparse_words(draw) -> str:
     symbols = bytearray((b"1" + b"0" * (q - 1)) * (n // q + 1))[:n]
     symbols[draw(st.integers(n // 2, n - 1))] = ord("1")
     return symbols.decode()
+
+
+@st.composite
+def first_run_words(draw) -> str:
+    """Words for every exit of the first-run search in ``find_violation_1``:
+    a leading 0, one letter only, ``1^(m + 1)`` planted after a first run of
+    ``m`` (the last symbols included), or a first run longer than every later
+    one, which leaves a violation, if any, past length ``m + 1``."""
+    kind = draw(st.sampled_from(["leading 0", "one letter", "planted", "longest first"]))
+    if kind == "leading 0":
+        return "0" + draw(st.text(alphabet="01", max_size=30))
+    if kind == "one letter":
+        return draw(st.sampled_from("01")) * draw(st.integers(0, 30))
+    m = draw(st.integers(1, 6))
+    runs = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, 3)), max_size=8))
+    text = "1" * m + "0" * draw(st.integers(1, 3)) + "".join("1" * ones + "0" * zeros for ones, zeros in runs)
+    text = text[: len(text) - draw(st.integers(0, 3))]
+    if kind == "planted":
+        at = draw(st.integers(m + 1, max(m + 1, len(text))))
+        text = text[:at] + "1" * (m + 1) + text[at:]
+    return text
+
+
+class TestFirstRun:
+    """The bytes search up to the first run plus one gives the same witness
+    as brute force, before the window scan and before the run pairs."""
+
+    @pytest.mark.parametrize("factor", [0, 10**12])
+    @given(text=first_run_words())
+    @settings(max_examples=300, deadline=None)
+    def test_witness_and_its_dual_match_brute_force(self, factor, text):
+        expected = brute_first_violation(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+            assert witness(find_violation_1(FiniteWord(text))) == expected
+            assert witness(find_violation_0(complement(FiniteWord(text)))) == expected
 
 
 class TestRunPairs:

@@ -727,6 +727,13 @@ MODULE_LOADS = {
         {"cli", "errors", "jumbled_index", "word_core"},
     ),
     "density --word": ("main(['density', '--word', '1101' * 300])", {"cli", "errors", "analysis", "word_core"}),
+    "check --word 10…": (
+        "main(['check', '--word', '10' + '0110' * 500])", {"cli", "errors", "analysis", "word_core"}
+    ),
+    "generate lazy-flipext-omega --slope": (
+        "main(['generate', 'lazy-flipext-omega', '--slope', '(-1+1*sqrt(2))/1', '-n', '1000'])",
+        {"cli", "errors", "analysis", "generators", "word_core"},
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""The lexicographic extremes and the index read path need no numpy.
+"""The lexicographic extremes, the index read path, and the normality checks
+that a word's first run settles need no numpy.
 
 With ``sys.modules["numpy"]`` set to None any ``import numpy`` raises
 ImportError, so a call that returns the same value as with numpy never
@@ -16,10 +17,17 @@ import pytest
 
 import prefixnormal
 from prefixnormal import (
+    SQRT2_SLOPE,
     FiniteWord,
+    SlopeSpec,
     build_index,
+    complement,
     deserialize,
+    find_violation_0,
+    find_violation_1,
+    flipext_stream,
     is_prenecklace_prefix,
+    lazy_alpha_flipext_stream,
     max_word,
     min_word,
     serialize,
@@ -37,6 +45,15 @@ LENGTHS = (1, 2, 7, 40, 49, 50)
 INDEX = build_index(WORDS["random"])
 BLOB = serialize(INDEX)
 PAIRS = [(zeros, ones) for zeros in range(-1, 40, 3) for ones in range(-1, 40, 2)] + [(300, 301), (0, 0)]
+#: Words that a search for 1^(m + 1) after their first run 1^m settles: a 0
+#: first, one letter only, a violation at length m + 1 (also at the very end),
+#: or no 1 after the first run.
+FIRST_RUN_WORDS = [FiniteWord(text) for text in (
+    "", "0110", "0" * 40, "1" * 40, "10" + "0110" * 100, "1110100" + "1111" + "0" * 80, "1101" * 30 + "111",
+    "11110", "111" + "0" * 60,
+)]
+#: flipext and lazy flipext seeds of one run.
+ONE_RUN_SEEDS = [FiniteWord("1"), FiniteWord("11"), FiniteWord("1110"), FiniteWord("1100")]
 
 CALLS = {
     "max_word": lambda: [max_word(w, n) for w in WORDS.values() for n in LENGTHS],
@@ -45,6 +62,13 @@ CALLS = {
     "serialize": lambda: serialize(INDEX),
     "deserialize": lambda: deserialize(BLOB),
     "JumbledIndex.query": lambda: [INDEX.query(zeros, ones) for zeros, ones in PAIRS],
+    "find_violation_1": lambda: [find_violation_1(w) for w in FIRST_RUN_WORDS],
+    "find_violation_0": lambda: [find_violation_0(complement(w)) for w in FIRST_RUN_WORDS],
+    "flipext_stream": lambda: [flipext_stream(seed).prefix(300) for seed in ONE_RUN_SEEDS],
+    "lazy_alpha_flipext_stream": lambda: [
+        lazy_alpha_flipext_stream(seed, slope).prefix(300)
+        for seed in ONE_RUN_SEEDS for slope in (SlopeSpec.rational(1, 3), SQRT2_SLOPE)
+    ],
 }
 
 

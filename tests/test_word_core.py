@@ -53,9 +53,11 @@ class TestFiniteWord:
         with pytest.raises(InvalidInputError):
             FiniteWord("012")
         with pytest.raises(InvalidInputError):
-            FiniteWord([0, 2])
-        with pytest.raises(InvalidInputError):
             FiniteWord("1é")
+        # bytes() itself rejects values outside 0..255 with a plain ValueError
+        for symbols in ([0, 2], [256], [-1], [1, 0, 300]):
+            with pytest.raises(InvalidInputError, match="^symbol values must be 0 or 1$"):
+                FiniteWord(symbols)
 
     def test_sequence_protocol(self):
         w = FiniteWord("10110")
