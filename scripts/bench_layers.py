@@ -29,12 +29,16 @@ The ``cli.pnf_fibonacci`` row times a whole ``pnf fibonacci -n n/4`` process,
 interpreter start included, whose 4n analysis window would be ``n`` symbols;
 its output must also match between trees. The rows of ``PROCESS_LAYERS``
 time a whole fresh process at a fixed size, whatever ``--sizes`` says:
-importing the CLI, five commands that load no numpy (among them ``check`` of
-a word settled by its first run, and ``generate lazy-flipext-omega`` from
-its default seed ``1``), ``check`` of a prefix normal word, which scans with
-numpy, and one ``max_word`` call on a random word of ``LEX_PROCESS_SIZE``
-symbols. Their standard output and exit code must match between trees
-too; ``index query`` reads an index that the first tree builds once. A
+importing the CLI, eight commands that load no numpy (among them ``check`` of
+a word settled by its first run, ``generate lazy-flipext-omega`` from its
+default seed ``1``, and three whose scans fit the lane budget of 2^22 cells:
+``abelian --range``, ``index build --word`` and the seed check of
+``generate flipext-omega``), ``check`` of a prefix normal word of 2,049
+symbols, whose full scan of 2,049 x 2,049 cells lies just past that budget,
+so it still loads numpy, and one ``max_word`` call on a random word of
+``LEX_PROCESS_SIZE`` symbols. Their standard output and exit code must match
+between trees too; ``index query`` reads an index that the first tree builds
+once, and ``index build`` writes to a scratch file. A
 process row runs ``PROCESS_REPEATS`` processes per tree and round and keeps
 their median, since one process varies by tens of percent.
 
@@ -80,6 +84,8 @@ FLIPEXT_SEED = "11010011"
 PNW = "import sys; from prefixnormal.cli import main; sys.exit(main())"
 #: ``10`` and 1,998 random symbols, like the benchmark's ``check --word``: it violates at length 2.
 CHECK_WORD = "10" + "".join(random.Random(1998).choices("01", k=1998))
+#: 2,000 random symbols, indexed by ``cli.index_build``.
+INDEX_WORD = "".join(random.Random(2000).choices("01", k=2000))
 #: Layers timed as fresh processes at a fixed size: ``python -c`` code and its arguments.
 PROCESS_LAYERS = {
     "startup.import_cli": ("import prefixnormal.cli", []),
@@ -89,6 +95,9 @@ PROCESS_LAYERS = {
     "cli.generate_lazy_flipext": (PNW, ["generate", "lazy-flipext-omega", "--slope", "(-1+1*sqrt(2))/1",
                                         "-n", "2000"]),
     "cli.check_violation": (PNW, ["check", "--word", CHECK_WORD]),
+    "cli.abelian_range": (PNW, ["abelian", "paperfolding", "-n", "2000", "--range", "1..100"]),
+    "cli.index_build": (PNW, ["index", "build", "--word", INDEX_WORD, "-o", "{built}"]),
+    "cli.generate_flipext": (PNW, ["generate", "flipext-omega", "--seed", FLIPEXT_SEED, "-n", "1000"]),
     "cli.check_normal": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "2048"]),
     "library.lex": ("import sys, prefixnormal as pn; w = pn.FiniteWord(open(sys.argv[1]).read());"
                     " print(pn.max_word(w, len(w) // 2))", ["{lex_word}"]),
@@ -241,7 +250,7 @@ def main() -> None:
             raise SystemExit(f"trees {digests[what][0]} and {label} differ: {what}")
 
     with tempfile.TemporaryDirectory() as scratch:
-        files = {name: str(Path(scratch, name)) for name in ("index", "queries", "lex_word")}
+        files = {name: str(Path(scratch, name)) for name in ("index", "queries", "lex_word", "built")}
         Path(files["queries"]).write_text(QUERIES)
         rng = random.Random(LEX_PROCESS_SIZE)
         Path(files["lex_word"]).write_text("".join(rng.choice("01") for _ in range(LEX_PROCESS_SIZE)))

@@ -20,7 +20,8 @@ from .word_core import (
     FiniteWord,
     ParikhVector,
     PrefixProfile,
-    _window_blocks,
+    _extremes,
+    _use_lanes,
     complement,
 )
 
@@ -66,9 +67,11 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     If ``w`` starts with ``1^m 0``, the prefix of each length up to ``m`` is
     all 1s, and the one of length ``m + 1`` is beaten only by ``1^(m + 1)``,
     so one bytes search settles every length up to ``m + 1`` without numpy,
-    and ``1^m 0^k`` is prefix normal. Of the lengths left, words with few
-    1-runs scan only the length their run pairs give; others scan blocks of
-    lengths up to it.
+    and ``1^m 0^k`` is prefix normal. The lengths left are scanned up to the
+    first whose max-1s exceeds the prefix, in lanes if ``_use_lanes`` allows;
+    otherwise words with few 1-runs scan only the length their run pairs
+    give, and others scan numpy blocks. The prefix sums then give the
+    leftmost window at that length.
 
     A core runs from a 1-run start to a 1-run end; it has length ``L``, ``W``
     ones and ``Z = L - W`` zeros. A best window's span from first to last 1,
@@ -90,14 +93,18 @@ def find_violation_1(w: FiniteWord) -> PNViolation | None:
     if not later:  # 1^m 0^k, and 0^k for m = 0 since 1 was not found
         return None
     lengths = range(m + 2, n + 1)
-    if (later + 1) ** 2 <= _RUN_PAIR_FACTOR * n:
+    if not _use_lanes(n, lengths) and (later + 1) ** 2 <= _RUN_PAIR_FACTOR * n:
         lengths = _lengths_from_cores(w, *_one_runs(w))
-    for rows, highs, _ in _window_blocks(w, lengths, minima=False):
-        over = (highs.max(1) > highs[:, 0]).tolist()  # a list: `in` beats ndarray.any() on a few rows
-        if True in over:
-            r = over.index(True)
-            j = int((highs[r] > highs[r, 0]).argmax())
-            return PNViolation(j + 1, rows[r], int(highs[r, j]), int(highs[r, 0]))
+        if not lengths:  # no heavy core
+            return None
+    prefix = list(itertools.accumulate(raw, initial=0))  # prefix[i] = P(i)
+    for rows, most, _ in _extremes(w, lengths, minima=False):
+        over = list(map(operator.gt, most, prefix[rows.start : rows.stop]))
+        if True in over:  # the witness is the leftmost window over P(i) at the first such i
+            i = rows[over.index(True)]
+            windows = enumerate(map(operator.sub, prefix[i:], prefix))
+            j, ones = next((j, ones) for j, ones in windows if ones > prefix[i])
+            return PNViolation(j + 1, i, ones, prefix[i])
     return None
 
 
@@ -299,7 +306,7 @@ def is_c_balanced(w: FiniteWord, c: int) -> bool:
     """True when any two equal-length factors differ by at most ``c`` 1s."""
     if c < 1:
         raise RangeError("balance constant must be positive")
-    return all(int((hi.max(1) - lo.min(1)).max()) <= c for _, hi, lo in _window_blocks(w, range(1, len(w) + 1)))
+    return all(max(map(operator.sub, most, least)) <= c for _, most, least in _extremes(w, range(1, len(w) + 1)))
 
 
 def prepend_ones_bound(profile: PrefixProfile, c: int) -> int:

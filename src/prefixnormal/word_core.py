@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
@@ -52,8 +53,12 @@ class FiniteWord:
             raw = encoded.translate(_FROM_ASCII)
         else:
             try:
+                iter(bits)  # bytes() would read an int, a bool or a numpy scalar as a length
+            except TypeError:
+                raise InvalidInputError(f"not a binary word: {bits!r}") from None
+            try:
                 raw = bytes(bits)
-            except ValueError:  # a value outside 0..255
+            except (TypeError, ValueError):  # a symbol that is not an int in 0..255
                 raw = None
             if raw is None or raw.translate(None, b"\x00\x01"):
                 raise InvalidInputError("symbol values must be 0 or 1")
@@ -273,7 +278,7 @@ def _window_blocks(
     w: FiniteWord, lengths: range, minima: bool = True
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray | None]]:
     """Yield ``(rows, highs, lows)`` over blocks of consecutive ``lengths``, the
-    one quadratic scan behind every factor statistic: ``highs[r, j]`` is the
+    numpy backend of :func:`_extremes`: ``highs[r, j]`` is the
     weight ``P[i + j] - P[j]`` of the factor of length ``i = rows[r]`` at ``j``.
     Rows are as wide as the first; past the word ``highs`` counts 0s, leaving a
     suffix of the last real window, which neither raises a row maximum nor
@@ -305,6 +310,71 @@ def _window_blocks(
         a, size = a + b, 2 * b
 
 
+#: Most cells, factor lengths times symbols, that a scan runs in lanes instead
+#: of importing numpy: 2^22 cells take about 20 ms in lanes, the import 65-110 ms.
+_LANE_CELLS = 1 << 22
+
+
+def _use_lanes(n: int, lengths: range) -> bool:
+    """The one backend rule: lanes while numpy is not loaded and every length
+    up to the last, times ``n``, fits in ``_LANE_CELLS``. A None in
+    ``sys.modules`` only blocks ``import numpy``, so it counts as not loaded."""
+    return sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS
+
+
+def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
+    """The numpy-free backend of :func:`_extremes`, bit-parallel in lanes of
+    one Python int (Baeza-Yates and Gonnet, CACM 35, 1992). It scans every
+    length from 1 and yields those in ``lengths``, one length per block.
+
+    Lane ``e`` spans bits ``b*e .. b*e + b - 1`` with ``b = n.bit_length() + 1``,
+    and ``x`` holds symbol ``e`` in lane ``e``. Step ``i`` sets
+    ``t = (t >> b) + x``, so lane ``e <= n - i`` holds the 1s of the length-``i``
+    factor at ``e``, and lane ``e > n - i`` those of the suffix at ``e``.
+    Adding ``2^(b-1) - 1 - f`` to every lane sets the top bit of exactly the
+    lanes that hold more than ``f`` 1s, with no carry into the next lane: a
+    lane holds at most ``n < 2^(b-1)`` and ``0 <= f < n``, so each sum lies
+    in ``1..2^b - 2``. The max-1s function steps by 0 or 1, so one such test
+    with ``f`` its value at ``i - 1`` settles length ``i``. A suffix lane is
+    shorter than ``i``, so it holds at most the max-1s at ``i - 1`` and never
+    sets a bit: no lane needs a mask. The same test on the complement gives
+    the max-0s function, and the min-1s at ``i`` is ``i`` minus it.
+    """
+    if not lengths:
+        return
+    n = len(w)
+    b, gap = n.bit_length() + 1, "0" * n.bit_length()
+    unit = int(gap.join("1" * n), 2)  # 1 in every lane
+    high = unit << (b - 1)  # the top bit of every lane
+    x1 = int(gap.join(str(w)[::-1]), 2)
+    x0 = unit - x1
+    t1 = t0 = max1 = max0 = 0
+    bias1 = bias0 = high - unit  # 2^(b-1) - 1 - f in every lane, for f = 0
+    for i in range(1, lengths.stop):
+        t1 = (t1 >> b) + x1
+        if (t1 + bias1) & high:
+            max1, bias1 = max1 + 1, bias1 - unit
+        if minima:
+            t0 = (t0 >> b) + x0
+            if (t0 + bias0) & high:
+                max0, bias0 = max0 + 1, bias0 - unit
+        if i >= lengths.start:
+            yield range(i, i + 1), [max1], [i - max0] if minima else None
+
+
+def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
+    """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths``, the
+    one quadratic scan behind every factor statistic: ``maxs[r]`` and
+    ``mins[r]`` (None unless ``minima``) are the most and fewest 1s over the
+    factors of length ``rows[r]``. :func:`_use_lanes` picks the backend.
+    Blocks, not single lengths, keep Python work per length off numpy's path."""
+    if _use_lanes(len(w), lengths):
+        yield from _lane_extremes(w, lengths, minima)
+        return
+    for rows, highs, lows in _window_blocks(w, lengths, minima):
+        yield rows, highs.max(1).tolist(), lows.min(1).tolist() if minima else None
+
+
 def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
     """Factor statistics of ``w`` for factor lengths ``1..longest``.
 
@@ -321,7 +391,7 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
     elif not 1 <= longest <= n:
         raise RangeError(f"factor length {longest} out of range 1..{n}")
     maxs, mins = [], []
-    for _, highs, lows in _window_blocks(w, range(1, longest + 1)):
-        maxs += highs.max(1).tolist()
-        mins += lows.min(1).tolist()
+    for _, most, least in _extremes(w, range(1, longest + 1)):
+        maxs += most
+        mins += least
     return PrefixProfile(length=longest, max_ones=tuple(maxs), min_ones=tuple(mins))

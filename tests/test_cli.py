@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import FiniteWord, analysis, cli, compute_profile, generators, word_core
+from prefixnormal import FiniteWord, analysis, cli, complement, compute_profile, generators, word_core
 from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
@@ -36,8 +37,8 @@ def run_cli(argv, stdin_text=None, capsys=None):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The factor lengths that the window kernel yields to its consumers,
-    every length of every block."""
+    """The factor lengths that the numpy window kernel yields, every length of
+    every block. numpy is loaded here, so every scan takes that kernel."""
     lengths = []
     kernel = word_core._window_blocks
 
@@ -47,7 +48,6 @@ def scanned(monkeypatch):
             yield rows, highs, lows
 
     monkeypatch.setattr(word_core, "_window_blocks", counting)
-    monkeypatch.setattr(analysis, "_window_blocks", counting)
     return lengths
 
 
@@ -651,7 +651,14 @@ class TestPlotdata:
         assert (code, out) == (0, expected)
 
 
-#: Commands that scan no word as an array, so they must not touch numpy.
+#: A prefix normal word of 2,000 symbols, the 1-normal form of paperfolding.
+NORMAL = str(analysis.pnf1(compute_profile(generators.paperfolding(2000))))
+#: A prefix normal word one symbol longer than the lane scan takes: its
+#: check scans every length, so it needs numpy.
+PAST_LANES = ("110" * math.isqrt(word_core._LANE_CELLS))[: math.isqrt(word_core._LANE_CELLS) + 1]
+
+#: Commands that scan no word as an array, or scan one short enough for lanes,
+#: so they must not touch numpy.
 NUMPY_FREE = {
     "fibonacci": ["generate", "fibonacci", "-n", "3000"],
     "thue-morse": ["generate", "thue-morse", "-n", "3000"],
@@ -670,13 +677,23 @@ NUMPY_FREE = {
     "pnf-mechanical-rational": ["pnf", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
     "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
     "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],
+    # scans within the lane budget, the sizes of the benchmark's short commands
+    "check-normal-file": ["check", "--file", "{normal}"],
+    "check-zero": ["check", "--zero", "--word", str(complement(FiniteWord(NORMAL[:1500])))],
+    "check-violation-late": ["check", "--word", "1100" * 200 + "1101" + "0" * 500],
+    "abelian-range": ["abelian", "paperfolding", "-n", "2000", "--range", "1..100"],
+    "plotdata-champernowne-pnf": ["plotdata", "champernowne", "-n", "400", "--pnf"],
+    "index-build-word": ["index", "build", "--word", ("110100110010" * 167)[:2000], "-o", "{built}"],
+    "generate-flipext-omega": ["generate", "flipext-omega", "--seed", "11010011", "-n", "1000"],
 }
 
 
 class TestNumpyFreeCommands:
     """numpy is imported only inside the functions that scan a word as an
-    array. With ``sys.modules["numpy"]`` set to None any ``import numpy``
-    raises ImportError, so these commands run without ever importing it."""
+    array, and a scan within the lane budget takes lanes while numpy is not
+    loaded. With ``sys.modules["numpy"]`` set to None any ``import numpy``
+    raises ImportError, so these commands run without ever importing it; the
+    expected output comes from numpy, loaded in this process."""
 
     @pytest.mark.parametrize("name", NUMPY_FREE)
     def test_same_bytes_without_numpy(self, name, tmp_path, monkeypatch, capsys):
@@ -684,16 +701,27 @@ class TestNumpyFreeCommands:
         run_cli(["index", "build", "--word", "110100110010" * 20, "-o", str(index)], capsys=capsys)
         pairs = "".join(f"{z} {o}\n" for z in range(0, 30, 3) for o in range(0, 30, 4))
         queries.write_text(pairs)
-        argv = [arg.format(index=index, queries=queries) for arg in NUMPY_FREE[name]]
-        expected = run_cli(argv, stdin_text=pairs, capsys=capsys)
+        normal, built = tmp_path / "normal.txt", tmp_path / "built.pnji"
+        normal.write_text(NORMAL + "\n")
+        argv = [arg.format(index=index, queries=queries, normal=normal, built=built) for arg in NUMPY_FREE[name]]
+
+        def run():
+            built.unlink(missing_ok=True)
+            return run_cli(argv, stdin_text=pairs, capsys=capsys), built.read_bytes() if built.exists() else None
+
+        expected = run()
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert run_cli(argv, stdin_text=pairs, capsys=capsys) == expected
-        assert expected[0] == 0 and expected[1]
+        assert run() == expected
+        (code, out, _), blob = expected
+        assert code in (0, 1) and (out or blob)
 
     def test_a_scanning_command_cannot_run_without_numpy(self, monkeypatch, capsys):
+        # a None in sys.modules blocks `import numpy` but counts as not loaded, so
+        # a scan within the lane budget runs in lanes, and only a longer one needs numpy
         monkeypatch.setitem(sys.modules, "numpy", None)
+        assert run_cli(["check", "--word", "1101"], capsys=capsys) == (0, "NORMAL\n", "")
         with pytest.raises(ImportError):
-            run_cli(["check", "--word", "1101"], capsys=capsys)
+            run_cli(["check", "--word", PAST_LANES], capsys=capsys)
 
     def test_fresh_process_imports_numpy_only_to_scan(self):
         script = (
@@ -704,12 +732,14 @@ class TestNumpyFreeCommands:
             "print('numpy' in sys.modules, file=sys.stderr)\n"
             "main(['check', '--word', '1101'])\n"
             "print('numpy' in sys.modules, file=sys.stderr)\n"
+            f"main(['check', '--word', {PAST_LANES!r}])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
         )
         src = str(Path(prefixnormal.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.split("\n")[1:] == ["NORMAL", ""]
-        assert done.stderr.split() == ["False", "True"]
+        assert done.stdout.split("\n")[1:] == ["NORMAL", "NORMAL", ""]
+        assert done.stderr.split() == ["False", "False", "True"]
 
 
 #: Fresh-process shapes: their code after ``from prefixnormal.cli import main``
@@ -734,6 +764,28 @@ MODULE_LOADS = {
         "main(['generate', 'lazy-flipext-omega', '--slope', '(-1+1*sqrt(2))/1', '-n', '1000'])",
         {"cli", "errors", "analysis", "generators", "word_core"},
     ),
+    # the scans of the benchmark's short commands, all within the lane budget
+    "check --file": ("main(['check', '--file', {normal!r}])", {"cli", "errors", "analysis", "word_core"}),
+    "check --zero": (
+        f"main(['check', '--zero', '--word', {str(complement(FiniteWord(NORMAL[:1500])))!r}])",
+        {"cli", "errors", "analysis", "word_core"},
+    ),
+    "abelian --range": (
+        "main(['abelian', 'paperfolding', '-n', '2000', '--range', '1..100'])",
+        {"cli", "errors", "analysis", "generators", "word_core"},
+    ),
+    "plotdata --pnf champernowne": (
+        "main(['plotdata', 'champernowne', '-n', '400', '--pnf'])",
+        {"cli", "errors", "analysis", "generators", "word_core"},
+    ),
+    "index build --word": (
+        f"main(['index', 'build', '--word', {('110100110010' * 167)[:2000]!r}, '-o', {{built!r}}])",
+        {"cli", "errors", "jumbled_index", "word_core"},
+    ),
+    "generate flipext-omega --seed": (
+        "main(['generate', 'flipext-omega', '--seed', '11010011', '-n', '1000'])",
+        {"cli", "errors", "analysis", "generators", "word_core"},
+    ),
 }
 
 
@@ -744,12 +796,14 @@ class TestModuleLoads:
     @pytest.mark.parametrize("shape", MODULE_LOADS)
     def test_a_fresh_process_loads_only_what_it_runs(self, shape, tmp_path, capsys):
         index, queries = tmp_path / "w.pnji", tmp_path / "q.txt"
+        normal, built = tmp_path / "normal.txt", tmp_path / "built.pnji"
         run_cli(["index", "build", "--word", "110100110010" * 20, "-o", str(index)], capsys=capsys)
         queries.write_text("3 4\n10 12\n" * 1000)
+        normal.write_text(NORMAL + "\n")
         code, expected = MODULE_LOADS[shape]
         lines = ["import sys", "import prefixnormal" if code is None else "from prefixnormal.cli import main"]
         lines += [
-            (code or "").format(index=str(index), queries=str(queries)),
+            (code or "").format(index=str(index), queries=str(queries), normal=str(normal), built=str(built)),
             "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('prefixnormal.'))",
             "print(loaded, 'dataclasses' in sys.modules, 'numpy' in sys.modules, file=sys.stderr)",
         ]

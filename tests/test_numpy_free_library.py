@@ -1,12 +1,14 @@
-"""The lexicographic extremes, the index read path, and the normality checks
-that a word's first run settles need no numpy.
+"""The lexicographic extremes, the index read path, the normality checks
+that a word's first run settles, and scans short enough for lanes need no
+numpy.
 
 With ``sys.modules["numpy"]`` set to None any ``import numpy`` raises
 ImportError, so a call that returns the same value as with numpy never
-imported it. Building an index scans the word, so the index is built first,
-with numpy.
+imported it. The expected values come from numpy's block kernel, forced by a
+lane budget of -1 cells.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -21,16 +23,23 @@ from prefixnormal import (
     FiniteWord,
     SlopeSpec,
     build_index,
+    champernowne,
     complement,
+    compute_profile,
     deserialize,
     find_violation_0,
     find_violation_1,
     flipext_stream,
+    is_c_balanced,
     is_prenecklace_prefix,
     lazy_alpha_flipext_stream,
     max_word,
     min_word,
+    paperfolding,
+    pnf0,
+    pnf1,
     serialize,
+    word_core,
 )
 
 rng = random.Random(1719)
@@ -55,6 +64,11 @@ FIRST_RUN_WORDS = [FiniteWord(text) for text in (
 #: flipext and lazy flipext seeds of one run.
 ONE_RUN_SEEDS = [FiniteWord("1"), FiniteWord("11"), FiniteWord("1110"), FiniteWord("1100")]
 
+#: A prefix normal word of 2,000 symbols, and the words that the abelian and
+#: plotdata commands profile.
+NORMAL = pnf1(compute_profile(paperfolding(2000)))
+PAPERFOLDING, CHAMPERNOWNE = paperfolding(1900), champernowne(1600)
+
 CALLS = {
     "max_word": lambda: [max_word(w, n) for w in WORDS.values() for n in LENGTHS],
     "min_word": lambda: [min_word(w, n) for w in WORDS.values() for n in LENGTHS],
@@ -69,20 +83,36 @@ CALLS = {
         lazy_alpha_flipext_stream(seed, slope).prefix(300)
         for seed in ONE_RUN_SEEDS for slope in (SlopeSpec.rational(1, 3), SQRT2_SLOPE)
     ],
+    # scans within the lane budget, as the short commands `check --file`,
+    # `check --zero`, `abelian --range`, `plotdata --pnf`, `index build --word`
+    # and `generate flipext-omega --seed 11010011` run them
+    "check --file": lambda: [find_violation_1(NORMAL), find_violation_1(WORDS["random"])],
+    "check --zero": lambda: find_violation_0(complement(NORMAL[:1500])),
+    "abelian --range": lambda: compute_profile(PAPERFOLDING, 100),
+    "plotdata --pnf": lambda: [pnf1(compute_profile(CHAMPERNOWNE, 400)), pnf0(compute_profile(CHAMPERNOWNE, 400))],
+    "index build --word": lambda: serialize(build_index(WORDS["random"] * 3)),
+    "flipext seed check": lambda: flipext_stream(FiniteWord("11010011")).prefix(1000),
+    "is_c_balanced": lambda: [is_c_balanced(w, c) for w in WORDS.values() for c in (1, 2, 30)],
 }
 
 
 class TestNumpyFreeLibrary:
     @pytest.mark.parametrize("name", CALLS)
     def test_same_result_without_numpy(self, name, monkeypatch):
-        expected = CALLS[name]()
+        with monkeypatch.context() as patch:
+            patch.setattr(word_core, "_LANE_CELLS", -1)  # every scan on numpy's blocks
+            expected = CALLS[name]()
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert CALLS[name]() == expected
 
     def test_a_scan_cannot_run_without_numpy(self, monkeypatch):
+        # a None in sys.modules counts as numpy not loaded: a scan within the
+        # lane budget runs in lanes, and one past it needs numpy
         monkeypatch.setitem(sys.modules, "numpy", None)
+        assert build_index(FiniteWord("0110")).query(1, 1)
+        past = math.isqrt(word_core._LANE_CELLS) + 1
         with pytest.raises(ImportError):
-            build_index(FiniteWord("0110"))
+            build_index(FiniteWord("0110" * past)[:past])
 
     def test_fresh_process_loads_no_numpy(self, tmp_path):
         index = tmp_path / "w.pnji"

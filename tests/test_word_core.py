@@ -55,9 +55,18 @@ class TestFiniteWord:
         with pytest.raises(InvalidInputError):
             FiniteWord("1é")
         # bytes() itself rejects values outside 0..255 with a plain ValueError
-        for symbols in ([0, 2], [256], [-1], [1, 0, 300]):
+        for symbols in ([0, 2], [256], [-1], [1, 0, 300], [0.5], [None], ["1"]):
             with pytest.raises(InvalidInputError, match="^symbol values must be 0 or 1$"):
                 FiniteWord(symbols)
+
+    @pytest.mark.parametrize("bits", [0, 5, True, False, None, 0.5, np.int64(3)])
+    def test_rejects_what_is_not_iterable(self, bits):
+        # bytes() reads an int, a bool or a numpy scalar as a length of 0s
+        with pytest.raises(InvalidInputError, match="^not a binary word: "):
+            FiniteWord(bits)
+
+    def test_default_is_the_empty_word(self):
+        assert FiniteWord() == FiniteWord("") == FiniteWord([]) and len(FiniteWord()) == 0
 
     def test_sequence_protocol(self):
         w = FiniteWord("10110")
