@@ -19,9 +19,11 @@ The kernel rows scan the word ``1`` followed by the Fibonacci word. It is
 prefix normal and 1-balanced, so ``find_violation_1`` and
 ``is_c_balanced(w, 1)`` scan every factor length, as the full profile does;
 the child checks both verdicts before it times anything. The
-``analysis.find_violation_1.sparse`` row checks ``(1 0^63)^(n/64)``, which is
-prefix normal with n/64 runs of 1s, so up to n = 65,536 its run pairs decide
-it. The generator row times
+``analysis.find_violation_1.sparse`` and ``word_core.compute_profile.sparse``
+rows check and profile ``(1 0^63)^(n/64)``, which is prefix normal with
+rho = n/64 runs of 1s, so up to n = 65,536 the cores backend takes it, with
+O(rho^2 + n) work instead of n^2 window cells. A sha256 of every scan's
+result must match between trees. The generator row times
 ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal seed of
 minimum density 1/2; the child returns a sha256 of each word it produced,
 and the script exits non-zero if two trees produce different words.
@@ -74,8 +76,8 @@ LEX_LENGTHS = 64
 #: ``deserialize`` calls and query pairs timed per size; 1% of the queries are longer than the word.
 DESERIALIZE_CALLS = 10
 QUERY_PAIRS = 100_000
-LAYERS = ("word_core.compute_profile", "analysis.find_violation_1", "analysis.find_violation_1.sparse",
-          "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS,
+LAYERS = ("word_core.compute_profile", "word_core.compute_profile.sparse", "analysis.find_violation_1",
+          "analysis.find_violation_1.sparse", "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS,
           "jumbled_index.deserialize", "jumbled_index.query")
 #: A layer timed as fresh ``pnw`` processes per size.
 PNF_LAYER = "cli.pnf_fibonacci"
@@ -136,17 +138,19 @@ def child(sizes: list[int]) -> dict:
         raise SystemExit("the sparse benchmark word must be prefix normal")
     scans = {
         "word_core.compute_profile": (pn.compute_profile, words),
+        "word_core.compute_profile.sparse": (pn.compute_profile, sparse),
         "analysis.find_violation_1": (find_violation_1, words),
         "analysis.find_violation_1.sparse": (find_violation_1, sparse),
         "analysis.is_c_balanced": (lambda w: is_c_balanced(w, 1), words),
     }
     times: dict = {layer: {} for layer in LAYERS}
+    digests = {}
     for layer, (scan, scanned) in scans.items():
         for n, w in scanned.items():
             start = time.perf_counter()
-            scan(w)
+            result = scan(w)
             times[layer][n] = time.perf_counter() - start
-    digests = {}
+            digests[f"{layer} at n={n}"] = hashlib.sha256(repr(result).encode()).hexdigest()
     for n in sizes:
         start = time.perf_counter()
         word = pn.flipext_stream(pn.FiniteWord(FLIPEXT_SEED)).prefix(n)
@@ -295,7 +299,8 @@ def main() -> None:
     report = {
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
-        "sparse_word": "analysis.find_violation_1.sparse: (1 0^63)^(n/64), prefix normal, decided by its run pairs",
+        "sparse_word": "analysis.find_violation_1.sparse and word_core.compute_profile.sparse: (1 0^63)^(n/64),"
+                       " prefix normal, n/64 runs of 1s: the cores backend",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "process": f"{PNF_LAYER}: fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` processes",
         "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"

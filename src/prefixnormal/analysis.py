@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import InvalidInputError, NoBoundError, RangeError
 from .word_core import (
@@ -21,12 +21,8 @@ from .word_core import (
     ParikhVector,
     PrefixProfile,
     _extremes,
-    _use_lanes,
     complement,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class PrefixSource(Protocol):
@@ -56,79 +52,37 @@ class PNViolation(NamedTuple):
         )
 
 
-# Words with rho 1-runs and rho**2 <= _RUN_PAIR_FACTOR * n take run pairs.
-_RUN_PAIR_FACTOR = 16
-
-
 def find_violation_1(w: FiniteWord) -> PNViolation | None:
     """First factor with more 1s than the same-length prefix, shortest then
     leftmost, or None for a 1-prefix normal ``w``.
 
     If ``w`` starts with ``1^m 0``, the prefix of each length up to ``m`` is
     all 1s, and the one of length ``m + 1`` is beaten only by ``1^(m + 1)``,
-    so one bytes search settles every length up to ``m + 1`` without numpy,
-    and ``1^m 0^k`` is prefix normal. The lengths left are scanned up to the
-    first whose max-1s exceeds the prefix, in lanes if ``_use_lanes`` allows;
-    otherwise words with few 1-runs scan only the length their run pairs
-    give, and others scan numpy blocks. The prefix sums then give the
-    leftmost window at that length.
-
-    A core runs from a 1-run start to a 1-run end; it has length ``L``, ``W``
-    ones and ``Z = L - W`` zeros. A best window's span from first to last 1,
-    stretched to the ends of their runs, is a core, so the max-1s function is
-    ``max(max_{L<=i} W, i + max_{L>i} (W - L))`` over cores: a core fits in
-    the window, or holds it and all but ``Z`` of its zeros. With ``Z(i)`` the
-    0s of the length-``i`` prefix, a core beats it at ``i < L`` iff
-    ``Z(i) > Z``, and at ``i >= L`` only if ``W > P(L)``, i.e. ``Z(L) > Z``.
-    So the first violation comes from the heavy core (``Z(L) > Z``) with
-    fewest zeros, at the shortest prefix holding one zero more. A core of one
-    run is heavy only if it is longer than ``m``, which the search decided.
+    so one bytes search settles every length up to ``m + 1`` without a scan,
+    and ``1^m 0^k`` is prefix normal. The lengths left are read from
+    :func:`_extremes` up to the first whose max-1s exceeds the prefix weight
+    ``P(i)``, which is carried from block to block. Window weights step by
+    0 or 1 from ``P(i)`` at the prefix, so the witness is the first window of
+    ``P(i) + 1`` 1s, found by one running count over the bytes.
     """
     raw, n = bytes(w), len(w)
     m = n - len(raw.lstrip(b"\1"))
     at = raw.find(b"\1" * (m + 1))
     if at >= 0:
         return PNViolation(at + 1, m + 1, m + 1, m)
-    later = raw.count(b"\0\1")  # runs of 1s that do not start the word
-    if not later:  # 1^m 0^k, and 0^k for m = 0 since 1 was not found
+    if b"\0\1" not in raw:  # 1^m 0^k, and 0^k for m = 0 since 1 was not found
         return None
-    lengths = range(m + 2, n + 1)
-    if not _use_lanes(n, lengths) and (later + 1) ** 2 <= _RUN_PAIR_FACTOR * n:
-        lengths = _lengths_from_cores(w, *_one_runs(w))
-        if not lengths:  # no heavy core
-            return None
-    prefix = list(itertools.accumulate(raw, initial=0))  # prefix[i] = P(i)
-    for rows, most, _ in _extremes(w, lengths, minima=False):
-        over = list(map(operator.gt, most, prefix[rows.start : rows.stop]))
-        if True in over:  # the witness is the leftmost window over P(i) at the first such i
-            i = rows[over.index(True)]
-            windows = enumerate(map(operator.sub, prefix[i:], prefix))
-            j, ones = next((j, ones) for j, ones in windows if ones > prefix[i])
-            return PNViolation(j + 1, i, ones, prefix[i])
+    weight = m  # P(i - 1) for the first length i of the next block: the prefix 1^m 0
+    for rows, most, _ in _extremes(w, range(m + 2, n + 1), minima=False):
+        prefix = list(itertools.accumulate(raw[rows.start - 1 : rows.stop - 1], initial=weight))  # P(i - 1), i in rows
+        if sum(most) > sum(prefix) - weight:  # each max-1s is at least its P(i), so one of them exceeds it
+            r = list(map(operator.gt, most, prefix[1:])).index(True)
+            i, weight = rows[r], prefix[r + 1]
+            windows = itertools.accumulate(map(operator.sub, raw[i:], raw), initial=weight)
+            j = operator.indexOf(map(weight.__lt__, windows), True)  # the first window over P(i)
+            return PNViolation(j + 1, i, weight + 1, weight)
+        weight = prefix[-1]
     return None
-
-
-def _one_runs(w: FiniteWord) -> tuple[np.ndarray, np.ndarray]:
-    """0-based starts and exclusive ends of the runs of 1s in ``w``."""
-    import numpy as np
-    edges = np.flatnonzero(np.diff(np.frombuffer(b"\x00" + bytes(w) + b"\x00", dtype=np.int8)))
-    return edges[::2], edges[1::2]  # between the 0s put around w, run starts and ends alternate
-
-
-def _lengths_from_cores(w: FiniteWord, starts: np.ndarray, ends: np.ndarray) -> range:
-    """The first violating length from the cores of :func:`find_violation_1`,
-    or no length, for a word with no heavy core of one run. A core over
-    ``d + 1`` runs holds at least ``d`` zeros, so cores are taken by ``d``
-    from 1 until ``d`` reaches the fewest zeros found."""
-    zeros = complement(w).prefix_sums()  # zeros[i] = Z(i)
-    fewest, rho = len(w), starts.size  # len(w) stands for "no heavy core"
-    for d in range(1, rho):
-        if d >= fewest:
-            break
-        core_zeros = zeros[starts[d:]] - zeros[starts[: rho - d]]  # zeros[end] = zeros[start] in a 1-run
-        fewest = int(core_zeros.min(initial=fewest, where=zeros[ends[d:] - starts[: rho - d]] > core_zeros))
-    first = int(zeros.searchsorted(fewest + 1))
-    return range(first, first + 1) if fewest < len(w) else range(0)
 
 
 def find_violation_0(w: FiniteWord) -> PNViolation | None:

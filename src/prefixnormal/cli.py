@@ -122,23 +122,26 @@ def _thue_morse_forms(args: argparse.Namespace, n: int) -> tuple[FiniteWord, Fin
     return UltimatelyPeriodicWord("1", "10").prefix(n), UltimatelyPeriodicWord("0", "01").prefix(n)
 
 
-#: Builtins whose infinite word has normal forms in closed form: the reason,
-#: and a map from the arguments and a length ``n`` to the first ``n`` symbols
-#: of (pnf1, pnf0), or to None where the reason does not hold. The source is
-#: built first, so an entry reads validated parameters.
+#: Builtins whose infinite word has normal forms in closed form: the reason;
+#: None, or a test on the raw arguments of whether the reason holds, run before
+#: any symbol is built; and a map from the arguments, validated by then, and a
+#: length ``n`` to the first ``n`` symbols of (pnf1, pnf0).
 _EXACT_FORMS = {
     "fibonacci": (
         "the Fibonacci word is Sturmian",
+        None,
         lambda args, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
     ),
     # a p/q word is periodic, and every intercept and direction has the same factors
-    "mechanical": ("a mechanical word is balanced", lambda args, n: _mechanical_forms(_slope(args), n)),
+    "mechanical": ("a mechanical word is balanced", None, lambda args, n: _mechanical_forms(_slope(args), n)),
     "lazy-flipext-omega": (
         "from seed 1 it is the upper mechanical word of its slope",
-        lambda args, n: _mechanical_forms(_slope(args), n) if (args.seed or "1") == "1" else None,
+        lambda args: (args.seed or "1") == "1",
+        lambda args, n: _mechanical_forms(_slope(args), n),
     ),
     "thue-morse": (
         "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
+        None,
         _thue_morse_forms,
     ),
 }
@@ -217,7 +220,7 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     """The output word, its two normal forms, and the stderr note on them
     (None for a literal word, which is its own window: its forms are exact).
 
-    A builtin with an ``_EXACT_FORMS`` entry gets the closed forms of its
+    A builtin whose ``_EXACT_FORMS`` entry holds gets the closed forms of its
     infinite word, and only its printed symbols are materialized. --window
     and --prepend-ones ask for a finite window, and -n 0 is left to the
     window's profile to reject. Other builtins are materialized once,
@@ -227,12 +230,10 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     profiled, over every factor of the window.
     """
     prepend = getattr(args, "prepend_ones", None)
-    if args.builtin in _EXACT_FORMS and args.length and args.window is None and prepend is None:
+    reason, holds, exact_forms = _EXACT_FORMS.get(args.builtin, (None, None, None))
+    if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and prepend is None:
         word = _resolve_word(args)
-        reason, exact_forms = _EXACT_FORMS[args.builtin]
-        forms = exact_forms(args, len(word))
-        if forms is not None:
-            return word, *forms, f"all {len(word)} positions are exact: {reason}"
+        return word, *exact_forms(args, len(word)), f"all {len(word)} positions are exact: {reason}"
     from .analysis import WINDOW_FACTOR, pnf0, pnf1, reliable_pnf_window
     from .word_core import compute_profile
     window = _resolve_word(args, widen=True)

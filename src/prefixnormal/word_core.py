@@ -313,13 +313,9 @@ def _window_blocks(
 #: Most cells, factor lengths times symbols, that a scan runs in lanes instead
 #: of importing numpy: 2^22 cells take about 20 ms in lanes, the import 65-110 ms.
 _LANE_CELLS = 1 << 22
-
-
-def _use_lanes(n: int, lengths: range) -> bool:
-    """The one backend rule: lanes while numpy is not loaded and every length
-    up to the last, times ``n``, fits in ``_LANE_CELLS``. A None in
-    ``sys.modules`` only blocks ``import numpy``, so it counts as not loaded."""
-    return sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS
+#: A word in which rho 1s follow a 0 has at most rho + 1 runs of either letter;
+#: with (rho + 1)^2 at most this many times n it takes the cores backend.
+_CORE_FACTOR = 16
 
 
 def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
@@ -362,17 +358,64 @@ def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tupl
             yield range(i, i + 1), [max1], [i - max0] if minima else None
 
 
+def _core_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
+    """The backend of :func:`_extremes` for words with few runs, in
+    ``O(rho^2 + n)`` for ``rho`` runs (Badkobeh, Fici, Kroon and
+    Lipták, IPL 113, 2013; Amir et al., TCS 656, 2016).
+
+    A core runs from a 1-run start to a 1-run end, with length ``L``, ``W``
+    ones and ``Z = L - W`` zeros. A window's span from its first to its last
+    1, stretched to the ends of their runs, is a core with no more 0s than
+    the window, so a window of length ``i`` holds at most ``W`` 1s if
+    ``L <= i``, and at most ``i - Z`` if ``L > i``. A window holding a core
+    has its ``W`` 1s, and every length-``i`` window inside a longer core holds
+    at least ``i - Z``. So the max-1s at ``i`` is
+    ``max(0, max_{L<=i} W, i - min_{L>=i} Z)``, as a core of length ``i`` has
+    ``i - Z = W``: a running max of ``L - fewest[L]`` and a suffix min of
+    ``fewest``, the fewest 0s of a core of length ``L``, filled in one step
+    per number of runs spanned. The min-1s at ``i`` is ``i`` minus the max-1s
+    of the complement. Values lie in ``-n..n``, in the narrowest signed type
+    holding ``n``, and no list holds more than ``isqrt(_BLOCK_CELLS)`` of
+    them."""
+    import numpy as np
+    n = len(w)
+    dtype = np.min_scalar_type(-n - 1)
+    ramp, maxima = np.arange(n + 1, dtype=dtype), []
+    for raw in (w._bits, w._bits.translate(_FLIP))[: 1 + minima]:
+        edges = np.flatnonzero(np.diff(np.frombuffer(b"\0" + raw + b"\0", np.int8))).astype(dtype)
+        starts, ends = edges[::2], edges[1::2]  # between the 0s put around raw, run starts and ends alternate
+        zeros = starts - np.cumsum(ends - starts, dtype=dtype) + (ends - starts)  # 0s before each run
+        fewest = np.full(n + 1, n, dtype)  # n where no core has length L
+        fewest[0] = 0  # the empty window
+        for d in range(len(starts)):
+            np.minimum.at(fewest, ends[d:] - starts[: len(starts) - d], zeros[d:] - zeros[: len(starts) - d])
+        most = np.maximum.accumulate(ramp - fewest)  # the 1s of a core no longer than i
+        np.minimum.accumulate(fewest[::-1], out=fewest[::-1])  # now the fewest 0s of a core no shorter than L
+        maxima.append(np.maximum(most, ramp - fewest, out=most))  # or i - Z of a core no shorter than i
+    most, least = maxima[0], ramp - maxima[1] if minima else None
+    step = isqrt(_BLOCK_CELLS)
+    for a in range(lengths.start, lengths.stop, step):
+        b = min(a + step, lengths.stop)
+        yield range(a, b), most[a:b].tolist(), least[a:b].tolist() if minima else None
+
+
 def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
     """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths``, the
-    one quadratic scan behind every factor statistic: ``maxs[r]`` and
-    ``mins[r]`` (None unless ``minima``) are the most and fewest 1s over the
-    factors of length ``rows[r]``. :func:`_use_lanes` picks the backend.
+    one scan behind every factor statistic: ``maxs[r]`` and ``mins[r]`` (None
+    unless ``minima``) are the most and fewest 1s over the factors of length
+    ``rows[r]``. The one backend rule: lanes while numpy is not loaded (a None
+    in ``sys.modules`` only blocks its import) and every length up to the last,
+    times ``n``, fits in ``_LANE_CELLS``; else cores where ``rho`` 1s follow a
+    0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else numpy's window blocks.
     Blocks, not single lengths, keep Python work per length off numpy's path."""
-    if _use_lanes(len(w), lengths):
+    n = len(w)
+    if sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS:
         yield from _lane_extremes(w, lengths, minima)
-        return
-    for rows, highs, lows in _window_blocks(w, lengths, minima):
-        yield rows, highs.max(1).tolist(), lows.min(1).tolist() if minima else None
+    elif (w._bits.count(b"\0\1") + 1) ** 2 <= _CORE_FACTOR * n:
+        yield from _core_extremes(w, lengths, minima)
+    else:
+        for rows, highs, lows in _window_blocks(w, lengths, minima):
+            yield rows, highs.max(1).tolist(), lows.min(1).tolist() if minima else None
 
 
 def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:

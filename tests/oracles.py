@@ -2,7 +2,7 @@
 
 The factor statistics enumerate factors by slicing, or take them from the
 library's former window kernel: int64 prefix sums and one new array per factor
-length. Nothing shares code with the library's narrow-sum, run-pair or
+length. Nothing shares code with the library's narrow-sum, cores or
 closed-form paths. The word producers are the
 library's former one-symbol-at-a-time generators: an exact floor per mechanical
 symbol, one slope reciprocal per lazy extension, a flipext step that

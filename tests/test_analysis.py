@@ -36,7 +36,7 @@ from prefixnormal import (
     pnf1,
     prepend_ones_bound,
 )
-from prefixnormal import analysis
+from prefixnormal import word_core
 from prefixnormal.analysis import _primitive_root
 from prefixnormal.generators import (
     FIBONACCI_MORPHISM,
@@ -250,7 +250,7 @@ def first_run_words(draw) -> str:
 
 class TestFirstRun:
     """The bytes search up to the first run plus one gives the same witness
-    as brute force, before the window scan and before the run pairs."""
+    as brute force, before numpy's blocks and before the cores."""
 
     @pytest.mark.parametrize("factor", [0, 10**12])
     @given(text=first_run_words())
@@ -258,29 +258,30 @@ class TestFirstRun:
     def test_witness_and_its_dual_match_brute_force(self, factor, text):
         expected = brute_first_violation(text)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+            patch.setattr(word_core, "_CORE_FACTOR", factor)
             assert witness(find_violation_1(FiniteWord(text))) == expected
             assert witness(find_violation_0(complement(FiniteWord(text)))) == expected
 
 
 class TestRunPairs:
-    """``find_violation_1`` finds the violating length of a word with few runs
-    of 1s from its run pairs; ``_RUN_PAIR_FACTOR`` 0 sends every word with a 1
-    to the window scan, and a huge factor sends every word to the run pairs."""
+    """``find_violation_1`` reads the max-1s function of a word with few runs
+    of 1s from the cores backend of ``_extremes``; ``_CORE_FACTOR`` 0 sends
+    every word to numpy's blocks, and a huge factor sends every word to the
+    cores."""
 
     @pytest.mark.parametrize("factor", [0, 10**12])
     def test_exhaustive_witness_up_to_length_12(self, factor, monkeypatch):
-        monkeypatch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+        monkeypatch.setattr(word_core, "_CORE_FACTOR", factor)
         for n in range(1, 13):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
                 assert witness(find_violation_1(FiniteWord(text))) == brute_first_violation(text), text
 
     def test_short_run_words_on_the_run_pairs(self, monkeypatch):
-        # short runs give many cores with few zeros; in 1100001010100011 a heavy
-        # core over two runs and three zeros comes before the one over three
-        # runs and two zeros, which gives the witness (length 5, start 7)
-        monkeypatch.setattr(analysis, "_RUN_PAIR_FACTOR", 10**12)
+        # short runs give many cores with few zeros; in 1100001010100011 the
+        # core over three runs and two zeros, not the one over two runs and
+        # three zeros, gives the witness (length 5, start 7)
+        monkeypatch.setattr(word_core, "_CORE_FACTOR", 10**12)
         rng = random.Random(1613)
         texts = ["1100001010100011"]
         for _ in range(6000):
@@ -293,17 +294,17 @@ class TestRunPairs:
     @settings(max_examples=150, deadline=None)
     def test_planted_late_violation_matches_window_scan(self, text):
         w = FiniteWord(text)
-        assert len(analysis._one_runs(w)[0]) ** 2 <= analysis._RUN_PAIR_FACTOR * len(w)
+        assert (text.count("01") + 1) ** 2 <= word_core._CORE_FACTOR * len(w)
         found = find_violation_1(w)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_RUN_PAIR_FACTOR", 0)
+            patch.setattr(word_core, "_CORE_FACTOR", 0)
             assert witness(found) == witness(find_violation_1(w))
 
     def test_dense_check_never_reaches_the_core_scan(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("core scan on a dense word")
 
-        monkeypatch.setattr(analysis, "_lengths_from_cores", unreachable)
+        monkeypatch.setattr(word_core, "_core_extremes", unreachable)
         rng = random.Random(2000)
         for _ in range(20):
             text = "10" + "".join(rng.choice("01") for _ in range(1998))  # like pnw check --word in the benchmark

@@ -166,17 +166,17 @@ class TestCheck:
         assert code == 0 and out.strip() == "NORMAL"
 
     def test_run_sparse_word_scans_at_most_one_length(self, scanned, capsys):
-        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked by run pairs
+        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the cores
         argv = ["check", "lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
         assert run_cli(argv, capsys=capsys) == (0, "NORMAL\n", "")
         assert len(scanned) <= 1
 
-    def test_planted_violation_scans_its_length_only(self, scanned, capsys):
+    def test_planted_violation_scans_no_window(self, scanned, capsys):
         word = ("1" + "0" * 63) * 500
         word = word[:20000] + "1" + word[20001:]  # 1 0^31 1 at position 19,969
         code, out, _ = run_cli(["check", "--word", word], capsys=capsys)
         assert (code, out) == (1, "len=33 start=19969 ones=2 prefix_ones=1\n")
-        assert scanned == [33]
+        assert scanned == []
 
     def test_non_utf8_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
@@ -241,8 +241,10 @@ class TestPnf:
         assert clamped == run_cli(["pnf", "fibonacci", "-n", "5", "--window", "5"], capsys=capsys)
 
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
-    def test_profiles_only_printed_lengths(self, command, scanned, capsys):
-        # the 4n window is read whole, but only lengths 1..n are profiled
+    def test_profiles_only_printed_lengths(self, command, scanned, monkeypatch, capsys):
+        # the 4n window is read whole, but only lengths 1..n are profiled; its
+        # 50 runs of 1s in 200 symbols would take the cores, which scan no window
+        monkeypatch.setattr(word_core, "_CORE_FACTOR", 0)
         code, _, _ = run_cli(command + ["paperfolding", "-n", "50"], capsys=capsys)
         assert code == 0 and scanned == list(range(1, 51))
 
@@ -349,6 +351,20 @@ class TestExactForms:
         stream = generators.lazy_alpha_flipext_stream(FiniteWord("11"), generators.SlopeSpec.rational(1, 3))
         assert code == 0 and out == "{}\n{}\n".format(*window_forms(stream.prefix(WINDOW_FACTOR * 40), 40))
         assert "not certified" in err
+
+    @pytest.mark.parametrize("seed", ["1", "110"])
+    @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
+    def test_lazy_flipext_is_built_once(self, command, seed, monkeypatch, capsys):
+        # whether the closed form holds is read from the seed before the source is built
+        builds, build = [], cli._BUILTINS["lazy-flipext-omega"]
+
+        def counting(args):
+            builds.append(args.seed)
+            return build(args)
+
+        monkeypatch.setitem(cli._BUILTINS, "lazy-flipext-omega", counting)
+        argv = command + ["lazy-flipext-omega", "--slope", "1/3", "--seed", seed, "-n", "12"]
+        assert run_cli(argv, capsys=capsys)[0] == 0 and builds == [seed]
 
     def test_sparse_rational_slope_is_exact(self, capsys):
         # a 4n window of 40 symbols holds no 1 of the slope-1/1000 word

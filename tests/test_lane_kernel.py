@@ -1,12 +1,13 @@
 """The lane backend of the window scan against the oracles and against numpy's
-blocks, and the rule that picks between them.
+blocks, and the rule that picks among the backends.
 
 A scan runs in lanes only while numpy is not loaded. Here numpy is blocked
 with ``sys.modules["numpy"] = None``, which counts as not loaded, so a scan
 that still returns proves that it ran in lanes; ``_LANE_CELLS`` of -1 sends
-every scan to numpy's blocks instead. The oracles bind numpy at import, so
-they keep working while it is blocked, but their array methods may import
-numpy submodules, so the expected values are computed first.
+every scan to numpy's blocks, or to the cores for a word with few runs. The
+oracles bind numpy at import, so they keep working while it is blocked, but
+their array methods may import numpy submodules, so the expected values are
+computed first.
 """
 
 import itertools
@@ -114,14 +115,17 @@ class TestBackendRule:
             compute_profile(w)
 
     def test_a_loaded_numpy_takes_every_scan(self, monkeypatch):
-        blocks = []
-        kernel = word_core._window_blocks
+        # off the lanes: a word with few runs takes the cores, others the blocks
+        taken = []
+        for name in ("_core_extremes", "_window_blocks"):
+            kernel = getattr(word_core, name)
 
-        def counting(*args, **kwargs):
-            blocks.append(args[1])
-            return kernel(*args, **kwargs)
+            def counting(*args, name=name, kernel=kernel):
+                taken.append((name, args[1]))
+                return kernel(*args)
 
-        monkeypatch.setattr(word_core, "_window_blocks", counting)
+            monkeypatch.setattr(word_core, name, counting)
         assert "numpy" in sys.modules and sys.modules["numpy"] is not None
         compute_profile(FiniteWord("0110"))
-        assert blocks == [range(1, 5)]
+        compute_profile(FiniteWord("10" * 50))
+        assert taken == [("_core_extremes", range(1, 5)), ("_window_blocks", range(1, 101))]

@@ -100,7 +100,7 @@ class TestNumpyFreeLibrary:
     @pytest.mark.parametrize("name", CALLS)
     def test_same_result_without_numpy(self, name, monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(word_core, "_LANE_CELLS", -1)  # every scan on numpy's blocks
+            patch.setattr(word_core, "_LANE_CELLS", -1)  # every scan on numpy's blocks or the cores
             expected = CALLS[name]()
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert CALLS[name]() == expected

@@ -29,7 +29,7 @@ from prefixnormal import (
     prefix_weight,
     reverse,
 )
-from prefixnormal import analysis, word_core
+from prefixnormal import word_core
 from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
 from prefixnormal.word_core import _window_blocks
@@ -388,7 +388,7 @@ class TestNarrowKernel:
         assert is_c_balanced(w, 10**30)
 
     def test_kernel_values_leave_as_python_ints(self):
-        sparse = ("1" + "0" * 40) * 20 + "11"  # its violation is found by run pairs
+        sparse = ("1" + "0" * 40) * 20 + "11"  # few runs: the cores backend finds its violation
         dense = "10" + boundary_word("random", 1998)  # its violation is found by the window scan
         for text in ("1" * 300, sparse, dense):
             w = FiniteWord(text)
@@ -447,24 +447,42 @@ class TestBlockKernel:
         expected = int64_first_violation(text)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(word_core, "_BLOCK_CELLS", cells)
-            profile = compute_profile(w, longest)
-            assert (list(profile.max_ones), list(profile.min_ones)) == (maxs[:longest], mins[:longest])
-            for factor in (0, 10**12):  # the window scan, then run pairs for every word
-                patch.setattr(analysis, "_RUN_PAIR_FACTOR", factor)
+            for factor in (0, 10**12):  # numpy's blocks, then the cores for every word
+                patch.setattr(word_core, "_CORE_FACTOR", factor)
+                profile = compute_profile(w, longest)
+                assert (list(profile.max_ones), list(profile.min_ones)) == (maxs[:longest], mins[:longest])
                 assert witness(find_violation_1(w)) == expected
-            assert is_c_balanced(w, max(spread, 1))
-            assert spread <= 1 or not is_c_balanced(w, spread - 1)
+                assert is_c_balanced(w, max(spread, 1))
+                assert spread <= 1 or not is_c_balanced(w, spread - 1)
 
     def test_memory_is_linear_in_the_word(self):
         # 2**18 symbols take uint32 sums, and a block holds one row of them at
-        # this width; a buffer of height * n sums would break the bound
+        # this width; a buffer of height * n sums would break the bound. The
+        # prefix normal sparse word takes the cores; the dense one passes the
+        # first-run search of 1^999 and reaches numpy's blocks, which find its
+        # violation at length 1,001. No check may hold a list of n prefix sums
         n = 1 << 18
-        w = FiniteWord(np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes())
-        for scan in (lambda: find_violation_1(w), lambda: compute_profile(w, 64)):
-            tracemalloc.start()
-            try:
-                scan()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 32 * n + 4 * word_core._BLOCK_CELLS
+        noise = FiniteWord(np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes())
+        sparse = FiniteWord(b"\1" + b"\0" * 255) * (n // 256)
+        head, tail = "1" * 999 + "00", "1" * 500 + "0" + "1" * 500  # P(1001) = 999 < 1,000 1s in the tail
+        dense = FiniteWord(head + str(noise)[: n - len(head) - len(tail)] + tail)
+        assert find_violation_1(sparse) is None and find_violation_1(dense).factor_length == 1001
+        for w in (noise, sparse, dense):
+            for scan in (lambda: find_violation_1(w), lambda: compute_profile(w, 64)):
+                tracemalloc.start()
+                try:
+                    scan()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 32 * n + 4 * word_core._BLOCK_CELLS
+
+    def test_a_sparse_profile_scans_no_window(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a window scan of a word with few runs")
+
+        monkeypatch.setattr(word_core, "_window_blocks", unreachable)
+        n = 1 << 18
+        profile = compute_profile(FiniteWord(b"\1" + b"\0" * 255) * (n // 256))
+        assert profile.max_ones == tuple(-(-i // 256) for i in range(1, n + 1))
+        assert profile.min_ones == tuple(i // 256 for i in range(1, n + 1))
