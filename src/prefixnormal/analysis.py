@@ -15,8 +15,9 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Protocol, Sequence
 
-from .errors import InvalidInputError, NoBoundError, RangeError
+from .errors import InvalidInputError, NoBoundError, RangeError, ResourceLimitError
 from .word_core import (
+    MATERIALIZE_CAP,
     FiniteWord,
     ParikhVector,
     PrefixProfile,
@@ -217,6 +218,8 @@ class UltimatelyPeriodicWord:
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
             raise RangeError("prefix length must be non-negative")
+        if n > MATERIALIZE_CAP:
+            raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
         reps = max(0, -(-(n - len(self.preperiod)) // len(self.period)))
         return (self.preperiod + self.period * reps)[:n]
 

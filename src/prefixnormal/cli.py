@@ -118,8 +118,7 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
 
 def _thue_morse_forms(args: argparse.Namespace, n: int) -> tuple[FiniteWord, FiniteWord]:
     """The first ``n`` symbols of 1(10)^omega and of 0(01)^omega."""
-    from .analysis import UltimatelyPeriodicWord
-    return UltimatelyPeriodicWord("1", "10").prefix(n), UltimatelyPeriodicWord("0", "01").prefix(n)
+    return _word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])
 
 
 #: Builtins whose infinite word has normal forms in closed form: the reason;
@@ -159,8 +158,12 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
     if args.length is not None and args.length < 0:
         raise UsageError("prefix length must be non-negative")
-    if (getattr(args, "prepend_ones", None) or 0) < 0:
+    prepend = getattr(args, "prepend_ones", None) or 0
+    if prepend < 0:
         raise UsageError("--prepend-ones must be non-negative")
+    from .word_core import MATERIALIZE_CAP
+    if prepend > MATERIALIZE_CAP:
+        raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
     if args.word is not None or args.file is not None:
         if args.file is not None:
             text = args.file.read_text().splitlines()
@@ -185,7 +188,7 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
 
 
 def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
-    # _resolve_word has rejected a negative count before producing any symbol
+    # _resolve_word has rejected a negative or oversized count before producing any symbol
     return _word("1" * count) + word if count else word
 
 

@@ -40,10 +40,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedParameterError,
 )
-from .word_core import _FLIP, BitsLike, FiniteWord, _FrozenSlots
-
-#: Hard cap on materialized prefix length; a desk-scale guardrail.
-MATERIALIZE_CAP = 1 << 26
+from .word_core import _FLIP, MATERIALIZE_CAP, BitsLike, FiniteWord, _FrozenSlots
 
 #: Largest radicand ``d`` accepted in ``(a + b*sqrt(d))/c``. Reducing ``d``
 #: to its square-free part trial-divides up to ``sqrt(d)``: about 0.03 s per

@@ -12,7 +12,7 @@ import operator
 import sys
 from fractions import Fraction
 from math import isqrt
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidInputError, RangeError
 
@@ -27,6 +27,9 @@ _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 BitsLike = Union["FiniteWord", str, bytes, bytearray, memoryview, Iterable[int]]
+
+#: Hard cap on materialized prefix length; a desk-scale guardrail.
+MATERIALIZE_CAP = 1 << 26
 
 
 class FiniteWord:
@@ -274,15 +277,13 @@ class PrefixProfile(_FrozenSlots):
 _BLOCK_CELLS = 1 << 18  # most cells of one window block: 512 KB of uint16 sums
 
 
-def _window_blocks(
-    w: FiniteWord, lengths: range, minima: bool = True
-) -> Iterator[tuple[range, np.ndarray, np.ndarray | None]]:
-    """Yield ``(rows, highs, lows)`` over blocks of consecutive ``lengths``, the
-    numpy backend of :func:`_extremes`: ``highs[r, j]`` is the
-    weight ``P[i + j] - P[j]`` of the factor of length ``i = rows[r]`` at ``j``.
+def _block_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
+    """The numpy backend of :func:`_extremes`: row maxima of ``highs`` and minima
+    of ``lows`` over blocks of consecutive ``lengths``, where ``highs[r, j]`` is
+    the weight ``P[i + j] - P[j]`` of the factor of length ``i = rows[r]`` at ``j``.
     Rows are as wide as the first; past the word ``highs`` counts 0s, leaving a
     suffix of the last real window, which neither raises a row maximum nor
-    exceeds a bound first. ``lows`` (None unless ``minima``) puts the last
+    exceeds a bound first. ``lows`` (only with ``minima``) puts the last
     ``len(rows) - 1`` starts first, counting 1s past the word, which cannot
     lower a row minimum. Heights double from 1 within ``_BLOCK_CELLS``. Sums
     padded with 1s may wrap the narrowest unsigned type holding ``n``, but each
@@ -306,7 +307,7 @@ def _window_blocks(
             if minima:
                 tail = np.ndarray((b, b - 1), dtype, sums1[a + last :], 0, sums.strides * 2)
                 np.subtract(tail, sums1[last:width], out=block[:, : b - 1])
-        yield range(a, a + b), highs, lows if minima else None
+        yield range(a, a + b), highs.max(1).tolist(), lows.min(1).tolist() if minima else None
         a, size = a + b, 2 * b
 
 
@@ -399,23 +400,25 @@ def _core_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tupl
         yield range(a, b), most[a:b].tolist(), least[a:b].tolist() if minima else None
 
 
-def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
-    """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths``, the
-    one scan behind every factor statistic: ``maxs[r]`` and ``mins[r]`` (None
-    unless ``minima``) are the most and fewest 1s over the factors of length
-    ``rows[r]``. The one backend rule: lanes while numpy is not loaded (a None
-    in ``sys.modules`` only blocks its import) and every length up to the last,
-    times ``n``, fits in ``_LANE_CELLS``; else cores where ``rho`` 1s follow a
-    0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else numpy's window blocks.
-    Blocks, not single lengths, keep Python work per length off numpy's path."""
+def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[range, list, list | None]]]:
+    """The backend of :func:`_extremes` for ``lengths`` of ``w``: lanes while
+    numpy is not loaded (a None in ``sys.modules`` only blocks its import) and
+    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else cores
+    where ``rho`` 1s follow a 0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else blocks."""
     n = len(w)
     if sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS:
-        yield from _lane_extremes(w, lengths, minima)
-    elif (w._bits.count(b"\0\1") + 1) ** 2 <= _CORE_FACTOR * n:
-        yield from _core_extremes(w, lengths, minima)
-    else:
-        for rows, highs, lows in _window_blocks(w, lengths, minima):
-            yield rows, highs.max(1).tolist(), lows.min(1).tolist() if minima else None
+        return _lane_extremes
+    if (w._bits.count(b"\0\1") + 1) ** 2 <= _CORE_FACTOR * n:
+        return _core_extremes
+    return _block_extremes
+
+
+def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
+    """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths`` from
+    :func:`_backend`, the one scan behind every factor statistic: ``maxs[r]`` and
+    ``mins[r]`` (None unless ``minima``) are the most and fewest 1s over the
+    factors of length ``rows[r]``. Blocks keep per-length Python work off numpy's path."""
+    return _backend(w, lengths)(w, lengths, minima)
 
 
 def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:

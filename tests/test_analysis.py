@@ -6,15 +6,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import (
+    MATERIALIZE_CAP,
     FiniteWord,
     InvalidInputError,
     NoBoundError,
     ParikhVector,
     RangeError,
+    ResourceLimitError,
     UltimatelyPeriodicWord,
     abelian_complexity,
     check_stream_prefix_normal,
@@ -52,6 +54,7 @@ from prefixnormal.generators import (
     thue_morse_stream,
 )
 
+from conftest import use_backend
 from oracles import (
     brute_abelian_complexity,
     brute_extreme_factors,
@@ -66,6 +69,7 @@ from oracles import (
     rotate_preperiod_into_period,
     slicing_is_prenecklace_prefix,
 )
+from test_backends import planted_sparse_words
 
 words = st.text(alphabet="01", min_size=0, max_size=48).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=48).map(FiniteWord)
@@ -216,18 +220,6 @@ def witness(violation):
 
 
 @st.composite
-def planted_sparse_words(draw) -> str:
-    """``1 0^(q-1)`` repeated, prefix normal and run-sparse, with one 0 in
-    its second half turned into a 1; unless that symbol was a 1 already, the
-    1 before it and the planted one make a violation of length at most q."""
-    q = draw(st.integers(14, 80))
-    n = draw(st.integers(2 * q, 3000))
-    symbols = bytearray((b"1" + b"0" * (q - 1)) * (n // q + 1))[:n]
-    symbols[draw(st.integers(n // 2, n - 1))] = ord("1")
-    return symbols.decode()
-
-
-@st.composite
 def first_run_words(draw) -> str:
     """Words for every exit of the first-run search in ``find_violation_1``:
     a leading 0, one letter only, ``1^(m + 1)`` planted after a first run of
@@ -250,28 +242,25 @@ def first_run_words(draw) -> str:
 
 class TestFirstRun:
     """The bytes search up to the first run plus one gives the same witness
-    as brute force, before numpy's blocks and before the cores."""
+    as brute force, before any backend scans."""
 
-    @pytest.mark.parametrize("factor", [0, 10**12])
     @given(text=first_run_words())
-    @settings(max_examples=300, deadline=None)
-    def test_witness_and_its_dual_match_brute_force(self, factor, text):
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_witness_and_its_dual_match_brute_force(self, backend, text):
         expected = brute_first_violation(text)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(word_core, "_CORE_FACTOR", factor)
-            assert witness(find_violation_1(FiniteWord(text))) == expected
-            assert witness(find_violation_0(complement(FiniteWord(text)))) == expected
+        assert witness(find_violation_1(FiniteWord(text))) == expected
+        assert witness(find_violation_0(complement(FiniteWord(text)))) == expected
 
 
 class TestRunPairs:
     """``find_violation_1`` reads the max-1s function of a word with few runs
-    of 1s from the cores backend of ``_extremes``; ``_CORE_FACTOR`` 0 sends
-    every word to numpy's blocks, and a huge factor sends every word to the
-    cores."""
+    of 1s from the cores backend of ``_extremes``."""
 
     @pytest.mark.parametrize("factor", [0, 10**12])
     def test_exhaustive_witness_up_to_length_12(self, factor, monkeypatch):
-        monkeypatch.setattr(word_core, "_CORE_FACTOR", factor)
+        # at a core factor of 0 the rule would send every word to the blocks,
+        # at 10**12 every word to the cores
+        use_backend(monkeypatch, "cores" if factor else "blocks")
         for n in range(1, 13):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
@@ -281,7 +270,7 @@ class TestRunPairs:
         # short runs give many cores with few zeros; in 1100001010100011 the
         # core over three runs and two zeros, not the one over two runs and
         # three zeros, gives the witness (length 5, start 7)
-        monkeypatch.setattr(word_core, "_CORE_FACTOR", 10**12)
+        use_backend(monkeypatch, "cores")
         rng = random.Random(1613)
         texts = ["1100001010100011"]
         for _ in range(6000):
@@ -294,21 +283,19 @@ class TestRunPairs:
     @settings(max_examples=150, deadline=None)
     def test_planted_late_violation_matches_window_scan(self, text):
         w = FiniteWord(text)
-        assert (text.count("01") + 1) ** 2 <= word_core._CORE_FACTOR * len(w)
+        assert word_core._backend(w, range(1, len(w) + 1)) is word_core._core_extremes
         found = find_violation_1(w)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(word_core, "_CORE_FACTOR", 0)
+            use_backend(patch, "blocks")
             assert witness(found) == witness(find_violation_1(w))
 
-    def test_dense_check_never_reaches_the_core_scan(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("core scan on a dense word")
-
-        monkeypatch.setattr(word_core, "_core_extremes", unreachable)
+    def test_dense_check_never_reaches_the_core_scan(self):
         rng = random.Random(2000)
         for _ in range(20):
             text = "10" + "".join(rng.choice("01") for _ in range(1998))  # like pnw check --word in the benchmark
-            assert witness(find_violation_1(FiniteWord(text))) == int64_first_violation(text)
+            w = FiniteWord(text)
+            assert word_core._backend(w, range(1, len(w) + 1)) is word_core._block_extremes
+            assert witness(find_violation_1(w)) == int64_first_violation(text)
 
 
 class TestPrefixNormalForms:
@@ -510,6 +497,8 @@ class TestUltimatelyPeriodic:
         assert up.prefix(0) == FiniteWord("")
         with pytest.raises(RangeError):
             up.prefix(-1)
+        with pytest.raises(ResourceLimitError):
+            up.prefix(MATERIALIZE_CAP + 1)
 
     def test_primitive_root_matches_divisor_scan(self):
         for n in range(1, 13):

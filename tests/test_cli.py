@@ -37,17 +37,14 @@ def run_cli(argv, stdin_text=None, capsys=None):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The factor lengths that the numpy window kernel yields, every length of
-    every block. numpy is loaded here, so every scan takes that kernel."""
-    lengths = []
-    kernel = word_core._window_blocks
+    """The factor lengths that every scan asks its backend for."""
+    lengths, rule = [], word_core._backend
 
-    def counting(*args, **kwargs):
-        for rows, highs, lows in kernel(*args, **kwargs):
-            lengths.extend(rows)
-            yield rows, highs, lows
+    def recording(w, asked):
+        lengths.extend(asked)
+        return rule(w, asked)
 
-    monkeypatch.setattr(word_core, "_window_blocks", counting)
+    monkeypatch.setattr(word_core, "_backend", recording)
     return lengths
 
 
@@ -159,24 +156,38 @@ class TestCheck:
         argv = [command, "fibonacci", "-n", "20000000", "--prepend-ones", "-1"]
         assert run_cli(argv, capsys=capsys) == (2, "", "error: --prepend-ones must be non-negative\n")
 
+    @pytest.mark.parametrize("source", [["--word", "1"], ["fibonacci", "-n", "5"]])
+    @pytest.mark.parametrize("count", [generators.MATERIALIZE_CAP + 1, 10**10])
+    def test_prepend_past_the_cap_fails_before_the_source_is_built(self, source, count, monkeypatch, capsys):
+        # 1^count is never built: a failed allocation would exit 1, the code for a violation
+        def unbuilt(*args):
+            raise AssertionError("--prepend-ones past the cap must be rejected first")
+
+        monkeypatch.setattr(cli, "_word", unbuilt)
+        monkeypatch.setitem(cli._BUILTINS, "fibonacci", unbuilt)
+        error = f"error: refusing to materialize more than {generators.MATERIALIZE_CAP} symbols\n"
+        assert run_cli(["check", *source, "--prepend-ones", str(count)], capsys=capsys) == (2, "", error)
+
     def test_prepended_fibonacci(self, capsys):
         code, out, _ = run_cli(
             ["check", "fibonacci", "--prepend-ones", "1", "-n", "10000"], capsys=capsys
         )
         assert code == 0 and out.strip() == "NORMAL"
 
-    def test_run_sparse_word_scans_at_most_one_length(self, scanned, capsys):
-        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the cores
-        argv = ["check", "lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
-        assert run_cli(argv, capsys=capsys) == (0, "NORMAL\n", "")
-        assert len(scanned) <= 1
+    def test_run_sparse_word_scans_at_most_one_length(self, capsys):
+        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the cores, which scan no window
+        word = ("1" + "0" * 63) * 500
+        source = ["lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
+        assert run_cli(["generate", *source], capsys=capsys)[1] == word + "\n"
+        assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "")
+        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._core_extremes
 
-    def test_planted_violation_scans_no_window(self, scanned, capsys):
+    def test_planted_violation_scans_no_window(self, capsys):
         word = ("1" + "0" * 63) * 500
         word = word[:20000] + "1" + word[20001:]  # 1 0^31 1 at position 19,969
         code, out, _ = run_cli(["check", "--word", word], capsys=capsys)
         assert (code, out) == (1, "len=33 start=19969 ones=2 prefix_ones=1\n")
-        assert scanned == []
+        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._core_extremes
 
     def test_non_utf8_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
@@ -241,10 +252,8 @@ class TestPnf:
         assert clamped == run_cli(["pnf", "fibonacci", "-n", "5", "--window", "5"], capsys=capsys)
 
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
-    def test_profiles_only_printed_lengths(self, command, scanned, monkeypatch, capsys):
-        # the 4n window is read whole, but only lengths 1..n are profiled; its
-        # 50 runs of 1s in 200 symbols would take the cores, which scan no window
-        monkeypatch.setattr(word_core, "_CORE_FACTOR", 0)
+    def test_profiles_only_printed_lengths(self, command, scanned, capsys):
+        # the 4n window is read whole, but only lengths 1..n are profiled
         code, _, _ = run_cli(command + ["paperfolding", "-n", "50"], capsys=capsys)
         assert code == 0 and scanned == list(range(1, 51))
 
@@ -768,6 +777,7 @@ MODULE_LOADS = {
         {"cli", "errors", "generators", "word_core"},
     ),
     "pnf fibonacci": ("main(['pnf', 'fibonacci', '-n', '1000'])", {"cli", "errors", "generators", "word_core"}),
+    "pnf thue-morse": ("main(['pnf', 'thue-morse', '-n', '1000'])", {"cli", "errors", "generators", "word_core"}),
     "index query": (
         "main(['index', 'query', {index!r}, '--queries', {queries!r}])",
         {"cli", "errors", "jumbled_index", "word_core"},

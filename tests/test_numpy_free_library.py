@@ -4,8 +4,8 @@ numpy.
 
 With ``sys.modules["numpy"]`` set to None any ``import numpy`` raises
 ImportError, so a call that returns the same value as with numpy never
-imported it. The expected values come from numpy's block kernel, forced by a
-lane budget of -1 cells.
+imported it. The expected values come from each backend of the window scan
+in turn, and agree.
 """
 
 import math
@@ -41,6 +41,8 @@ from prefixnormal import (
     serialize,
     word_core,
 )
+
+from conftest import BACKENDS, use_backend
 
 rng = random.Random(1719)
 WORDS = {
@@ -99,11 +101,13 @@ CALLS = {
 class TestNumpyFreeLibrary:
     @pytest.mark.parametrize("name", CALLS)
     def test_same_result_without_numpy(self, name, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(word_core, "_LANE_CELLS", -1)  # every scan on numpy's blocks or the cores
-            expected = CALLS[name]()
+        expected = []
+        for backend in BACKENDS:
+            with monkeypatch.context() as patch:
+                use_backend(patch, backend)
+                expected.append(CALLS[name]())
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert CALLS[name]() == expected
+        assert [CALLS[name]()] * len(BACKENDS) == expected
 
     def test_a_scan_cannot_run_without_numpy(self, monkeypatch):
         # a None in sys.modules counts as numpy not loaded: a scan within the

@@ -32,9 +32,11 @@ from prefixnormal import (
 from prefixnormal import word_core
 from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
-from prefixnormal.word_core import _window_blocks
+from prefixnormal.word_core import _backend, _block_extremes, _core_extremes
 
+from conftest import BACKENDS, use_backend
 from oracles import brute_profile, int64_first_violation, int64_profile, profile_error
+from test_backends import block_edge_words, conforms
 
 words = st.text(alphabet="01", min_size=0, max_size=64).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=64).map(FiniteWord)
@@ -357,11 +359,12 @@ def boundary_word(kind: str, n: int) -> str:
 
 class TestNarrowKernel:
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
-    def test_sums_take_the_narrowest_type(self, n):
-        _, highs, lows = next(_window_blocks(FiniteWord.ones(n), range(1, 2)))
-        assert highs.dtype == lows.dtype
-        assert highs.dtype.itemsize == (1 if n < 256 else 2 if n < 65536 else 4)
-        assert highs.dtype.kind == "u"
+    def test_sums_take_the_narrowest_type(self, n, monkeypatch):
+        # the block buffer takes the type of the sums
+        empty, made = np.empty, []
+        monkeypatch.setattr(np, "empty", lambda shape, dtype: made.append(np.dtype(dtype)) or empty(shape, dtype))
+        next(_block_extremes(FiniteWord.ones(n), range(1, 2), True))
+        assert made == [np.dtype(f"u{1 if n < 256 else 2 if n < 65536 else 4}")]
 
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
@@ -399,19 +402,6 @@ class TestNarrowKernel:
             assert violation is not None and all(type(value) is int for value in tuple(violation))
 
 
-@st.composite
-def block_edge_words(draw) -> str:
-    """Words of 1 to 300 symbols, from nearly all 0s to nearly all 1s."""
-    n = draw(st.integers(1, 300))
-    density = draw(st.sampled_from([0.02, 0.2, 0.5, 0.8, 0.98]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    return "".join("1" if rng.random() < density else "0" for _ in range(n))
-
-
-def witness(violation):
-    return None if violation is None else tuple(violation)
-
-
 # A cap of 1 cell gives only 1-row blocks; 7 and 64 give 1-row blocks on long
 # widths and short padded blocks near the end of a scan; the default cap lets
 # heights double from 1 up to the partial block that ends the scan.
@@ -424,14 +414,15 @@ class TestBlockKernel:
     def test_blocks_cover_the_lengths_within_the_cap(self, cells, lengths, monkeypatch):
         monkeypatch.setattr(word_core, "_BLOCK_CELLS", cells)
         n = 300
-        blocks = [(rows, highs.shape, lows.shape) for rows, highs, lows in _window_blocks(FiniteWord.ones(n), lengths)]
+        scan = _block_extremes(FiniteWord.ones(n), lengths, True)
+        blocks = [(rows, len(maxs), len(mins)) for rows, maxs, mins in scan]
         assert [i for rows, _, _ in blocks for i in rows] == list(lengths)
         heights = [len(rows) for rows, _, _ in blocks]
         assert heights[:1] in ([], [1])
         assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
-        for rows, high_shape, low_shape in blocks:
+        for rows, maxs, mins in blocks:
             width = n - rows[0] + 1
-            assert high_shape == low_shape == (len(rows), width)
+            assert maxs == mins == len(rows)
             assert len(rows) == 1 or len(rows) * (width + len(rows) - 1) <= cells
         if cells > 1 and lengths.stop > n:
             assert max(heights) > 1
@@ -440,20 +431,13 @@ class TestBlockKernel:
     @given(text=block_edge_words(), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_consumers_match_the_int64_kernel(self, cells, text, data):
-        w = FiniteWord(text)
         longest = data.draw(st.integers(1, len(text)), label="longest")
-        maxs, mins = int64_profile(text, len(text))
-        spread = max(hi - lo for hi, lo in zip(maxs, mins))
-        expected = int64_first_violation(text)
+        facts = (*int64_profile(text, len(text)), int64_first_violation(text))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(word_core, "_BLOCK_CELLS", cells)
-            for factor in (0, 10**12):  # numpy's blocks, then the cores for every word
-                patch.setattr(word_core, "_CORE_FACTOR", factor)
-                profile = compute_profile(w, longest)
-                assert (list(profile.max_ones), list(profile.min_ones)) == (maxs[:longest], mins[:longest])
-                assert witness(find_violation_1(w)) == expected
-                assert is_c_balanced(w, max(spread, 1))
-                assert spread <= 1 or not is_c_balanced(w, spread - 1)
+            for backend in BACKENDS:  # the cap sets the blocks' heights and the cores' lengths per list
+                use_backend(patch, backend)
+                conforms(text, *facts, longest)
 
     def test_memory_is_linear_in_the_word(self):
         # 2**18 symbols take uint32 sums, and a block holds one row of them at
@@ -477,12 +461,10 @@ class TestBlockKernel:
                     tracemalloc.stop()
                 assert peak <= 32 * n + 4 * word_core._BLOCK_CELLS
 
-    def test_a_sparse_profile_scans_no_window(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a window scan of a word with few runs")
-
-        monkeypatch.setattr(word_core, "_window_blocks", unreachable)
+    def test_a_sparse_profile_scans_no_window(self):
         n = 1 << 18
-        profile = compute_profile(FiniteWord(b"\1" + b"\0" * 255) * (n // 256))
+        w = FiniteWord(b"\1" + b"\0" * 255) * (n // 256)
+        assert _backend(w, range(1, n + 1)) is _core_extremes
+        profile = compute_profile(w)
         assert profile.max_ones == tuple(-(-i // 256) for i in range(1, n + 1))
         assert profile.min_ones == tuple(i // 256 for i in range(1, n + 1))
