@@ -274,41 +274,67 @@ class PrefixProfile(_FrozenSlots):
         return i - self.max_ones_at(i)
 
 
-_BLOCK_CELLS = 1 << 18  # most cells of one window block: 512 KB of uint16 sums
+_BLOCK_CELLS = 1 << 18  # most cells of one span block: 512 KB of uint16 spans
 
 
-def _block_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
-    """The numpy backend of :func:`_extremes`: row maxima of ``highs`` and minima
-    of ``lows`` over blocks of consecutive ``lengths``, where ``highs[r, j]`` is
-    the weight ``P[i + j] - P[j]`` of the factor of length ``i = rows[r]`` at ``j``.
-    Rows are as wide as the first; past the word ``highs`` counts 0s, leaving a
-    suffix of the last real window, which neither raises a row maximum nor
-    exceeds a bound first. ``lows`` (only with ``minima``) puts the last
-    ``len(rows) - 1`` starts first, counting 1s past the word, which cannot
-    lower a row minimum. Heights double from 1 within ``_BLOCK_CELLS``. Sums
-    padded with 1s may wrap the narrowest unsigned type holding ``n``, but each
-    difference is a count in ``0..n``. Keep no block past the next step."""
+def _span_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
+    """The numpy backend of :func:`_extremes`, from the positions of each letter.
+
+    With ``p[0] < ... < p[k-1]`` the positions of the 1s, let ``d(f)`` be the
+    least span ``p[j+f-1] - p[j]`` of ``f`` of them in a row. A factor of
+    length ``d(f) + 1`` holds ``f`` 1s and extends to every longer length in
+    the word, and a factor of length ``i`` holding ``g`` 1s has ``d(g) < i``,
+    so the max-1s at ``i`` is ``#{f : d(f) < i}``. Dropping the last 1 of the
+    shortest factor with ``f + 1`` 1s shows that ``d`` strictly increases, so
+    rows ``1..f`` settle every length up to ``d(f) + 1``. The spans of the 0s
+    give the max-0s alike, and the min-1s at ``i`` is ``i`` minus it: a
+    profile scans ``(W^2 + Z^2) / 2`` cells for ``W`` 1s and ``Z`` 0s, a check
+    ``W^2 / 2``. Lengths come at most ``isqrt(_BLOCK_CELLS)`` at a time once
+    every letter asked settles them. The shortest prefix with ``f`` 1s has
+    length ``p[f-1] + 1``, so the first ``f`` with ``d(f) < p[f-1]`` gives the
+    shortest violating length ``d(f) + 1``: a check stops within a block of it.
+
+    A block of ``b`` rows holds first the spans at the starts of its last row,
+    then those ending at the last ``b - 1`` 1s, which start there in the
+    reversed word, so each row reads only real spans, and all of them.
+    Heights double from 1 within ``_BLOCK_CELLS`` and up to half the rows
+    left, which keeps those starts in the word. Spans lie below ``n``, in the
+    narrowest unsigned type holding ``n``."""
+    if not lengths:
+        return
     import numpy as np
-    n, dtype, pad = len(w), np.min_scalar_type(len(w)), min(len(lengths), isqrt(_BLOCK_CELLS))
-    padded = b"\0" + w._bits + b"\0" * pad + (w._bits + b"\1" * pad if minima else b"")  # pad >= height - 1
-    sums = np.add.accumulate(np.frombuffer(padded, np.uint8), dtype=dtype)
-    sums0, sums1 = sums[: n + 1 + pad], sums[n + pad :]  # sums of w 0^pad, and of w 1^pad offset by P[n]
-    buf = np.empty(max(n, min(_BLOCK_CELLS, 2 * n * len(lengths))), dtype)
-    a, size = lengths.start, 1
+    n, dtype, symbols = len(w), np.min_scalar_type(len(w)), np.frombuffer(w._bits, np.uint8)
+    buf = np.empty(max(n, min(_BLOCK_CELLS, n * n)), dtype)
+
+    def spans(p: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+        """Yield the spans ``d`` known so far and the longest length they settle."""
+        k, f, size = len(p), 0, 1
+        ends, d = n - 1 - p[::-1], np.empty(k, dtype)  # the positions of the letter in the reversed word
+        yield d[:0], 0 if k else n
+        while f < k:
+            width = k - f  # the starts of row f + 1, the first of the block
+            b = max(1, min(size, (width + 2) // 2, lengths.stop - 1 - f, _BLOCK_CELLS // width))
+            last, block = width - b + 1, buf[: b * width].reshape(b, width)
+            # np.ndarray(shape, dtype, x, 0, x.strides * 2) has row r at x[r:], checked to lie in x
+            np.subtract(np.ndarray((b, last), dtype, p[f:], 0, p.strides * 2), p[:last], out=block[:, :last])
+            tail = np.ndarray((b, b - 1), dtype, ends[f:], 0, ends.strides * 2)
+            np.subtract(tail, ends[: b - 1], out=block[:, last:])
+            d[f : f + b] = block.min(1)
+            f, size = f + b, 2 * b
+            yield d[:f], int(d[f - 1]) + 1 if f < k else n
+
+    scans = [spans(np.flatnonzero(symbols == letter).astype(dtype)) for letter in (1, 0)[: 1 + minima]]
+    known = [next(scan) for scan in scans]
+    a = lengths.start
     while a < lengths.stop:
-        width = n - a + 1
-        b = max(1, min(size, lengths.stop - a, _BLOCK_CELLS // (width + size - 1)))
-        if b == 1:
-            highs = lows = np.subtract(sums0[a : a + width], sums0[:width], out=buf[:width])[None]
-        else:  # np.ndarray(shape, dtype, x, 0, x.strides * 2) has row r at x[r:], checked to lie in x
-            last, block = width - b + 1, buf[: b * (width + b - 1)].reshape(b, width + b - 1)
-            highs, lows = block[:, b - 1 :], block[:, :width]
-            np.subtract(np.ndarray((b, width), dtype, sums0[a:], 0, sums.strides * 2), sums0[:width], out=highs)
-            if minima:
-                tail = np.ndarray((b, b - 1), dtype, sums1[a + last :], 0, sums.strides * 2)
-                np.subtract(tail, sums1[last:width], out=block[:, : b - 1])
-        yield range(a, a + b), highs.max(1).tolist(), lows.min(1).tolist() if minima else None
-        a, size = a + b, 2 * b
+        for x, scan in enumerate(scans):
+            while known[x][1] < a:
+                known[x] = next(scan)
+        b = min(lengths.stop, a + isqrt(_BLOCK_CELLS), *(settled + 1 for _, settled in known))
+        shorter = np.arange(a - 1, b - 1, dtype=dtype)  # i - 1 for i in a..b-1
+        counts = [d.searchsorted(shorter, "right") for d, _ in known]
+        yield range(a, b), counts[0].tolist(), (np.arange(a, b) - counts[1]).tolist() if minima else None
+        a = b
 
 
 #: Most cells, factor lengths times symbols, that a scan runs in lanes instead
@@ -404,20 +430,21 @@ def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[rang
     """The backend of :func:`_extremes` for ``lengths`` of ``w``: lanes while
     numpy is not loaded (a None in ``sys.modules`` only blocks its import) and
     every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else cores
-    where ``rho`` 1s follow a 0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else blocks."""
+    where ``rho`` 1s follow a 0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else spans."""
     n = len(w)
     if sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS:
         return _lane_extremes
     if (w._bits.count(b"\0\1") + 1) ** 2 <= _CORE_FACTOR * n:
         return _core_extremes
-    return _block_extremes
+    return _span_extremes
 
 
 def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
     """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths`` from
     :func:`_backend`, the one scan behind every factor statistic: ``maxs[r]`` and
     ``mins[r]`` (None unless ``minima``) are the most and fewest 1s over the
-    factors of length ``rows[r]``. Blocks keep per-length Python work off numpy's path."""
+    factors of length ``rows[r]``. A block comes as soon as the backend settles
+    it, so a check can stop early, and holds at most ``isqrt(_BLOCK_CELLS)`` lengths."""
     return _backend(w, lengths)(w, lengths, minima)
 
 
@@ -427,7 +454,8 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
     ``longest`` defaults to ``len(w)``. A smaller bound still takes every
     factor of ``w`` into account, so a long window of an infinite word gives
     better estimates of its statistics than the short prefix alone. The cost
-    is ``O(longest * len(w))``.
+    is at most ``O(longest * len(w))``: the span backend reads ``(W^2 + Z^2) / 2``
+    spans for ``W`` 1s and ``Z`` 0s, or fewer for a smaller ``longest``.
     """
     n = len(w)
     if n == 0:

@@ -258,7 +258,7 @@ class TestRunPairs:
 
     @pytest.mark.parametrize("factor", [0, 10**12])
     def test_exhaustive_witness_up_to_length_12(self, factor, monkeypatch):
-        # at a core factor of 0 the rule would send every word to the blocks,
+        # at a core factor of 0 the rule would send every word to the spans,
         # at 10**12 every word to the cores
         use_backend(monkeypatch, "cores" if factor else "blocks")
         for n in range(1, 13):
@@ -294,7 +294,7 @@ class TestRunPairs:
         for _ in range(20):
             text = "10" + "".join(rng.choice("01") for _ in range(1998))  # like pnw check --word in the benchmark
             w = FiniteWord(text)
-            assert word_core._backend(w, range(1, len(w) + 1)) is word_core._block_extremes
+            assert word_core._backend(w, range(1, len(w) + 1)) is word_core._span_extremes
             assert witness(find_violation_1(w)) == int64_first_violation(text)
 
 

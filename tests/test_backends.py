@@ -1,7 +1,7 @@
 """One conformance suite for the three backends of the window scan.
 
 The ``backend`` fixture sends every scan to the lanes, the cores and numpy's
-blocks in turn by patching ``word_core._backend``, and every consumer of the
+span blocks in turn by patching ``word_core._backend``, and every consumer of the
 scan runs under it against the oracles: the profile, the first violation and
 its dual, and the balance test. The cores compute in the narrowest signed type
 that holds the word's length, so this suite also runs with numpy's overflow

@@ -29,7 +29,7 @@ class TestCoreRule:
     @pytest.mark.parametrize("runs, chosen", [(79, "cores"), (80, "blocks")])
     def test_cores_take_words_up_to_the_factor(self, head, runs, chosen):
         # n = 400 and 16 n = 6,400 = (79 + 1)^2: 79 1s after a 0 take the cores,
-        # 80 take the blocks; a first run of 1s follows no 0 and does not count
+        # 80 take the span blocks; a first run of 1s follows no 0 and does not count
         n = 400
         text = (head + "01" * runs).ljust(n, "0")
         assert _backend(FiniteWord(text), range(1, n + 1)) is BACKENDS[chosen]

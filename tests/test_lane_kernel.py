@@ -1,5 +1,5 @@
 """The lane backend at the boundaries of its lane width, the lanes and
-numpy's blocks called directly, and the lane budget of the rule that sends a
+numpy's span blocks called directly, and the lane budget of the rule that sends a
 scan to the lanes.
 
 A scan runs in lanes only while numpy is not loaded. With
@@ -35,7 +35,7 @@ class TestLanesAgainstOracles:
 
 
 class TestBothBackends:
-    """The lanes and numpy's blocks, called directly, yield the int64 kernel's
+    """The lanes and numpy's span blocks, called directly, yield the int64 kernel's
     max-1s and min-1s in consecutive blocks over the lengths asked."""
 
     @given(text=st.one_of(block_edge_words(), headed_words(), lane_width_words()))
@@ -43,7 +43,7 @@ class TestBothBackends:
     def test_lanes_and_blocks_match_the_int64_kernel(self, text):
         w, lengths = FiniteWord(text), range(1, len(text) + 1)
         maxs, mins = int64_profile(text, len(text))
-        for backend in (word_core._lane_extremes, word_core._block_extremes):
+        for backend in (word_core._lane_extremes, word_core._span_extremes):
             assert scan(backend, w, lengths) == (maxs, mins)
             assert scan(backend, w, lengths, minima=False) == (maxs, None)
 
@@ -54,7 +54,7 @@ class TestBothBackends:
         last = data.draw(st.integers(1, len(text)), label="last")
         first = data.draw(st.integers(1, last), label="first")
         maxs, mins = int64_profile(text, last)
-        for backend in (word_core._lane_extremes, word_core._block_extremes):
+        for backend in (word_core._lane_extremes, word_core._span_extremes):
             assert scan(backend, FiniteWord(text), range(first, last + 1)) == (maxs[first - 1 :], mins[first - 1 :])
 
 
@@ -74,13 +74,13 @@ class TestBackendRule:
         assert compute_profile(w) == profile and build_index(w).profile == profile
 
     def test_a_loaded_numpy_takes_every_scan(self, monkeypatch):
-        # off the lanes a word with few runs takes the cores, others the blocks;
+        # off the lanes a word with few runs takes the cores, others the spans;
         # a blocked numpy sends both to the lanes, also a scan of no lengths
         dense, sparse = FiniteWord("10" * 50), FiniteWord("0110")
         assert "numpy" in sys.modules and sys.modules["numpy"] is not None
         for lengths in (range(1, 101), range(0)):
             assert word_core._backend(sparse, lengths) is word_core._core_extremes
-            assert word_core._backend(dense, lengths) is word_core._block_extremes
+            assert word_core._backend(dense, lengths) is word_core._span_extremes
         monkeypatch.setitem(sys.modules, "numpy", None)
         for lengths in (range(1, 101), range(0)):
             assert word_core._backend(sparse, lengths) is word_core._backend(dense, lengths) is word_core._lane_extremes

@@ -32,11 +32,11 @@ from prefixnormal import (
 from prefixnormal import word_core
 from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
-from prefixnormal.word_core import _backend, _block_extremes, _core_extremes
+from prefixnormal.word_core import _backend, _core_extremes, _span_extremes
 
 from conftest import BACKENDS, use_backend
 from oracles import brute_profile, int64_first_violation, int64_profile, profile_error
-from test_backends import block_edge_words, conforms
+from test_backends import block_edge_words, conforms, scan
 
 words = st.text(alphabet="01", min_size=0, max_size=64).map(FiniteWord)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=64).map(FiniteWord)
@@ -345,8 +345,8 @@ class TestValueTypes:
         assert tuple(SlopeSpec.rational(1, 3)) == (Fraction(1, 3),)
 
 
-# The kernel's sums are uint8 up to 255 symbols, uint16 up to 65,535 and
-# uint32 beyond: these lengths sit on both sides of both boundaries.
+# The kernel's positions and spans are uint8 up to 255 symbols, uint16 up to
+# 65,535 and uint32 beyond: these lengths sit on both sides of both boundaries.
 DTYPE_BOUNDARIES = (255, 256, 257, 65535, 65536, 65537)
 
 
@@ -360,11 +360,11 @@ def boundary_word(kind: str, n: int) -> str:
 class TestNarrowKernel:
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     def test_sums_take_the_narrowest_type(self, n, monkeypatch):
-        # the block buffer takes the type of the sums
+        # the block buffer and each letter's spans take the type of the positions
         empty, made = np.empty, []
         monkeypatch.setattr(np, "empty", lambda shape, dtype: made.append(np.dtype(dtype)) or empty(shape, dtype))
-        next(_block_extremes(FiniteWord.ones(n), range(1, 2), True))
-        assert made == [np.dtype(f"u{1 if n < 256 else 2 if n < 65536 else 4}")]
+        next(_span_extremes(FiniteWord.ones(n), range(1, 2), True))
+        assert made == [np.dtype(f"u{1 if n < 256 else 2 if n < 65536 else 4}")] * 3
 
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
@@ -403,29 +403,72 @@ class TestNarrowKernel:
 
 
 # A cap of 1 cell gives only 1-row blocks; 7 and 64 give 1-row blocks on long
-# widths and short padded blocks near the end of a scan; the default cap lets
-# heights double from 1 up to the partial block that ends the scan.
+# widths and short blocks near the end of a scan; the default cap lets heights
+# double from 1 up to half the rows left.
 BLOCK_CAPS = (1, 7, 64, word_core._BLOCK_CELLS)
+
+
+def dense_late_violation(n: int) -> FiniteWord:
+    """``1^999 00``, random symbols and ``1^500 0 1^500``: it passes the
+    first-run search, and its first violation has length 1,001."""
+    noise = np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes()
+    head, tail = "1" * 999 + "00", "1" * 500 + "0" + "1" * 500  # P(1001) = 999 < 1,000 1s in the tail
+    return FiniteWord(head + str(FiniteWord(noise))[: n - len(head) - len(tail)] + tail)
 
 
 class TestBlockKernel:
     @pytest.mark.parametrize("cells", BLOCK_CAPS)
     @pytest.mark.parametrize("lengths", [range(1, 301), range(1, 120), range(290, 301), range(0)])
     def test_blocks_cover_the_lengths_within_the_cap(self, cells, lengths, monkeypatch):
+        # in 1^n the row of f 1s settles length f alone, so a scan from length 1 yields its row blocks
         monkeypatch.setattr(word_core, "_BLOCK_CELLS", cells)
         n = 300
-        scan = _block_extremes(FiniteWord.ones(n), lengths, True)
-        blocks = [(rows, len(maxs), len(mins)) for rows, maxs, mins in scan]
+        blocks = list(_span_extremes(FiniteWord.ones(n), lengths, True))
         assert [i for rows, _, _ in blocks for i in rows] == list(lengths)
+        assert all(maxs == mins == list(rows) for rows, maxs, mins in blocks)
         heights = [len(rows) for rows, _, _ in blocks]
-        assert heights[:1] in ([], [1])
-        assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
-        for rows, maxs, mins in blocks:
-            width = n - rows[0] + 1
-            assert maxs == mins == len(rows)
-            assert len(rows) == 1 or len(rows) * (width + len(rows) - 1) <= cells
+        if lengths.start == 1:
+            assert heights[:1] == [1]
+            assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
+            assert all(len(rows) == 1 or len(rows) * (n - rows[0] + 1) <= cells for rows, _, _ in blocks)
         if cells > 1 and lengths.stop > n:
             assert max(heights) > 1
+
+    @pytest.mark.parametrize("text", ["0" * 40, "1" * 40, "1", "0", "0" * 20 + "1" + "0" * 19, "1" * 7 + "0" * 33])
+    def test_words_without_a_letter_and_lengths_from_past_the_first_run(self, text):
+        # no 1s, no 0s, a single 1 and 1^m 0^k, from length 1 and from m + 2 as
+        # find_violation_1 asks, up to n and below it as compute_profile(w, longest) asks
+        w, n = FiniteWord(text), len(text)
+        maxs, mins = int64_profile(text, n)
+        m = n - len(text.lstrip("1"))
+        for lengths in (range(1, n + 1), range(m + 2, n + 1), range(1, n // 2 + 1), range(m + 2, n // 2 + 1)):
+            asked = slice(lengths.start - 1, lengths.stop - 1)
+            assert scan(_span_extremes, w, lengths) == (maxs[asked], mins[asked]), lengths
+            assert scan(_span_extremes, w, lengths, minima=False) == (maxs[asked], None), lengths
+
+    def test_no_lengths_yield_nothing(self):
+        # with numpy loaded the empty word takes the spans: it has no run, and (0 + 1)^2 > 16 * 0
+        empty = FiniteWord("")
+        assert _backend(empty, range(1, 1)) is _span_extremes
+        assert list(_span_extremes(empty, range(1, 1), True)) == list(_span_extremes(FiniteWord("01"), range(0), True)) == []
+        assert is_c_balanced(empty, 1)
+
+    def test_a_check_stops_within_a_block_of_its_violation(self, monkeypatch):
+        # the first 1,000 rows settle length 1,001; each row of about n / 2
+        # starts fits in the cap, so one block past them is at most the cap
+        w = dense_late_violation(1 << 18)
+        yielded, subtract, cells = [], np.subtract, []
+        monkeypatch.setattr(np, "subtract", lambda *args, out: cells.append(out.size) or subtract(*args, out=out))
+
+        def recorded(w, lengths, minima):
+            for block in _span_extremes(w, lengths, minima):
+                yielded.append(block[0])
+                yield block
+
+        monkeypatch.setattr(word_core, "_backend", lambda w, lengths: recorded)
+        assert find_violation_1(w).factor_length == 1001
+        assert len(yielded) == 1 and yielded[0].start == 1001
+        assert sum(cells) <= 1000 * w.weight + word_core._BLOCK_CELLS
 
     @pytest.mark.parametrize("cells", BLOCK_CAPS)
     @given(text=block_edge_words(), data=st.data())
@@ -435,21 +478,21 @@ class TestBlockKernel:
         facts = (*int64_profile(text, len(text)), int64_first_violation(text))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(word_core, "_BLOCK_CELLS", cells)
-            for backend in BACKENDS:  # the cap sets the blocks' heights and the cores' lengths per list
+            for backend in BACKENDS:  # the cap sets the span blocks' heights and the lengths per list
                 use_backend(patch, backend)
                 conforms(text, *facts, longest)
 
     def test_memory_is_linear_in_the_word(self):
-        # 2**18 symbols take uint32 sums, and a block holds one row of them at
-        # this width; a buffer of height * n sums would break the bound. The
-        # prefix normal sparse word takes the cores; the dense one passes the
-        # first-run search of 1^999 and reaches numpy's blocks, which find its
-        # violation at length 1,001. No check may hold a list of n prefix sums
+        # 2**18 symbols take uint32 positions and spans, and a block holds one
+        # row of them at this width; a buffer of height * n spans would break
+        # the bound. The prefix normal sparse word takes the cores; the dense
+        # one passes the first-run search of 1^999 and reaches the span
+        # backend, which finds its violation at length 1,001. No check may
+        # hold a list of n prefix sums
         n = 1 << 18
         noise = FiniteWord(np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes())
         sparse = FiniteWord(b"\1" + b"\0" * 255) * (n // 256)
-        head, tail = "1" * 999 + "00", "1" * 500 + "0" + "1" * 500  # P(1001) = 999 < 1,000 1s in the tail
-        dense = FiniteWord(head + str(noise)[: n - len(head) - len(tail)] + tail)
+        dense = dense_late_violation(n)
         assert find_violation_1(sparse) is None and find_violation_1(dense).factor_length == 1001
         for w in (noise, sparse, dense):
             for scan in (lambda: find_violation_1(w), lambda: compute_profile(w, 64)):
