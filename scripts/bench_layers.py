@@ -20,10 +20,15 @@ prefix normal and 1-balanced, so ``find_violation_1`` and
 ``is_c_balanced(w, 1)`` scan every factor length, as the full profile does;
 the child checks both verdicts before it times anything. The
 ``analysis.find_violation_1.sparse`` and ``word_core.compute_profile.sparse``
-rows check and profile ``(1 0^63)^(n/64)``, which is prefix normal with
-rho = n/64 runs of 1s, so up to n = 65,536 the cores backend takes it, with
-O(rho^2 + n) work instead of n^2 window cells. A sha256 of every scan's
-result must match between trees. The generator row times
+rows check and profile ``(1 0^63)^(n/64)``, which is prefix normal with n/64
+1s, so the span backend reads the positions of its 1s, the rarer letter, and
+scans about (n/64)^2/2 spans instead of n^2 window cells. The ``.long_runs``
+rows check and profile ``(1^64 0^64)^(n/128)``, prefix normal with n/2 of
+each letter, where the spans scan about n^2/8 cells: the backend's costliest
+kind of word for its length. A sha256 of every scan's result must match
+between trees. Every in-process call is timed with the garbage collected
+first and the collector off while it runs, so that no collection triggered
+by an earlier row's allocations lands in its window. The generator row times
 ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal seed of
 minimum density 1/2; the child returns a sha256 of each word it produced,
 and the script exits non-zero if two trees produce different words.
@@ -56,6 +61,7 @@ between trees.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -76,9 +82,10 @@ LEX_LENGTHS = 64
 #: ``deserialize`` calls and query pairs timed per size; 1% of the queries are longer than the word.
 DESERIALIZE_CALLS = 10
 QUERY_PAIRS = 100_000
-LAYERS = ("word_core.compute_profile", "word_core.compute_profile.sparse", "analysis.find_violation_1",
-          "analysis.find_violation_1.sparse", "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS,
-          "jumbled_index.deserialize", "jumbled_index.query")
+LAYERS = ("word_core.compute_profile", "word_core.compute_profile.sparse", "word_core.compute_profile.long_runs",
+          "analysis.find_violation_1", "analysis.find_violation_1.sparse", "analysis.find_violation_1.long_runs",
+          "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS, "jumbled_index.deserialize",
+          "jumbled_index.query")
 #: A layer timed as fresh ``pnw`` processes per size.
 PNF_LAYER = "cli.pnf_fibonacci"
 FLIPEXT_SEED = "11010011"
@@ -123,6 +130,19 @@ def pin_to_one_cpu() -> int | None:
     return cpu
 
 
+def timed(call):
+    """Seconds that ``call()`` takes, with the garbage collected before and
+    the collector off while it runs, and its result."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = call()
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
+
+
 def child(sizes: list[int]) -> dict:
     """Time every layer once per size in this process; the tree is on sys.path."""
     import prefixnormal as pn
@@ -131,30 +151,30 @@ def child(sizes: list[int]) -> dict:
     fibonacci = pn.morphic_fixpoint(pn.FIBONACCI_MORPHISM, max(sizes))
     words = {n: pn.FiniteWord("1") + fibonacci[: n - 1] for n in sizes}
     sparse = {n: pn.FiniteWord(b"\1" + b"\0" * 63) * (n // 64) for n in sizes}
+    long_runs = {n: pn.FiniteWord(b"\1" * 64 + b"\0" * 64) * (n // 128) for n in sizes}
     for w in words.values():
         if find_violation_1(w) is not None or not is_c_balanced(w, 1):
             raise SystemExit("the benchmark word must be prefix normal and 1-balanced")
-    if any(find_violation_1(w) is not None for w in sparse.values()):
-        raise SystemExit("the sparse benchmark word must be prefix normal")
+    if any(find_violation_1(w) is not None for w in (*sparse.values(), *long_runs.values())):
+        raise SystemExit("the sparse and long-run benchmark words must be prefix normal")
     scans = {
         "word_core.compute_profile": (pn.compute_profile, words),
         "word_core.compute_profile.sparse": (pn.compute_profile, sparse),
+        "word_core.compute_profile.long_runs": (pn.compute_profile, long_runs),
         "analysis.find_violation_1": (find_violation_1, words),
         "analysis.find_violation_1.sparse": (find_violation_1, sparse),
+        "analysis.find_violation_1.long_runs": (find_violation_1, long_runs),
         "analysis.is_c_balanced": (lambda w: is_c_balanced(w, 1), words),
     }
     times: dict = {layer: {} for layer in LAYERS}
     digests = {}
     for layer, (scan, scanned) in scans.items():
         for n, w in scanned.items():
-            start = time.perf_counter()
-            result = scan(w)
-            times[layer][n] = time.perf_counter() - start
+            times[layer][n], result = timed(lambda: scan(w))
             digests[f"{layer} at n={n}"] = hashlib.sha256(repr(result).encode()).hexdigest()
     for n in sizes:
-        start = time.perf_counter()
-        word = pn.flipext_stream(pn.FiniteWord(FLIPEXT_SEED)).prefix(n)
-        times["generators.flipext_stream"][n] = time.perf_counter() - start
+        seed = pn.FiniteWord(FLIPEXT_SEED)
+        times["generators.flipext_stream"][n], word = timed(lambda: pn.flipext_stream(seed).prefix(n))
         digests[f"flipext word at n={n}"] = hashlib.sha256(bytes(word)).hexdigest()
     for n in sizes:
         rng = random.Random(n)
@@ -165,15 +185,12 @@ def child(sizes: list[int]) -> dict:
         lengths = sorted(rng.sample(range(1, n + 1), LEX_LENGTHS))
         for name, extreme in (("max_word", pn.max_word), ("min_word", pn.min_word)):
             for kind, w in lex_words.items():
-                start = time.perf_counter()
-                factors = [extreme(w, i) for i in lengths]
-                times[f"analysis.{name}.{kind}"][n] = time.perf_counter() - start
+                times[f"analysis.{name}.{kind}"][n], factors = timed(lambda: [extreme(w, i) for i in lengths])
                 digests[f"{name} on the {kind} word at n={n}"] = hashlib.sha256(str(factors).encode()).hexdigest()
         blob = pn.serialize(pn.JumbledIndex(profile))
-        start = time.perf_counter()
-        for _ in range(DESERIALIZE_CALLS):
-            index = pn.deserialize(blob)
-        times["jumbled_index.deserialize"][n] = time.perf_counter() - start
+        calls = range(DESERIALIZE_CALLS)
+        times["jumbled_index.deserialize"][n], indexes = timed(lambda: [pn.deserialize(blob) for _ in calls])
+        index = indexes[-1]
         pairs = []  # about half inside the band of 1s of their length, the rest just outside it
         for _ in range(QUERY_PAIRS):
             i = rng.randint(1, n) if rng.randrange(100) else n + rng.randint(1, 99)
@@ -182,10 +199,12 @@ def child(sizes: list[int]) -> dict:
             ones = min(i, max(0, rng.randint(lo - width, hi + width)))
             pairs.append((i - ones, ones))
         answers, query = bytearray(QUERY_PAIRS), index.query
-        start = time.perf_counter()
-        for k, (zeros, ones) in enumerate(pairs):
-            answers[k] = query(zeros, ones)
-        times["jumbled_index.query"][n] = time.perf_counter() - start
+
+        def answer() -> None:
+            for k, (zeros, ones) in enumerate(pairs):
+                answers[k] = query(zeros, ones)
+
+        times["jumbled_index.query"][n], _ = timed(answer)
         digests[f"index answers at n={n}"] = hashlib.sha256(answers).hexdigest()
     return {"times": times, "digests": digests, "numpy": sys.modules["numpy"].__version__}
 
@@ -300,7 +319,9 @@ def main() -> None:
         "script": "scripts/bench_layers.py",
         "word": "1 followed by the Fibonacci word (prefix normal, 1-balanced: every scan is full)",
         "sparse_word": "analysis.find_violation_1.sparse and word_core.compute_profile.sparse: (1 0^63)^(n/64),"
-                       " prefix normal, n/64 runs of 1s: the cores backend",
+                       " prefix normal, n/64 1s: the span backend reads the positions of the 1s",
+        "long_runs_word": "analysis.find_violation_1.long_runs and word_core.compute_profile.long_runs:"
+                          " (1^64 0^64)^(n/128), prefix normal, n/2 of each letter: about n^2/8 spans",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "process": f"{PNF_LAYER}: fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` processes",
         "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"

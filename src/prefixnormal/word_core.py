@@ -278,71 +278,79 @@ _BLOCK_CELLS = 1 << 18  # most cells of one span block: 512 KB of uint16 spans
 
 
 def _span_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
-    """The numpy backend of :func:`_extremes`, from the positions of each letter.
+    """The numpy backend of :func:`_extremes`, from the positions of one
+    letter ``x``, the rarer one (1 on a tie).
 
-    With ``p[0] < ... < p[k-1]`` the positions of the 1s, let ``d(f)`` be the
-    least span ``p[j+f-1] - p[j]`` of ``f`` of them in a row. A factor of
-    length ``d(f) + 1`` holds ``f`` 1s and extends to every longer length in
-    the word, and a factor of length ``i`` holding ``g`` 1s has ``d(g) < i``,
-    so the max-1s at ``i`` is ``#{f : d(f) < i}``. Dropping the last 1 of the
-    shortest factor with ``f + 1`` 1s shows that ``d`` strictly increases, so
-    rows ``1..f`` settle every length up to ``d(f) + 1``. The spans of the 0s
-    give the max-0s alike, and the min-1s at ``i`` is ``i`` minus it: a
-    profile scans ``(W^2 + Z^2) / 2`` cells for ``W`` 1s and ``Z`` 0s, a check
-    ``W^2 / 2``. Lengths come at most ``isqrt(_BLOCK_CELLS)`` at a time once
-    every letter asked settles them. The shortest prefix with ``f`` 1s has
-    length ``p[f-1] + 1``, so the first ``f`` with ``d(f) < p[f-1]`` gives the
-    shortest violating length ``d(f) + 1``: a check stops within a block of it.
+    Let ``p[0] < ... < p[k-1]`` be the positions of ``x``, with sentinels
+    ``p[-1] = -1`` and ``p[k] = n``, and let row ``s`` hold the spans
+    ``p[j+s] - p[j]``. The least real span of row ``s`` is below ``i``
+    exactly when a factor of length ``i`` holds ``s + 1`` x's: that many x's
+    in a row span at least as much, and the shortest factor holding them
+    extends to every longer length in the word. The widest span of row
+    ``s``, sentinels included, is at most ``i`` exactly when every factor of
+    length ``i`` holds ``s`` x's: a factor with fewer lies strictly between
+    the two ends of a span of row ``s``, and the factor strictly inside the
+    widest one holds ``s - 1``. Both extremes strictly increase with ``s``,
+    so the max-x at ``i`` counts the rows whose least span is below ``i``,
+    the min-x counts the rows past 0 whose widest span is at most ``i``, and
+    rows ``0..s`` settle the max-x up to the least span of row ``s`` plus 1
+    and the min-x up to its widest span. Row 0 holds spans of 0, and row
+    ``k`` only its sentinel spans. For ``x = 0`` the max-1s at ``i`` is ``i`` minus the
+    min-0s, and the min-1s ``i`` minus the max-0s. So a profile or a check
+    scans ``min(W, Z)^2 / 2`` spans for ``W`` 1s and ``Z`` 0s, and takes only
+    the extremes it needs. Lengths come at most ``isqrt(_BLOCK_CELLS)`` at a
+    time once they are settled, so a check stops within a block of its first
+    violation.
 
-    A block of ``b`` rows holds first the spans at the starts of its last row,
-    then those ending at the last ``b - 1`` 1s, which start there in the
-    reversed word, so each row reads only real spans, and all of them.
+    A block of ``b`` rows holds first the spans at the starts of its last
+    row, then those ending at the last ``b - 1`` x's, which start there in
+    the reversed word, so each row reads only real spans, and all of them.
     Heights double from 1 within ``_BLOCK_CELLS`` and up to half the rows
-    left, which keeps those starts in the word. Spans lie below ``n``, in the
-    narrowest unsigned type holding ``n``."""
+    left, which keeps those starts in the word. Spans lie in ``0..n``, in
+    the narrowest unsigned type holding ``n``."""
     if not lengths:
         return
     import numpy as np
-    n, dtype, symbols = len(w), np.min_scalar_type(len(w)), np.frombuffer(w._bits, np.uint8)
-    buf = np.empty(max(n, min(_BLOCK_CELLS, n * n)), dtype)
-
-    def spans(p: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-        """Yield the spans ``d`` known so far and the longest length they settle."""
-        k, f, size = len(p), 0, 1
-        ends, d = n - 1 - p[::-1], np.empty(k, dtype)  # the positions of the letter in the reversed word
-        yield d[:0], 0 if k else n
-        while f < k:
-            width = k - f  # the starts of row f + 1, the first of the block
-            b = max(1, min(size, (width + 2) // 2, lengths.stop - 1 - f, _BLOCK_CELLS // width))
+    n, x = len(w), int(2 * w.weight <= len(w))
+    by_least, by_widest = x or minima, minima or not x  # the least spans give the max-x, the widest the min-x
+    dtype = np.min_scalar_type(n)
+    p = np.flatnonzero(np.frombuffer(w._bits, np.uint8) == x).astype(dtype)
+    k, ends = len(p), n - 1 - p[::-1]  # the positions of x in the word and in the reversed word
+    least = np.zeros(k, dtype)
+    widest = np.concatenate((np.zeros(1, dtype), np.maximum(p, ends) + 1))  # first the sentinel spans of each row
+    buf = np.empty(max(k, min(_BLOCK_CELLS, k * k)), dtype)
+    f, size, a = 1, 1, lengths.start  # rows below f are known
+    while a < lengths.stop:
+        f += f == k  # row k holds only its sentinel spans, known from the start
+        settled = n
+        if f <= k:
+            settled = min(int(least[f - 1]) + 1 if by_least else n, int(widest[f - 1]) if by_widest else n)
+        if settled < a:
+            width = k - f  # the starts of row f, the first of the block
+            b = max(1, min(size, (width + 2) // 2, lengths.stop - f, _BLOCK_CELLS // width))
             last, block = width - b + 1, buf[: b * width].reshape(b, width)
             # np.ndarray(shape, dtype, x, 0, x.strides * 2) has row r at x[r:], checked to lie in x
             np.subtract(np.ndarray((b, last), dtype, p[f:], 0, p.strides * 2), p[:last], out=block[:, :last])
             tail = np.ndarray((b, b - 1), dtype, ends[f:], 0, ends.strides * 2)
             np.subtract(tail, ends[: b - 1], out=block[:, last:])
-            d[f : f + b] = block.min(1)
+            if by_least:
+                least[f : f + b] = block.min(1)
+            if by_widest:
+                np.maximum(block.max(1), widest[f : f + b], out=widest[f : f + b])
             f, size = f + b, 2 * b
-            yield d[:f], int(d[f - 1]) + 1 if f < k else n
-
-    scans = [spans(np.flatnonzero(symbols == letter).astype(dtype)) for letter in (1, 0)[: 1 + minima]]
-    known = [next(scan) for scan in scans]
-    a = lengths.start
-    while a < lengths.stop:
-        for x, scan in enumerate(scans):
-            while known[x][1] < a:
-                known[x] = next(scan)
-        b = min(lengths.stop, a + isqrt(_BLOCK_CELLS), *(settled + 1 for _, settled in known))
-        shorter = np.arange(a - 1, b - 1, dtype=dtype)  # i - 1 for i in a..b-1
-        counts = [d.searchsorted(shorter, "right") for d, _ in known]
-        yield range(a, b), counts[0].tolist(), (np.arange(a, b) - counts[1]).tolist() if minima else None
+            continue
+        b = min(lengths.stop, a + isqrt(_BLOCK_CELLS), settled + 1)
+        i = np.arange(a, b, dtype=dtype)
+        most, fewest = least[:f].searchsorted(i, "left"), widest[1:f].searchsorted(i, "right")  # max-x, min-x
+        if not x:
+            most, fewest = i - fewest, i - most
+        yield range(a, b), most.tolist(), fewest.tolist() if minima else None
         a = b
 
 
 #: Most cells, factor lengths times symbols, that a scan runs in lanes instead
 #: of importing numpy: 2^22 cells take about 20 ms in lanes, the import 65-110 ms.
 _LANE_CELLS = 1 << 22
-#: A word in which rho 1s follow a 0 has at most rho + 1 runs of either letter;
-#: with (rho + 1)^2 at most this many times n it takes the cores backend.
-_CORE_FACTOR = 16
 
 
 def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
@@ -385,66 +393,22 @@ def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tupl
             yield range(i, i + 1), [max1], [i - max0] if minima else None
 
 
-def _core_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
-    """The backend of :func:`_extremes` for words with few runs, in
-    ``O(rho^2 + n)`` for ``rho`` runs (Badkobeh, Fici, Kroon and
-    Lipták, IPL 113, 2013; Amir et al., TCS 656, 2016).
-
-    A core runs from a 1-run start to a 1-run end, with length ``L``, ``W``
-    ones and ``Z = L - W`` zeros. A window's span from its first to its last
-    1, stretched to the ends of their runs, is a core with no more 0s than
-    the window, so a window of length ``i`` holds at most ``W`` 1s if
-    ``L <= i``, and at most ``i - Z`` if ``L > i``. A window holding a core
-    has its ``W`` 1s, and every length-``i`` window inside a longer core holds
-    at least ``i - Z``. So the max-1s at ``i`` is
-    ``max(0, max_{L<=i} W, i - min_{L>=i} Z)``, as a core of length ``i`` has
-    ``i - Z = W``: a running max of ``L - fewest[L]`` and a suffix min of
-    ``fewest``, the fewest 0s of a core of length ``L``, filled in one step
-    per number of runs spanned. The min-1s at ``i`` is ``i`` minus the max-1s
-    of the complement. Values lie in ``-n..n``, in the narrowest signed type
-    holding ``n``, and no list holds more than ``isqrt(_BLOCK_CELLS)`` of
-    them."""
-    import numpy as np
-    n = len(w)
-    dtype = np.min_scalar_type(-n - 1)
-    ramp, maxima = np.arange(n + 1, dtype=dtype), []
-    for raw in (w._bits, w._bits.translate(_FLIP))[: 1 + minima]:
-        edges = np.flatnonzero(np.diff(np.frombuffer(b"\0" + raw + b"\0", np.int8))).astype(dtype)
-        starts, ends = edges[::2], edges[1::2]  # between the 0s put around raw, run starts and ends alternate
-        zeros = starts - np.cumsum(ends - starts, dtype=dtype) + (ends - starts)  # 0s before each run
-        fewest = np.full(n + 1, n, dtype)  # n where no core has length L
-        fewest[0] = 0  # the empty window
-        for d in range(len(starts)):
-            np.minimum.at(fewest, ends[d:] - starts[: len(starts) - d], zeros[d:] - zeros[: len(starts) - d])
-        most = np.maximum.accumulate(ramp - fewest)  # the 1s of a core no longer than i
-        np.minimum.accumulate(fewest[::-1], out=fewest[::-1])  # now the fewest 0s of a core no shorter than L
-        maxima.append(np.maximum(most, ramp - fewest, out=most))  # or i - Z of a core no shorter than i
-    most, least = maxima[0], ramp - maxima[1] if minima else None
-    step = isqrt(_BLOCK_CELLS)
-    for a in range(lengths.start, lengths.stop, step):
-        b = min(a + step, lengths.stop)
-        yield range(a, b), most[a:b].tolist(), least[a:b].tolist() if minima else None
-
-
 def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[range, list, list | None]]]:
     """The backend of :func:`_extremes` for ``lengths`` of ``w``: lanes while
     numpy is not loaded (a None in ``sys.modules`` only blocks its import) and
-    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else cores
-    where ``rho`` 1s follow a 0 and ``(rho + 1)^2 <= _CORE_FACTOR * n``; else spans."""
-    n = len(w)
-    if sys.modules.get("numpy") is None and (lengths.stop - 1) * n <= _LANE_CELLS:
+    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else spans."""
+    if sys.modules.get("numpy") is None and (lengths.stop - 1) * len(w) <= _LANE_CELLS:
         return _lane_extremes
-    if (w._bits.count(b"\0\1") + 1) ** 2 <= _CORE_FACTOR * n:
-        return _core_extremes
     return _span_extremes
 
 
 def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
     """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths`` from
-    :func:`_backend`, the one scan behind every factor statistic: ``maxs[r]`` and
-    ``mins[r]`` (None unless ``minima``) are the most and fewest 1s over the
-    factors of length ``rows[r]``. A block comes as soon as the backend settles
-    it, so a check can stop early, and holds at most ``isqrt(_BLOCK_CELLS)`` lengths."""
+    the lanes or the spans, as :func:`_backend` picks: the one scan behind
+    every factor statistic. ``maxs[r]`` and ``mins[r]`` (None unless
+    ``minima``) are the most and fewest 1s over the factors of length
+    ``rows[r]``. A block comes as soon as the backend settles it, so a check
+    can stop early, and holds at most ``isqrt(_BLOCK_CELLS)`` lengths."""
     return _backend(w, lengths)(w, lengths, minima)
 
 
@@ -454,8 +418,9 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
     ``longest`` defaults to ``len(w)``. A smaller bound still takes every
     factor of ``w`` into account, so a long window of an infinite word gives
     better estimates of its statistics than the short prefix alone. The cost
-    is at most ``O(longest * len(w))``: the span backend reads ``(W^2 + Z^2) / 2``
-    spans for ``W`` 1s and ``Z`` 0s, or fewer for a smaller ``longest``.
+    is at most ``O(longest * len(w))``: the span backend reads about
+    ``min(W, Z)^2 / 2`` spans for ``W`` 1s and ``Z`` 0s, or fewer for a smaller
+    ``longest``.
     """
     n = len(w)
     if n == 0:

@@ -8,8 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from prefixnormal import word_core  # noqa: E402
 
-#: The three backends of the window scan, by name; "blocks" names numpy's span backend, which scans in row blocks.
-BACKENDS = {"lanes": word_core._lane_extremes, "cores": word_core._core_extremes, "blocks": word_core._span_extremes}
+#: The two backends of the window scan, by name; "blocks" names numpy's span backend, which scans in row blocks.
+BACKENDS = {"lanes": word_core._lane_extremes, "blocks": word_core._span_extremes}
 
 
 def use_backend(patch: pytest.MonkeyPatch, name: str) -> None:

@@ -2,8 +2,8 @@
 
 The factor statistics enumerate factors by slicing, or take them from the
 library's former window kernel: int64 prefix sums and one new array per factor
-length. Nothing shares code with the library's narrow-sum, cores or
-closed-form paths. The word producers are the
+length. Nothing shares code with the library's span, lane or closed-form
+paths. The word producers are the
 library's former one-symbol-at-a-time generators: an exact floor per mechanical
 symbol, one slope reciprocal per lazy extension, a flipext step that
 rebuilds its prefix sums from scratch, a morphic tape expanded one symbol at a

@@ -254,23 +254,25 @@ class TestFirstRun:
 
 class TestRunPairs:
     """``find_violation_1`` reads the max-1s function of a word with few runs
-    of 1s from the cores backend of ``_extremes``."""
+    of 1s from the span backend of ``_extremes``, which scans the positions
+    of its rarer letter."""
 
-    @pytest.mark.parametrize("factor", [0, 10**12])
-    def test_exhaustive_witness_up_to_length_12(self, factor, monkeypatch):
-        # at a core factor of 0 the rule would send every word to the spans,
-        # at 10**12 every word to the cores
-        use_backend(monkeypatch, "cores" if factor else "blocks")
+    @pytest.mark.parametrize("padding", [0, 40])
+    def test_exhaustive_witness_up_to_length_12(self, padding, monkeypatch):
+        # 0s appended keep the first violation, and 40 of them make the 1s the
+        # rarer letter of every word, with its widest gap at the end
+        use_backend(monkeypatch, "blocks")
         for n in range(1, 13):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
-                assert witness(find_violation_1(FiniteWord(text))) == brute_first_violation(text), text
+                found = find_violation_1(FiniteWord(text + "0" * padding))
+                assert witness(found) == brute_first_violation(text), text
 
     def test_short_run_words_on_the_run_pairs(self, monkeypatch):
-        # short runs give many cores with few zeros; in 1100001010100011 the
-        # core over three runs and two zeros, not the one over two runs and
+        # short runs give many factors with few zeros; in 1100001010100011 the
+        # factor over three runs and two zeros, not the one over two runs and
         # three zeros, gives the witness (length 5, start 7)
-        use_backend(monkeypatch, "cores")
+        use_backend(monkeypatch, "blocks")
         rng = random.Random(1613)
         texts = ["1100001010100011"]
         for _ in range(6000):
@@ -283,10 +285,10 @@ class TestRunPairs:
     @settings(max_examples=150, deadline=None)
     def test_planted_late_violation_matches_window_scan(self, text):
         w = FiniteWord(text)
-        assert word_core._backend(w, range(1, len(w) + 1)) is word_core._core_extremes
+        assert word_core._backend(w, range(1, len(w) + 1)) is word_core._span_extremes
         found = find_violation_1(w)
         with pytest.MonkeyPatch.context() as patch:
-            use_backend(patch, "blocks")
+            use_backend(patch, "lanes")
             assert witness(found) == witness(find_violation_1(w))
 
     def test_dense_check_never_reaches_the_core_scan(self):

@@ -1,12 +1,12 @@
-"""One conformance suite for the three backends of the window scan.
+"""One conformance suite for the two backends of the window scan.
 
-The ``backend`` fixture sends every scan to the lanes, the cores and numpy's
-span blocks in turn by patching ``word_core._backend``, and every consumer of the
+The ``backend`` fixture sends every scan to the lanes and to numpy's span
+blocks in turn by patching ``word_core._backend``, and every consumer of the
 scan runs under it against the oracles: the profile, the first violation and
-its dual, and the balance test. The cores compute in the narrowest signed type
-that holds the word's length, so this suite also runs with numpy's overflow
-warnings as errors. The rule that picks a backend is tested by calling
-``_backend`` at its boundaries, in ``test_lane_kernel`` and ``test_core_kernel``.
+its dual, and the balance test. The spans are computed in the narrowest
+unsigned type that holds the word's length, so this suite also runs with
+numpy's overflow warnings as errors. The rule that picks a backend is tested
+by calling ``_backend`` at its boundaries, in ``test_lane_kernel``.
 """
 
 import functools

@@ -175,19 +175,19 @@ class TestCheck:
         assert code == 0 and out.strip() == "NORMAL"
 
     def test_run_sparse_word_scans_at_most_one_length(self, capsys):
-        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the cores, which scan no window
+        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the spans of its 500 1s, not on windows
         word = ("1" + "0" * 63) * 500
         source = ["lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
         assert run_cli(["generate", *source], capsys=capsys)[1] == word + "\n"
         assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "")
-        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._core_extremes
+        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._span_extremes
 
     def test_planted_violation_scans_no_window(self, capsys):
         word = ("1" + "0" * 63) * 500
         word = word[:20000] + "1" + word[20001:]  # 1 0^31 1 at position 19,969
         code, out, _ = run_cli(["check", "--word", word], capsys=capsys)
         assert (code, out) == (1, "len=33 start=19969 ones=2 prefix_ones=1\n")
-        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._core_extremes
+        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._span_extremes
 
     def test_non_utf8_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

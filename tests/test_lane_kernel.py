@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import FiniteWord, build_index, compute_profile, word_core
+from prefixnormal.analysis import find_violation_1, is_c_balanced
 
 from conftest import use_backend
 from oracles import int64_first_violation, int64_profile
@@ -74,13 +75,18 @@ class TestBackendRule:
         assert compute_profile(w) == profile and build_index(w).profile == profile
 
     def test_a_loaded_numpy_takes_every_scan(self, monkeypatch):
-        # off the lanes a word with few runs takes the cores, others the spans;
-        # a blocked numpy sends both to the lanes, also a scan of no lengths
+        # off the lanes every word takes the spans, whatever its runs; a
+        # blocked numpy sends both to the lanes, also a scan of no lengths
         dense, sparse = FiniteWord("10" * 50), FiniteWord("0110")
         assert "numpy" in sys.modules and sys.modules["numpy"] is not None
         for lengths in (range(1, 101), range(0)):
-            assert word_core._backend(sparse, lengths) is word_core._core_extremes
-            assert word_core._backend(dense, lengths) is word_core._span_extremes
+            assert word_core._backend(sparse, lengths) is word_core._backend(dense, lengths) is word_core._span_extremes
         monkeypatch.setitem(sys.modules, "numpy", None)
         for lengths in (range(1, 101), range(0)):
             assert word_core._backend(sparse, lengths) is word_core._backend(dense, lengths) is word_core._lane_extremes
+
+    def test_a_sparse_word_runs_in_lanes_while_numpy_is_not_loaded(self, monkeypatch):
+        w = FiniteWord(b"\1" + b"\0" * 63) * 32  # 2,048 symbols: 2,048 x 2,048 cells fit in the lanes
+        profile = compute_profile(w)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert compute_profile(w) == profile and find_violation_1(w) is None and is_c_balanced(w, 1)

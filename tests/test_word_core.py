@@ -1,5 +1,6 @@
 """Unit tests for words, Parikh vectors, rationals, and prefix profiles."""
 
+import math
 import pickle
 import random
 import tracemalloc
@@ -32,7 +33,7 @@ from prefixnormal import (
 from prefixnormal import word_core
 from prefixnormal.analysis import find_violation_1, is_c_balanced
 from prefixnormal.generators import FIBONACCI_MORPHISM, morphic_fixpoint
-from prefixnormal.word_core import _backend, _core_extremes, _span_extremes
+from prefixnormal.word_core import _backend, _span_extremes
 
 from conftest import BACKENDS, use_backend
 from oracles import brute_profile, int64_first_violation, int64_profile, profile_error
@@ -360,10 +361,13 @@ def boundary_word(kind: str, n: int) -> str:
 class TestNarrowKernel:
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
     def test_sums_take_the_narrowest_type(self, n, monkeypatch):
-        # the block buffer and each letter's spans take the type of the positions
-        empty, made = np.empty, []
-        monkeypatch.setattr(np, "empty", lambda shape, dtype: made.append(np.dtype(dtype)) or empty(shape, dtype))
-        next(_span_extremes(FiniteWord.ones(n), range(1, 2), True))
+        # the least spans, the first widest span and the block buffer take the type of the positions
+        made = []
+        for name in ("empty", "zeros"):
+            make = getattr(np, name)
+            record = lambda shape, dtype, make=make: made.append(np.dtype(dtype)) or make(shape, dtype)  # noqa: E731
+            monkeypatch.setattr(np, name, record)
+        next(_span_extremes(FiniteWord(boundary_word("random", n)), range(1, 2), True))
         assert made == [np.dtype(f"u{1 if n < 256 else 2 if n < 65536 else 4}")] * 3
 
     @pytest.mark.parametrize("n", DTYPE_BOUNDARIES)
@@ -391,8 +395,8 @@ class TestNarrowKernel:
         assert is_c_balanced(w, 10**30)
 
     def test_kernel_values_leave_as_python_ints(self):
-        sparse = ("1" + "0" * 40) * 20 + "11"  # few runs: the cores backend finds its violation
-        dense = "10" + boundary_word("random", 1998)  # its violation is found by the window scan
+        sparse = ("1" + "0" * 40) * 20 + "11"  # the spans of its 22 1s find its violation
+        dense = "10" + boundary_word("random", 1998)  # the spans of its rarer letter find its violation
         for text in ("1" * 300, sparse, dense):
             w = FiniteWord(text)
             profile = compute_profile(w)
@@ -408,10 +412,19 @@ class TestNarrowKernel:
 BLOCK_CAPS = (1, 7, 64, word_core._BLOCK_CELLS)
 
 
-def dense_late_violation(n: int) -> FiniteWord:
-    """``1^999 00``, random symbols and ``1^500 0 1^500``: it passes the
-    first-run search, and its first violation has length 1,001."""
-    noise = np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8).tobytes()
+def filled_blocks(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The shapes of the span blocks that the span backend fills from now on:
+    each block takes two subtractions, its start columns and its tail."""
+    subtract, shapes = np.subtract, []
+    monkeypatch.setattr(np, "subtract", lambda *args, out: shapes.append(out.shape) or subtract(*args, out=out))
+    return shapes
+
+
+def dense_late_violation(n: int, ones: float = 0.5) -> FiniteWord:
+    """``1^999 00``, random symbols, a share ``ones`` of them 1s, and
+    ``1^500 0 1^500``: it passes the first-run search, and its first violation
+    has length 1,001."""
+    noise = (np.random.default_rng(13).random(n) < ones).astype(np.uint8).tobytes()
     head, tail = "1" * 999 + "00", "1" * 500 + "0" + "1" * 500  # P(1001) = 999 < 1,000 1s in the tail
     return FiniteWord(head + str(FiniteWord(noise))[: n - len(head) - len(tail)] + tail)
 
@@ -420,18 +433,24 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cells", BLOCK_CAPS)
     @pytest.mark.parametrize("lengths", [range(1, 301), range(1, 120), range(290, 301), range(0)])
     def test_blocks_cover_the_lengths_within_the_cap(self, cells, lengths, monkeypatch):
-        # in 1^n the row of f 1s settles length f alone, so a scan from length 1 yields its row blocks
+        # 1^100 0^200 scans the rows of its 100 1s, the rarer letter: row s holds
+        # 100 - s spans, and each block fills its start columns, then its tail
         monkeypatch.setattr(word_core, "_BLOCK_CELLS", cells)
-        n = 300
-        blocks = list(_span_extremes(FiniteWord.ones(n), lengths, True))
+        shapes = filled_blocks(monkeypatch)
+        text = "1" * 100 + "0" * 200
+        maxs, mins = int64_profile(text, len(text))
+        blocks = list(_span_extremes(FiniteWord(text), lengths, True))
         assert [i for rows, _, _ in blocks for i in rows] == list(lengths)
-        assert all(maxs == mins == list(rows) for rows, maxs, mins in blocks)
-        heights = [len(rows) for rows, _, _ in blocks]
-        if lengths.start == 1:
-            assert heights[:1] == [1]
-            assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
-            assert all(len(rows) == 1 or len(rows) * (n - rows[0] + 1) <= cells for rows, _, _ in blocks)
-        if cells > 1 and lengths.stop > n:
+        assert all((hi, lo) == (maxs[i - 1], mins[i - 1]) for rows, most, fewest in blocks
+                   for i, hi, lo in zip(rows, most, fewest))
+        assert all(len(rows) <= math.isqrt(cells) for rows, _, _ in blocks)
+        rows = list(zip(shapes[::2], shapes[1::2]))  # the start columns and the tail of each block of rows
+        heights = [starts[0] for starts, tail in rows]
+        assert all(starts[0] == tail[0] for starts, tail in rows)
+        assert heights[:1] == ([1] if lengths else [])
+        assert all(b <= 2 * before for before, b in zip(heights, heights[1:]))
+        assert all(starts[0] == 1 or starts[0] * (starts[1] + tail[1]) <= cells for starts, tail in rows)
+        if cells > 1 and lengths.stop > 100:
             assert max(heights) > 1
 
     @pytest.mark.parametrize("text", ["0" * 40, "1" * 40, "1", "0", "0" * 20 + "1" + "0" * 19, "1" * 7 + "0" * 33])
@@ -447,18 +466,19 @@ class TestBlockKernel:
             assert scan(_span_extremes, w, lengths, minima=False) == (maxs[asked], None), lengths
 
     def test_no_lengths_yield_nothing(self):
-        # with numpy loaded the empty word takes the spans: it has no run, and (0 + 1)^2 > 16 * 0
+        # with numpy loaded the empty word takes the spans
         empty = FiniteWord("")
         assert _backend(empty, range(1, 1)) is _span_extremes
-        assert list(_span_extremes(empty, range(1, 1), True)) == list(_span_extremes(FiniteWord("01"), range(0), True)) == []
+        assert list(_span_extremes(empty, range(1, 1), True)) == []
+        assert list(_span_extremes(FiniteWord("01"), range(0), True)) == []
         assert is_c_balanced(empty, 1)
 
     def test_a_check_stops_within_a_block_of_its_violation(self, monkeypatch):
-        # the first 1,000 rows settle length 1,001; each row of about n / 2
-        # starts fits in the cap, so one block past them is at most the cap
-        w = dense_late_violation(1 << 18)
-        yielded, subtract, cells = [], np.subtract, []
-        monkeypatch.setattr(np, "subtract", lambda *args, out: cells.append(out.size) or subtract(*args, out=out))
+        # with 0s rarer the widest spans of rows 1 and 2 settle length 1,001, as
+        # 1^999 lies between the first two 0s; with 1s rarer the least spans of
+        # rows 1 to 1,000 do, as 1^999 starts the word. Heights double, so the
+        # check scans at most twice those rows of its rarer letter's spans
+        yielded, shapes = [], filled_blocks(monkeypatch)
 
         def recorded(w, lengths, minima):
             for block in _span_extremes(w, lengths, minima):
@@ -466,9 +486,14 @@ class TestBlockKernel:
                 yield block
 
         monkeypatch.setattr(word_core, "_backend", lambda w, lengths: recorded)
-        assert find_violation_1(w).factor_length == 1001
-        assert len(yielded) == 1 and yielded[0].start == 1001
-        assert sum(cells) <= 1000 * w.weight + word_core._BLOCK_CELLS
+        for ones, rows in ((0.5, 2), (0.3, 1000)):
+            w = dense_late_violation(1 << 18, ones)
+            rarer = min(w.weight, len(w) - w.weight)
+            assert (rarer == w.weight) == (ones < 0.5)
+            yielded.clear(), shapes.clear()
+            assert find_violation_1(w).factor_length == 1001
+            assert len(yielded) == 1 and yielded[0].start == 1001
+            assert sum(map(math.prod, shapes)) <= 2 * rows * rarer
 
     @pytest.mark.parametrize("cells", BLOCK_CAPS)
     @given(text=block_edge_words(), data=st.data())
@@ -485,7 +510,7 @@ class TestBlockKernel:
     def test_memory_is_linear_in_the_word(self):
         # 2**18 symbols take uint32 positions and spans, and a block holds one
         # row of them at this width; a buffer of height * n spans would break
-        # the bound. The prefix normal sparse word takes the cores; the dense
+        # the bound. The prefix normal sparse word scans the spans of its 1s; the dense
         # one passes the first-run search of 1^999 and reaches the span
         # backend, which finds its violation at length 1,001. No check may
         # hold a list of n prefix sums
@@ -504,10 +529,81 @@ class TestBlockKernel:
                     tracemalloc.stop()
                 assert peak <= 32 * n + 4 * word_core._BLOCK_CELLS
 
-    def test_a_sparse_profile_scans_no_window(self):
+    def test_a_sparse_profile_scans_no_window(self, monkeypatch):
+        # the profile scans the spans of its 1,024 1s, fewer than 1,024^2 cells against n^2 windows
         n = 1 << 18
         w = FiniteWord(b"\1" + b"\0" * 255) * (n // 256)
-        assert _backend(w, range(1, n + 1)) is _core_extremes
+        assert _backend(w, range(1, n + 1)) is _span_extremes
+        shapes = filled_blocks(monkeypatch)
         profile = compute_profile(w)
+        assert sum(map(math.prod, shapes)) <= w.weight**2
         assert profile.max_ones == tuple(-(-i // 256) for i in range(1, n + 1))
         assert profile.min_ones == tuple(i // 256 for i in range(1, n + 1))
+
+
+def late_violation(noise: str) -> str:
+    """``1^9 00``, ``noise`` and ``0 1^5 0 1^5``: with no 1^10 in the noise
+    its first violation is the tail's 10 1s against 9 in the prefix of 11."""
+    return "1" * 9 + "00" + noise + "0" + "1" * 5 + "0" + "1" * 5
+
+
+# Words for each case of the span backend, which reads the rarer letter (1 on a tie).
+ONE_LETTER_WORDS = {
+    "0s rarer": "1101110111101110",
+    "W = Z": "1100101001",
+    "W = Z, runs": "1" * 20 + "0" * 20,
+    "W = Z, runs of 0s first": "0" * 20 + "1" * 20,
+    "no 1s": "0" * 30,
+    "no 0s": "1" * 30,
+    "widest gap first": "0" * 40 + "1" + "0" * 3,
+    "widest gap inside": "1" + "0" * 50 + "1",
+    "widest gap last": "0" * 3 + "1" + "0" * 40,
+    "widest 1-gap first": "1" * 40 + "0" + "1" * 3,
+    "widest 1-gap inside": "0" + "1" * 50 + "0",
+    "widest 1-gap last": "1" * 3 + "0" + "1" * 40,
+    "late violation, 1s rarer": late_violation("10000" * 20),
+    "late violation, 0s rarer": late_violation("11110" * 20),
+}
+
+
+class TestOneLetterSpans:
+    """The span backend reads the positions of the rarer letter only, with
+    sentinels before and after the word, and gives both extremes from them."""
+
+    @pytest.mark.parametrize("name", ONE_LETTER_WORDS)
+    def test_consumers_match_the_int64_kernel(self, name, monkeypatch):
+        text = ONE_LETTER_WORDS[name]
+        n, ones = len(text), text.count("1")
+        assert "rarer" not in name or (ones < n - ones) == name.endswith("1s rarer")
+        use_backend(monkeypatch, "blocks")
+        maxs, mins = int64_profile(text, n)
+        violation = int64_first_violation(text)
+        assert "late" not in name or violation[1] == 11 and violation[0] > 100  # (start, length, ...)
+        for longest in (n, n // 2 or 1, 1):
+            conforms(text, maxs, mins, violation, longest)
+        for lengths in (range(1, n + 1), range(2, n // 2 + 1), range(n, n + 1)):
+            asked = slice(lengths.start - 1, lengths.stop - 1)
+            for minima in (True, False):
+                expected = (maxs[asked], mins[asked] if minima else None)
+                assert scan(_span_extremes, FiniteWord(text), lengths, minima) == expected, lengths
+
+    @given(text=st.one_of(block_edge_words(), st.sampled_from(list(ONE_LETTER_WORDS.values()))))
+    @settings(max_examples=150, deadline=None)
+    def test_the_complement_mirrors_the_profile(self, text):
+        # a word and its complement swap their rarer letters, so the two profiles
+        # read the positions of different letters (of the 1s of each on a tie)
+        w, n = FiniteWord(text), len(text)
+        profile, dual = compute_profile(w), compute_profile(complement(w))
+        assert dual.max_ones == tuple(i - low for i, low in enumerate(profile.min_ones, 1))
+        assert dual.min_ones == tuple(i - high for i, high in enumerate(profile.max_ones, 1))
+        assert _backend(w, range(1, n + 1)) is _span_extremes
+
+    @pytest.mark.parametrize("letter", ["1", "0"])
+    def test_a_profile_scans_the_rarer_letter(self, letter, monkeypatch):
+        # 128 of one letter among 4,096 symbols: fewer than 128^2 spans, where
+        # the other letter's 3,968 positions would take about 3,968^2 / 2
+        text = (letter + ("0" if letter == "1" else "1") * 31) * 128
+        shapes = filled_blocks(monkeypatch)
+        profile = compute_profile(FiniteWord(text))
+        assert (list(profile.max_ones), list(profile.min_ones)) == int64_profile(text, len(text))
+        assert 0 < sum(map(math.prod, shapes)) <= 128**2
