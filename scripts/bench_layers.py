@@ -25,10 +25,17 @@ rows check and profile ``(1 0^63)^(n/64)``, which is prefix normal with n/64
 scans about (n/64)^2/2 spans instead of n^2 window cells. The ``.long_runs``
 rows check and profile ``(1^64 0^64)^(n/128)``, prefix normal with n/2 of
 each letter, where the spans scan about n^2/8 cells: the backend's costliest
-kind of word for its length. A sha256 of every scan's result must match
-between trees. Every in-process call is timed with the garbage collected
-first and the collector off while it runs, so that no collection triggered
-by an earlier row's allocations lands in its window. The generator row times
+kind of word for its length. These rows run with numpy loaded, so every scan
+takes numpy's span blocks. The ``.lanes.random`` and ``.lanes.normal`` rows of
+``compute_profile`` and ``find_violation_1`` take the lanes instead: they scan
+a random word of ``LANE_SIZE`` symbols and its 1-prefix normal form, whatever
+``--sizes`` says, with ``sys.modules["numpy"]`` set to None around each call,
+and keep the fastest of ``LANE_REPEATS`` calls per round. The random word's
+check stops at its first violation; the normal form's reads every length. A
+sha256 of every scan's result must match between trees. Every in-process
+call is timed with the garbage collected first and the collector off while
+it runs, so that no collection triggered by an earlier row's allocations
+lands in its window. The generator row times
 ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal seed of
 minimum density 1/2; the child returns a sha256 of each word it produced,
 and the script exits non-zero if two trees produce different words.
@@ -86,6 +93,13 @@ LAYERS = ("word_core.compute_profile", "word_core.compute_profile.sparse", "word
           "analysis.find_violation_1", "analysis.find_violation_1.sparse", "analysis.find_violation_1.long_runs",
           "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS, "jumbled_index.deserialize",
           "jumbled_index.query")
+#: Layers timed in process at the fixed size ``LANE_SIZE`` with numpy blocked, so that their scans take the lanes.
+LANE_LAYERS = tuple(f"{layer}.lanes.{word}" for layer in ("word_core.compute_profile", "analysis.find_violation_1")
+                    for word in ("random", "normal"))
+#: Symbols of the random word of the lane rows: its full scan, 2,000 x 2,000 cells, fits the lane budget of 2^22.
+LANE_SIZE = 2000
+#: Calls per tree and round of a lane row; the round keeps the fastest.
+LANE_REPEATS = 5
 #: A layer timed as fresh ``pnw`` processes per size.
 PNF_LAYER = "cli.pnf_fibonacci"
 FLIPEXT_SEED = "11010011"
@@ -206,7 +220,22 @@ def child(sizes: list[int]) -> dict:
 
         times["jumbled_index.query"][n], _ = timed(answer)
         digests[f"index answers at n={n}"] = hashlib.sha256(answers).hexdigest()
-    return {"times": times, "digests": digests, "numpy": sys.modules["numpy"].__version__}
+    import numpy
+
+    noise = pn.FiniteWord(random.Random(LANE_SIZE).choices(b"\0\1", k=LANE_SIZE))
+    lane_words = {"random": noise, "normal": pn.pnf1(pn.compute_profile(noise))}
+    lane_scans = {"word_core.compute_profile": pn.compute_profile, "analysis.find_violation_1": find_violation_1}
+    for layer in LANE_LAYERS:
+        name, _, kind = layer.rpartition(".lanes.")
+        scan, w = lane_scans[name], lane_words[kind]
+        sys.modules["numpy"] = None  # numpy counts as not loaded and cannot be imported: a scan runs in lanes or fails
+        try:
+            calls = [timed(lambda: scan(w)) for _ in range(LANE_REPEATS)]
+        finally:
+            sys.modules["numpy"] = numpy
+        times[layer] = {LANE_SIZE: min(seconds for seconds, _ in calls)}
+        digests[f"{layer} at n={LANE_SIZE}"] = hashlib.sha256(repr(calls[0][1]).encode()).hexdigest()
+    return {"times": times, "digests": digests, "numpy": numpy.__version__}
 
 
 def run_child(tree: str, sizes: list[int]) -> dict:
@@ -261,11 +290,11 @@ def main() -> None:
     args = parser.parse_args()
     trees = dict(spec.split("=", 1) for spec in args.tree)
     cpu = pin_to_one_cpu()
-    layers = (*LAYERS, PNF_LAYER, *PROCESS_LAYERS)
+    layers = (*LAYERS, *LANE_LAYERS, PNF_LAYER, *PROCESS_LAYERS)
     # runs[label][layer][n] holds one time per round, in round order, so rounds pair up across trees;
-    # a process layer has the one size None
-    runs: dict = {label: {layer: {n: [] for n in ([None] if layer in PROCESS_LAYERS else args.sizes)}
-                          for layer in layers} for label in trees}
+    # a process layer has the one size None, and a lane layer LANE_SIZE
+    fixed = {**dict.fromkeys(PROCESS_LAYERS, [None]), **dict.fromkeys(LANE_LAYERS, [LANE_SIZE])}
+    runs: dict = {label: {layer: {n: [] for n in fixed.get(layer, args.sizes)} for layer in layers} for label in trees}
     numpy_version, digests = None, {}
 
     def same_output(what: str, label: str, digest: str) -> None:
@@ -285,8 +314,8 @@ def main() -> None:
                 numpy_version = result["numpy"]
                 for what, digest in result["digests"].items():
                     same_output(what, label, digest)
-                for layer in LAYERS:
-                    for n in args.sizes:
+                for layer in (*LAYERS, *LANE_LAYERS):
+                    for n in runs[label][layer]:
                         runs[label][layer][n].append(result["times"][layer][str(n)])
                 for n in args.sizes:
                     argv = ["-m", "prefixnormal.cli", "pnf", "fibonacci", "-n", str(n // 4)]
@@ -313,7 +342,7 @@ def main() -> None:
                     q1, median, q3 = quartiles(paired)
                     ratios.append({"layer": layer, "tree": label, "baseline": baseline, "n": n,
                                    "median": median, "q1": q1, "q3": q3, "per_round": paired})
-            if layer not in PROCESS_LAYERS:
+            if layer not in fixed:
                 exponents.append({"layer": layer, "tree": label, "exponent": exponent(args.sizes, medians)})
     report = {
         "script": "scripts/bench_layers.py",
@@ -322,6 +351,9 @@ def main() -> None:
                        " prefix normal, n/64 1s: the span backend reads the positions of the 1s",
         "long_runs_word": "analysis.find_violation_1.long_runs and word_core.compute_profile.long_runs:"
                           " (1^64 0^64)^(n/128), prefix normal, n/2 of each letter: about n^2/8 spans",
+        "lanes": f"{', '.join(LANE_LAYERS)}: compute_profile and find_violation_1 of a random word of {LANE_SIZE}"
+                 f" symbols and of its 1-prefix normal form, in process with numpy blocked, so in lanes;"
+                 f" the fastest of {LANE_REPEATS} calls per tree and round",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "process": f"{PNF_LAYER}: fresh `python -m prefixnormal.cli pnf fibonacci -n n/4` processes",
         "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"

@@ -225,8 +225,8 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
 
     A builtin whose ``_EXACT_FORMS`` entry holds gets the closed forms of its
     infinite word, and only its printed symbols are materialized. --window
-    and --prepend-ones ask for a finite window, and -n 0 is left to the
-    window's profile to reject. Other builtins are materialized once,
+    and a positive --prepend-ones ask for a finite window, and -n 0 is left
+    to the window's profile to reject. Other builtins are materialized once,
     ``WINDOW_FACTOR`` times longer than the printed length (overridable via
     --window), so every printed position lies in the trusted quarter of the
     window; the output word is the window's prefix, and only its lengths are
@@ -234,7 +234,7 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     """
     prepend = getattr(args, "prepend_ones", None)
     reason, holds, exact_forms = _EXACT_FORMS.get(args.builtin, (None, None, None))
-    if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and prepend is None:
+    if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and not prepend:
         word = _resolve_word(args)
         return word, *exact_forms(args, len(word)), f"all {len(word)} positions are exact: {reason}"
     from .analysis import WINDOW_FACTOR, pnf0, pnf1, reliable_pnf_window

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 import operator
+import struct
 import sys
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -348,55 +350,55 @@ def _span_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tupl
         a = b
 
 
-#: Most cells, factor lengths times symbols, that a scan runs in lanes instead
-#: of importing numpy: 2^22 cells take about 20 ms in lanes, the import 65-110 ms.
+#: Most cells, factor lengths times symbols, that a scan runs in lanes instead of importing
+#: numpy: 2^22 cells, a random 2,048-symbol word's profile, take 11-15 ms, the import 65-110 ms.
 _LANE_CELLS = 1 << 22
 
 
 def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
-    """The numpy-free backend of :func:`_extremes`, bit-parallel in lanes of
-    one Python int (Baeza-Yates and Gonnet, CACM 35, 1992). It scans every
-    length from 1 and yields those in ``lengths``, one length per block.
-
-    Lane ``e`` spans bits ``b*e .. b*e + b - 1`` with ``b = n.bit_length() + 1``,
-    and ``x`` holds symbol ``e`` in lane ``e``. Step ``i`` sets
-    ``t = (t >> b) + x``, so lane ``e <= n - i`` holds the 1s of the length-``i``
-    factor at ``e``, and lane ``e > n - i`` those of the suffix at ``e``.
-    Adding ``2^(b-1) - 1 - f`` to every lane sets the top bit of exactly the
-    lanes that hold more than ``f`` 1s, with no carry into the next lane: a
-    lane holds at most ``n < 2^(b-1)`` and ``0 <= f < n``, so each sum lies
-    in ``1..2^b - 2``. The max-1s function steps by 0 or 1, so one such test
-    with ``f`` its value at ``i - 1`` settles length ``i``. A suffix lane is
-    shorter than ``i``, so it holds at most the max-1s at ``i - 1`` and never
-    sets a bit: no lane needs a mask. The same test on the complement gives
-    the max-0s function, and the min-1s at ``i`` is ``i`` minus it.
-    """
+    """The numpy-free backend of :func:`_extremes`: the rows of
+    :func:`_span_extremes`, sentinel spans included, under its proof, in
+    lanes of one Python int. It steps every length from 1 and yields those
+    in ``lengths``, one per block. Lane ``j`` of ``Q`` holds ``p[j-1] + 1``
+    for ``j = 0..k+1``, in ``b`` bits, the fewest of 16, 32 and 64 with
+    ``n < 2^(b-1)``. Row ``s``, ``Q >> b*s`` minus ``Q`` masked to its lanes,
+    holds ``p[j+s-1] - p[j-1] >= 0`` in lane ``j`` with no borrow, and its
+    real spans in lanes ``1..k-s``. Adding ``2^(b-1) - t`` to every lane, for
+    ``1 <= t <= n + 1``, sets the top bit of exactly the lanes holding at
+    least ``t``, with no carry: spans lie in ``0..n+1``. Both extremes step by
+    0 or 1, so at length ``i`` one test of the first row not counted settles
+    each: its real spans with ``t = i`` the max-x, all with ``t = i + 1`` the min-x."""
     if not lengths:
         return
-    n = len(w)
-    b, gap = n.bit_length() + 1, "0" * n.bit_length()
-    unit = int(gap.join("1" * n), 2)  # 1 in every lane
-    high = unit << (b - 1)  # the top bit of every lane
-    x1 = int(gap.join(str(w)[::-1]), 2)
-    x0 = unit - x1
-    t1 = t0 = max1 = max0 = 0
-    bias1 = bias0 = high - unit  # 2^(b-1) - 1 - f in every lane, for f = 0
+    n, x = len(w), int(2 * w.weight <= len(w))
+    code = next(code for code in "HIQ" if n < 1 << 8 * struct.calcsize(code) - 1)
+    b, k = 8 * struct.calcsize(code), w.weight if x else n - w.weight
+    positions = compress(range(1, n + 1), w._bits if x else w._bits.translate(_FLIP))  # p[j] + 1 for each x
+    packed = int.from_bytes(struct.pack(f"<{k + 2}{code}", 0, *positions, n + 1), "little")  # lane j: p[j-1] + 1
+    unit = int.from_bytes((1).to_bytes(b // 8, "little") * (k + 2), "little")  # 1 in every lane
+    high, full = unit << (b - 1), (unit << b) - unit  # the top bit of every lane, and every bit
+
+    def row(s: int) -> int:
+        return (packed >> b * s) - (packed & full >> b * s)
+
+    most, least, top = 0, 0, high >> 2 * b << b if x or minima else 0  # row `most`, the top bits of its real spans
+    fewest, widest = 0, row(1) if minima or not x else 0  # row `fewest + 1`, or 0 when not needed
+    bias = high - unit  # 2^(b-1) - t in every lane, for t = 1
     for i in range(1, lengths.stop):
-        t1 = (t1 >> b) + x1
-        if (t1 + bias1) & high:
-            max1, bias1 = max1 + 1, bias1 - unit
-        if minima:
-            t0 = (t0 >> b) + x0
-            if (t0 + bias0) & high:
-                max0, bias0 = max0 + 1, bias0 - unit
+        if top and (least + bias) & top != top:  # a real span of row `most` below i
+            most, least, top = most + 1, row(most + 1), top & top >> b
+        bias -= unit
+        if widest and not (widest + bias) & high:  # every span of row `fewest + 1` at most i; row k + 1 never
+            fewest, widest = fewest + 1, row(fewest + 2)
         if i >= lengths.start:
-            yield range(i, i + 1), [max1], [i - max0] if minima else None
+            most_ones, fewest_ones = (most, fewest) if x else (i - fewest, i - most)
+            yield range(i, i + 1), [most_ones], [fewest_ones] if minima else None
 
 
 def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[range, list, list | None]]]:
     """The backend of :func:`_extremes` for ``lengths`` of ``w``: lanes while
     numpy is not loaded (a None in ``sys.modules`` only blocks its import) and
-    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else spans."""
+    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else numpy's blocks."""
     if sys.modules.get("numpy") is None and (lengths.stop - 1) * len(w) <= _LANE_CELLS:
         return _lane_extremes
     return _span_extremes
@@ -404,11 +406,11 @@ def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[rang
 
 def _extremes(w: FiniteWord, lengths: range, minima: bool = True) -> Iterator[tuple[range, list, list | None]]:
     """Yield ``(rows, maxs, mins)`` over blocks of consecutive ``lengths`` from
-    the lanes or the spans, as :func:`_backend` picks: the one scan behind
-    every factor statistic. ``maxs[r]`` and ``mins[r]`` (None unless
-    ``minima``) are the most and fewest 1s over the factors of length
-    ``rows[r]``. A block comes as soon as the backend settles it, so a check
-    can stop early, and holds at most ``isqrt(_BLOCK_CELLS)`` lengths."""
+    the rarer letter's span rows, in lanes or numpy's blocks as :func:`_backend`
+    picks: the one scan behind every factor statistic. ``maxs[r]`` and ``mins[r]``
+    (None unless ``minima``) are the most and fewest 1s over the factors of
+    length ``rows[r]``. A block comes as soon as the backend settles it, so a
+    check can stop early, and holds at most ``isqrt(_BLOCK_CELLS)`` lengths."""
     return _backend(w, lengths)(w, lengths, minima)
 
 

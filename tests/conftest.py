@@ -8,7 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from prefixnormal import word_core  # noqa: E402
 
-#: The two backends of the window scan, by name; "blocks" names numpy's span backend, which scans in row blocks.
+#: The two backends of the scan, by name. Both read the span rows of the rarer letter: "lanes" in one Python
+#: int per row, and "blocks" names numpy's span backend, which computes the rows in blocks.
 BACKENDS = {"lanes": word_core._lane_extremes, "blocks": word_core._span_extremes}
 
 

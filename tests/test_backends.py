@@ -1,4 +1,5 @@
-"""One conformance suite for the two backends of the window scan.
+"""One conformance suite for the two backends of the scan, which read the
+same span rows of the rarer letter, in lanes of one Python int or in numpy's blocks.
 
 The ``backend`` fixture sends every scan to the lanes and to numpy's span
 blocks in turn by patching ``word_core._backend``, and every consumer of the
@@ -45,7 +46,9 @@ def scan(backend, w: FiniteWord, lengths: range, minima: bool = True) -> tuple[l
     rows, maxs, mins = [], [], []
     for block, hi, lo in backend(w, lengths, minima):
         assert len(hi) == len(block) and (lo is None) == (not minima)
-        rows, maxs, mins = rows + list(block), maxs + hi, mins + (lo or [])
+        rows += block  # in place: a scan in lanes yields one length at a time
+        maxs += hi
+        mins += lo or []
     assert rows == list(lengths)
     return maxs, mins if minima else None
 
@@ -79,11 +82,11 @@ def planted_sparse_words(draw) -> str:
 
 
 @st.composite
-def lane_width_words(draw) -> str:
-    """Words at the lane widths: lanes are k + 1 bits wide up to n = 2^k - 1
-    and k + 2 bits from 2^k on. A word of 1s fills a lane up to n, the most
-    that its width admits, and 1^h 0 1^(n - 1 - h) is prefix normal, so its
-    check scans up to n - 1 ones."""
+def power_of_two_words(draw) -> str:
+    """Words of 2^k - 1, 2^k and 2^k + 1 symbols, up to 2,049, with none or
+    one of their rarer letter: a word of 1s or of 0s, whose rows hold only
+    their sentinel spans, and 0 1^(n - 1) and 1^h 0 1^(n - 1 - h). The last
+    is prefix normal, so its check scans up to n - 1 ones."""
     n = 2 ** draw(st.integers(1, 11)) + draw(st.integers(-1, 1))
     h = n // 2
     return draw(st.sampled_from(["1" * n, "0" * n, "0" + "1" * (n - 1), ("1" * h + "0" + "1" * (n - 1 - h))[:n]]))
@@ -103,7 +106,7 @@ class TestConformance:
             conforms(text, maxs, mins, violation)
 
     @given(
-        text=st.one_of(block_edge_words(), headed_words(), planted_sparse_words(), lane_width_words()), data=st.data()
+        text=st.one_of(block_edge_words(), headed_words(), planted_sparse_words(), power_of_two_words()), data=st.data()
     )
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_words_match_the_int64_kernel(self, backend, text, data):

@@ -174,8 +174,8 @@ class TestCheck:
         )
         assert code == 0 and out.strip() == "NORMAL"
 
-    def test_run_sparse_word_scans_at_most_one_length(self, capsys):
-        # 1 0^63 repeated: 500 runs of 1s in 32,000 symbols, checked on the spans of its 500 1s, not on windows
+    def test_sparse_word_is_checked_on_the_spans_of_its_ones(self, capsys):
+        # 1 0^63 repeated: 500 1s in 32,000 symbols, checked on the spans of its 500 1s, not on windows
         word = ("1" + "0" * 63) * 500
         source = ["lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
         assert run_cli(["generate", *source], capsys=capsys)[1] == word + "\n"
@@ -381,11 +381,19 @@ class TestExactForms:
             0, "1000000000\n0000000000\n"
         )
 
-    @pytest.mark.parametrize("option", [["--window", "400"], ["--prepend-ones", "0"]])
+    @pytest.mark.parametrize("option", [["--window", "400"]])
     def test_window_options_keep_the_window(self, option, scanned, capsys):
         code, out, err = run_cli(["pnf", "fibonacci", "-n", "100"] + option, capsys=capsys)
         assert code == 0 and "not certified" in err and scanned == list(range(1, 101))
         assert out == "{}\n{}\n".format(*exact_forms(["pnf", "fibonacci", "-n", "100"], capsys))
+
+    @pytest.mark.parametrize("source", [["fibonacci"], ["thue-morse"]])
+    def test_prepending_no_ones_keeps_the_exact_forms(self, source, scanned, capsys):
+        # --prepend-ones 0 prepends nothing, so it prints the closed forms, exact, and scans no window
+        argv = ["pnf", *source, "-n", "100"]
+        code, out, err = run_cli(argv + ["--prepend-ones", "0"], capsys=capsys)
+        assert code == 0 and err.startswith("note: all 100 positions are exact: ") and scanned == []
+        assert (code, out, err) == run_cli(argv, capsys=capsys)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -699,6 +707,7 @@ NUMPY_FREE = {
     "plotdata-word": ["plotdata", "--word", "1101" * 300 + "0001" * 200],
     "pnf-fibonacci": ["pnf", "fibonacci", "-n", "3000"],
     "pnf-thue-morse": ["pnf", "thue-morse", "-n", "3000"],
+    "pnf-thue-morse-prepend-zero": ["pnf", "thue-morse", "-n", "3000", "--prepend-ones", "0"],
     "pnf-mechanical-rational": ["pnf", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
     "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
     "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],

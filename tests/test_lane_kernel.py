@@ -1,12 +1,14 @@
-"""The lane backend at the boundaries of its lane width, the lanes and
-numpy's span blocks called directly, and the lane budget of the rule that sends a
-scan to the lanes.
+"""The lane backend at its switch from 16- to 32-bit lanes, the lanes and
+numpy's span blocks called directly, and the lane budget of the rule that
+sends a scan to the lanes. Both backends read the same span rows of the
+rarer letter: the lanes hold a row in one Python int, numpy in row blocks.
 
 A scan runs in lanes only while numpy is not loaded. With
 ``sys.modules["numpy"] = None`` numpy counts as not loaded and any import of
 it raises, so a scan that still returns ran in lanes.
 """
 
+import random
 import sys
 
 import pytest
@@ -18,28 +20,62 @@ from prefixnormal.analysis import find_violation_1, is_c_balanced
 
 from conftest import use_backend
 from oracles import int64_first_violation, int64_profile
-from test_backends import block_edge_words, conforms, headed_words, lane_width_words, scan
+from test_backends import block_edge_words, conforms, headed_words, power_of_two_words, scan
+
+#: Word lengths at the switch from 16- to 32-bit lanes: a lane of b bits holds spans up to 2^(b-1), and n < 2^(b-1).
+LANE_SWITCH = (2**15 - 1, 2**15, 2**15 + 1)
+
+
+@st.composite
+def lane_width_words(draw) -> str:
+    """Words at the switch from 16- to 32-bit lanes whose rarer letter has at
+    most 40 positions, so that a scan stays cheap: one letter only, one of
+    the other letter first, in the middle or last, 1 0^(n - 2) 1, whose row 1
+    holds the span n - 1 and row 2 the sentinel spans n, or a few 1s or 0s
+    at random."""
+    n = draw(st.sampled_from(LANE_SWITCH))
+    h = draw(st.integers(0, n - 1))
+    rare, common = draw(st.sampled_from(["10", "01"]))
+    symbols = [common] * n
+    for at in draw(st.sets(st.integers(0, n - 1), max_size=40)):
+        symbols[at] = rare
+    return draw(st.sampled_from([
+        common * n, rare + common * (n - 1), common * h + rare + common * (n - 1 - h), common * (n - 1) + rare,
+        "1" + "0" * (n - 2) + "1", "".join(symbols),
+    ]))
 
 
 class TestLanesAgainstOracles:
     @pytest.mark.parametrize("k", range(1, 12))
     @pytest.mark.parametrize("kind", ["ones", "zeros", "zero-ones", "ones-zero-ones"])
     def test_lane_width_boundaries(self, k, kind, monkeypatch):
-        # lanes are k + 1 bits wide up to n = 2^k - 1 and k + 2 bits from 2^k on;
-        # a word of 1s fills a lane up to n, the most that its width admits, and
-        # 1^h 0 1^(n - 1 - h) is prefix normal, so its check scans up to n - 1 ones
+        # the words of power_of_two_words, every kind at every k: a word of one
+        # letter packs no position, and the others one, whose sentinel spans
+        # reach n; 1^h 0 1^(n - 1 - h) is prefix normal, so its check scans up to n - 1 ones
         use_backend(monkeypatch, "lanes")
         for n in (2**k - 1, 2**k, 2**k + 1):
             text = {"ones": "1" * n, "zeros": "0" * n, "zero-ones": "0" + "1" * (n - 1),
                     "ones-zero-ones": "1" * (n // 2) + "0" + "1" * (n - 1 - n // 2)}[kind][:n]
             conforms(text, *int64_profile(text, n), int64_first_violation(text))
 
+    @pytest.mark.parametrize("n", LANE_SWITCH)
+    def test_the_switch_from_16_to_32_bit_lanes(self, n, monkeypatch):
+        # 1 0^(n - 2) 1 is prefix normal, and its rows hold spans up to n: at
+        # n = 2^15 - 1 in 16-bit lanes, whose test of length n adds 2^15 - (n + 1) = 0
+        use_backend(monkeypatch, "lanes")
+        conforms("1" + "0" * (n - 2) + "1", [1] * (n - 1) + [2], [0] * (n - 2) + [1, 2], None)
+        rng = random.Random(n)  # 40 1s at random, against the spans called directly
+        w = FiniteWord(bytes(rng.random() < 40 / n for _ in range(n)))
+        for minima in (True, False):
+            assert scan(word_core._lane_extremes, w, range(1, n + 1), minima) == scan(
+                word_core._span_extremes, w, range(1, n + 1), minima)
+
 
 class TestBothBackends:
     """The lanes and numpy's span blocks, called directly, yield the int64 kernel's
     max-1s and min-1s in consecutive blocks over the lengths asked."""
 
-    @given(text=st.one_of(block_edge_words(), headed_words(), lane_width_words()))
+    @given(text=st.one_of(block_edge_words(), headed_words(), power_of_two_words()))
     @settings(max_examples=150, deadline=None)
     def test_lanes_and_blocks_match_the_int64_kernel(self, text):
         w, lengths = FiniteWord(text), range(1, len(text) + 1)
@@ -47,6 +83,16 @@ class TestBothBackends:
         for backend in (word_core._lane_extremes, word_core._span_extremes):
             assert scan(backend, w, lengths) == (maxs, mins)
             assert scan(backend, w, lengths, minima=False) == (maxs, None)
+
+    @given(text=lane_width_words(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_the_spans_at_the_lane_switch(self, text, data):
+        # the int64 kernel is quadratic in n, so these words, sparse in their rarer letter, meet the spans
+        last = data.draw(st.integers(1, len(text)), label="last")
+        lengths = range(data.draw(st.integers(1, last), label="first"), last + 1)
+        for minima in (True, False):
+            lanes = scan(word_core._lane_extremes, FiniteWord(text), lengths, minima)
+            assert lanes == scan(word_core._span_extremes, FiniteWord(text), lengths, minima)
 
     @given(text=block_edge_words(), data=st.data())
     @settings(max_examples=60, deadline=None)
