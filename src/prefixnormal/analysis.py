@@ -21,6 +21,7 @@ from .word_core import (
     FiniteWord,
     ParikhVector,
     PrefixProfile,
+    _FrozenSlots,
     _extremes,
     complement,
 )
@@ -191,8 +192,8 @@ def min_density(w: FiniteWord) -> MinDensityReport:
     return MinDensityReport(delta=Fraction(best_num, best_den), iota=best_den, kappa=best_num)
 
 
-class UltimatelyPeriodicWord:
-    """An infinite word ``preperiod + period + period + ...``.
+class UltimatelyPeriodicWord(_FrozenSlots):
+    """An infinite word ``preperiod + period + period + ...``, an immutable value.
 
     Construction canonicalizes to the minimal representation: the period is
     reduced to its primitive root and trailing preperiod symbols that merely
@@ -200,7 +201,7 @@ class UltimatelyPeriodicWord:
     preperiod.
     """
 
-    __slots__ = ("preperiod", "period")
+    __slots__ = _fields = ("preperiod", "period")
 
     def __init__(self, preperiod: FiniteWord, period: FiniteWord):
         preperiod, period = FiniteWord(preperiod), FiniteWord(period)
@@ -212,8 +213,7 @@ class UltimatelyPeriodicWord:
         while cut and pre[cut - 1] == per[(cut - len(pre) - 1) % len(per)]:
             cut -= 1
         r = (len(pre) - cut) % len(per)
-        self.preperiod = FiniteWord(pre[:cut])
-        self.period = FiniteWord(per[len(per) - r :] + per[: len(per) - r])
+        super().__init__(FiniteWord(pre[:cut]), FiniteWord(per[len(per) - r :] + per[: len(per) - r]))
 
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
@@ -225,14 +225,6 @@ class UltimatelyPeriodicWord:
 
     def period_density(self) -> Fraction:
         return Fraction(self.period.weight, len(self.period))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UltimatelyPeriodicWord):
-            return (self.preperiod, self.period) == (other.preperiod, other.period)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((UltimatelyPeriodicWord, self.preperiod, self.period))
 
     def __repr__(self) -> str:
         return f"UltimatelyPeriodicWord({str(self.preperiod)!r}, {str(self.period)!r})"

@@ -256,11 +256,15 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     return wide[:out_len], *forms, f"{note}; {basis}"
 
 
+def _print_note(note: str | None) -> None:
+    if note is not None:
+        print(f"note: {note}", file=sys.stderr)
+
+
 def _cmd_pnf(args: argparse.Namespace) -> int:
     _, pnf1, pnf0, note = _forms_for_output(args)
     _emit(args, f"{pnf1}\n{pnf0}")
-    if note is not None:
-        print(f"note: {note}", file=sys.stderr)
+    _print_note(note)
     return 0
 
 
@@ -334,13 +338,14 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     if args.pnf:
-        words = _forms_for_output(args)[:3]
+        *words, note = _forms_for_output(args)
     else:
-        words = (_resolve_word(args),)
+        words, note = [_resolve_word(args)], None
     # one row per prefix length: the length, then ones minus zeros of each word
     walks = [itertools.accumulate(map((-1, 1).__getitem__, bytes(w)), initial=0) for w in words]
     row = "\t".join(["{}"] * (1 + len(words)))
     _emit(args, "\n".join(map(row.format, itertools.count(), *walks)))
+    _print_note(note)
     return 0
 
 

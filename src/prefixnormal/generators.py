@@ -63,16 +63,25 @@ def _strip_square_factors(b: int, d: int) -> tuple[int, int]:
     return b, d
 
 
+def _lowest_terms(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """``a``, ``b`` and ``c`` divided by their gcd, with ``c > 0``."""
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
 @functools.total_ordering
-class QuadraticIrrational:
+class QuadraticIrrational(_FrozenSlots):
     """Exact value ``(a + b*sqrt(d))/c`` with ``b != 0`` and square-free ``d >= 2``.
 
     Supports the rational-affine arithmetic the generators need (addition and
     multiplication by fractions, reciprocal, negation) plus exact floor, ceil,
     and total-order comparisons against rationals and same-radicand values.
+    An immutable value, equal to no rational.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if c == 0:
@@ -86,16 +95,7 @@ class QuadraticIrrational:
         b, d = _strip_square_factors(b, d)
         if d == 1:
             raise InvalidInputError("radicand is a perfect square; value is rational")
-        self._normalize(a, b, c, d)
-
-    def _normalize(self, a: int, b: int, c: int, d: int) -> None:
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = math.gcd(a, b, c)
-        self.a = a // g
-        self.b = b // g
-        self.c = c // g
-        self.d = d
+        super().__init__(*_lowest_terms(a, b, c), d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -103,7 +103,7 @@ class QuadraticIrrational:
         """``(a + b*sqrt(d))/c`` over this value's radicand, which is already
         square-free; callers guarantee ``b != 0`` and ``c != 0``."""
         value = object.__new__(QuadraticIrrational)
-        value._normalize(a, b, c, self.d)
+        _FrozenSlots.__init__(value, *_lowest_terms(a, b, c), self.d)
         return value
 
     def __neg__(self) -> "QuadraticIrrational":
@@ -161,14 +161,6 @@ class QuadraticIrrational:
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadraticIrrational):
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented  # the identity fallback keeps a QI unequal to every rational
-
-    def __hash__(self) -> int:
-        return hash((QuadraticIrrational, self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"

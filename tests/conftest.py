@@ -9,8 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from prefixnormal import word_core  # noqa: E402
 
 #: The two backends of the scan, by name. Both read the span rows of the rarer letter: "lanes" in one Python
-#: int per row, and "blocks" names numpy's span backend, which computes the rows in blocks.
-BACKENDS = {"lanes": word_core._lane_extremes, "blocks": word_core._span_extremes}
+#: int per row, and "spans" in numpy, which computes the rows in blocks.
+BACKENDS = {"lanes": word_core._lane_extremes, "spans": word_core._span_extremes}
 
 
 def use_backend(patch: pytest.MonkeyPatch, name: str) -> None:

@@ -261,7 +261,7 @@ class TestRunPairs:
     def test_exhaustive_witness_up_to_length_12(self, padding, monkeypatch):
         # 0s appended keep the first violation, and 40 of them make the 1s the
         # rarer letter of every word, with its widest gap at the end
-        use_backend(monkeypatch, "blocks")
+        use_backend(monkeypatch, "spans")
         for n in range(1, 13):
             for value in range(1 << n):
                 text = format(value, f"0{n}b")
@@ -272,7 +272,7 @@ class TestRunPairs:
         # short runs give many factors with few zeros; in 1100001010100011 the
         # factor over three runs and two zeros, not the one over two runs and
         # three zeros, gives the witness (length 5, start 7)
-        use_backend(monkeypatch, "blocks")
+        use_backend(monkeypatch, "spans")
         rng = random.Random(1613)
         texts = ["1100001010100011"]
         for _ in range(6000):

@@ -683,6 +683,11 @@ class TestPlotdata:
         code, out, _ = run_cli(["plotdata", name, "-n", str(n), "--pnf"], capsys=capsys)
         assert (code, out) == (0, expected)
 
+    @pytest.mark.parametrize("source", [["paperfolding", "-n", "300"], ["fibonacci", "-n", "20"]])
+    def test_pnf_note_matches_pnf(self, source, capsys):
+        _, _, note = run_cli(["pnf", *source], capsys=capsys)
+        assert note.startswith("note: ") and run_cli(["plotdata", *source, "--pnf"], capsys=capsys)[2] == note
+
 
 #: A prefix normal word of 2,000 symbols, the 1-normal form of paperfolding.
 NORMAL = str(analysis.pnf1(compute_profile(generators.paperfolding(2000))))

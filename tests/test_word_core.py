@@ -19,8 +19,10 @@ from prefixnormal import (
     MorphismSpec,
     ParikhVector,
     PrefixProfile,
+    QuadraticIrrational,
     RangeError,
     SlopeSpec,
+    UltimatelyPeriodicWord,
     build_index,
     complement,
     compute_profile,
@@ -309,9 +311,10 @@ class TestComputeProfile:
 
 
 class TestValueTypes:
-    """Profiles, indexes and morphisms are immutable values: equal by fields,
-    hashable, and shown and pickled by their fields. The plain records are
-    named tuples."""
+    """Profiles, indexes, morphisms, ultimately periodic words and quadratic
+    irrationals are immutable values: equal by fields, hashable, and pickled
+    by their fields; all but the last two are shown by their fields. The
+    plain records are named tuples."""
 
     VALUES = {
         "PrefixProfile": (
@@ -325,6 +328,14 @@ class TestValueTypes:
         "MorphismSpec": (
             lambda: MorphismSpec("01", "10"),
             "MorphismSpec(image0=FiniteWord('01'), image1=FiniteWord('10'), seed=0)",
+        ),
+        "UltimatelyPeriodicWord": (
+            lambda: UltimatelyPeriodicWord(FiniteWord("1101"), FiniteWord("0101")),
+            "UltimatelyPeriodicWord('1', '10')",
+        ),
+        "QuadraticIrrational": (
+            lambda: QuadraticIrrational(-2, 2, -4, 8),
+            "QuadraticIrrational(1, -2, 2, 2)",
         ),
     }
 
@@ -575,7 +586,7 @@ class TestOneLetterSpans:
         text = ONE_LETTER_WORDS[name]
         n, ones = len(text), text.count("1")
         assert "rarer" not in name or (ones < n - ones) == name.endswith("1s rarer")
-        use_backend(monkeypatch, "blocks")
+        use_backend(monkeypatch, "spans")
         maxs, mins = int64_profile(text, n)
         violation = int64_first_violation(text)
         assert "late" not in name or violation[1] == 11 and violation[0] > 100  # (start, length, ...)
