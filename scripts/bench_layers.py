@@ -23,7 +23,7 @@ those: a ratio whose quartile band is wider than ``SPREAD_LIMIT`` cannot show
 a 10% change, and gets a warning.
 
     python scripts/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --tree aa=../parent-copy/src --sizes 4096 16384 65536 --rounds 7 --out BENCH_27.json
+        --tree aa=../parent-copy/src --sizes 4096 16384 65536 --rounds 7 --out BENCH_28.json
 
 The kernel rows scan the word ``1`` followed by the Fibonacci word, which is
 prefix normal and 1-balanced, so ``find_violation_1`` and
@@ -33,30 +33,33 @@ n/64 1s, so the spans read about (n/64)^2/2 cells; the ``.long_runs`` rows
 ``(1^64 0^64)^(n/128)``, prefix normal with n/2 of each letter, about n^2/8
 cells, the backend's costliest kind of word for its length. The child checks
 every verdict before it times anything. These rows run with numpy loaded, so
-every scan takes numpy's span blocks. The ``.lanes.random`` and
-``.lanes.normal`` rows take the lanes instead: they scan a random word of
-``LANE_SIZE`` symbols and its 1-prefix normal form, whatever ``--sizes`` says,
-with ``sys.modules["numpy"]`` set to None during the call. The generator row
-times ``flipext_stream(FiniteWord("11010011")).prefix(n)``, a prefix normal
-seed of minimum density 1/2. The lexicographic rows time ``max_word`` and
-``min_word`` at ``LEX_LENGTHS`` seeded lengths on four words of each size: a
-random word, its 1-prefix normal form, a word with a 1 at about every 64th
-symbol, and ``(01)^(n/2)``. The index rows time ``DESERIALIZE_CALLS`` calls of
-``deserialize`` on the index of the random word, and ``QUERY_PAIRS`` queries
-around its band of 1s, 1% of them longer than the word.
+every scan takes numpy's span blocks. The ``.lanes.random``, ``.lanes.normal``
+and ``.lanes.sparse`` rows take the lanes instead: they scan a random word of
+``LANE_SIZE`` symbols, its 1-prefix normal form and ``(1 0^63)^500``, whatever
+``--sizes`` says, with ``sys.modules["numpy"]`` set to None and every scan
+sent to the lanes during the call, as a parent's backend rule may not send
+them. The generator row times ``flipext_stream(FiniteWord("11010011")).prefix(n)``,
+a prefix normal seed of minimum density 1/2. The lexicographic rows time
+``max_word`` and ``min_word`` at ``LEX_LENGTHS`` seeded lengths on four words
+of each size: a random word, its 1-prefix normal form, a word with a 1 at
+about every 64th symbol, and ``(01)^(n/2)``. The index rows time
+``DESERIALIZE_CALLS`` calls of ``deserialize`` on the index of the random
+word, and ``QUERY_PAIRS`` queries around its band of 1s, 1% of them longer
+than the word.
 
 The process rows (``PROCESS_LAYERS``) run at a fixed size, whatever
 ``--sizes`` says: importing the CLI; ``pnf fibonacci -n 8000``, which prints
-closed forms; eight commands that load no numpy (among them ``check`` of a
-word settled by its first run, ``generate lazy-flipext-omega`` from its
-default seed ``1``, and three whose scans fit the lane budget of 2^22 cells:
-``abelian --range``, ``index build --word`` and the seed check of ``generate
-flipext-omega``); ``check`` of a prefix normal word of 2,049 symbols, whose
-full scan lies just past that budget, so it loads numpy; and one ``max_word``
-call on a random word of ``LEX_PROCESS_SIZE`` symbols. ``index query`` reads
-an index that the first tree builds once, and ``index build`` writes to a
-scratch file. Exit code 1 is ``pnw check``'s verdict on a word that is not
-prefix normal; any other non-zero exit code stops the script.
+closed forms; nine commands that load no numpy (among them ``check`` of a word
+settled by its first run, ``generate lazy-flipext-omega`` from its default
+seed ``1``, and four whose scans fit the lane budget of 2^22 lane reads:
+``abelian --range``, ``index build --word``, the seed check of
+``generate flipext-omega`` and the check of ``(1 0^63)^500``); ``check`` of a prefix
+normal word of 3,095 symbols, whose full scan lies just past that budget, so
+it loads numpy; and one ``max_word`` call on a random word of
+``LEX_PROCESS_SIZE`` symbols. ``index query`` reads an index that the first
+tree builds once, and ``index build`` writes to a scratch file. Exit code 1 is
+``pnw check``'s verdict on a word that is not prefix normal; any other
+non-zero exit code stops the script.
 """
 
 from __future__ import annotations
@@ -91,11 +94,11 @@ LAYERS = ("word_core.compute_profile", "word_core.compute_profile.sparse", "word
           "analysis.find_violation_1", "analysis.find_violation_1.sparse", "analysis.find_violation_1.long_runs",
           "analysis.is_c_balanced", "generators.flipext_stream", *LEX_LAYERS, "jumbled_index.deserialize",
           "jumbled_index.query")
-#: Layers timed in process at the one size ``LANE_SIZE`` with numpy blocked, so that their scans take the lanes.
-LANE_LAYERS = tuple(f"{layer}.lanes.{word}" for layer in ("word_core.compute_profile", "analysis.find_violation_1")
-                    for word in ("random", "normal"))
-#: Symbols of the random word of the lane rows: its full scan, 2,000 x 2,000 cells, fits the lane budget of 2^22.
-LANE_SIZE = 2000
+#: Symbols of the random word of the lane rows, and of (1 0^63)^500: the full scans of both fit the lane budget.
+LANE_SIZE, SPARSE_LANE_SIZE = 2000, 32000
+#: Layers timed in process with numpy blocked, so that their scans take the lanes, at the size of their word.
+LANE_LAYERS = {f"{layer}.lanes.{word}": n for layer in ("word_core.compute_profile", "analysis.find_violation_1")
+               for word, n in (("random", LANE_SIZE), ("normal", LANE_SIZE), ("sparse", SPARSE_LANE_SIZE))}
 FLIPEXT_SEED = "11010011"
 #: ``python -c`` code that runs ``pnw`` on the arguments after it, as the benchmark does.
 PNW = "import sys; from prefixnormal.cli import main; sys.exit(main())"
@@ -116,7 +119,8 @@ PROCESS_LAYERS = {
     "cli.abelian_range": (PNW, ["abelian", "paperfolding", "-n", "2000", "--range", "1..100"]),
     "cli.index_build": (PNW, ["index", "build", "--word", INDEX_WORD, "-o", "{built}"]),
     "cli.generate_flipext": (PNW, ["generate", "flipext-omega", "--seed", FLIPEXT_SEED, "-n", "1000"]),
-    "cli.check_normal": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "2048"]),
+    "cli.check_normal": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "3094"]),
+    "cli.check_lazy_sparse": (PNW, ["check", "lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]),
     "library.lex": ("import sys, prefixnormal as pn; w = pn.FiniteWord(open(sys.argv[1]).read());"
                     " print(pn.max_word(w, len(w) // 2))", ["{lex_word}"]),
 }
@@ -137,14 +141,15 @@ def pin_to_one_cpu() -> int | None:
     return cpu
 
 
-def without_numpy(scan, w):
-    """``scan(w)`` with numpy counted as not loaded and not importable, so that it runs in lanes or fails."""
-    numpy = sys.modules["numpy"]
-    sys.modules["numpy"] = None
+def in_lanes(word_core, scan, w):
+    """``scan(w)`` in lanes, with numpy counted as not loaded and not importable, whatever the tree's backend rule
+    picks: a parent's rule may send a scan to numpy that a later one runs in lanes."""
+    numpy, backend = sys.modules["numpy"], word_core._backend
+    sys.modules["numpy"], word_core._backend = None, lambda w, lengths: word_core._lane_extremes
     try:
         return scan(w)
     finally:
-        sys.modules["numpy"] = numpy
+        sys.modules["numpy"], word_core._backend = numpy, backend
 
 
 def each_length(extreme, w, lengths: list[int]) -> list:
@@ -203,11 +208,12 @@ def child_calls(sizes: list[int]) -> dict:
             pairs.append((i - ones, ones))
         calls["jumbled_index.query", n] = partial(query_all, pn.deserialize(blob).query, pairs)
     noise = pn.FiniteWord(random.Random(LANE_SIZE).choices(b"\0\1", k=LANE_SIZE))
-    lane_words = {"random": noise, "normal": pn.pnf1(pn.compute_profile(noise))}
+    lane_words = {"random": noise, "normal": pn.pnf1(pn.compute_profile(noise)),
+                  "sparse": pn.FiniteWord(b"\1" + b"\0" * 63) * (SPARSE_LANE_SIZE // 64)}
     for layer, scan in (("word_core.compute_profile", pn.compute_profile),
                         ("analysis.find_violation_1", find_violation_1)):
         for kind, lane_word in lane_words.items():
-            calls[f"{layer}.lanes.{kind}", LANE_SIZE] = partial(without_numpy, scan, lane_word)
+            calls[f"{layer}.lanes.{kind}", len(lane_word)] = partial(in_lanes, pn.word_core, scan, lane_word)
     return calls
 
 
@@ -279,8 +285,8 @@ def main() -> None:
     labels = list(trees)
     envs = {label: dict(os.environ, PYTHONPATH=os.path.abspath(tree)) for label, tree in trees.items()}
     cpu = pin_to_one_cpu()  # the children and every fresh process inherit the pin
-    # one row per (layer, n): a process layer has the one size None, and a lane layer LANE_SIZE
-    rows = [*((layer, n) for layer in LAYERS for n in args.sizes), *((layer, LANE_SIZE) for layer in LANE_LAYERS),
+    # one row per (layer, n): a process layer has the one size None, and a lane layer the size of its word
+    rows = [*((layer, n) for layer in LAYERS for n in args.sizes), *LANE_LAYERS.items(),
             *((layer, None) for layer in PROCESS_LAYERS)]
     runs = {label: {row: [] for row in rows} for label in labels}  # the best call of each round, in round order
     digests, children = {}, {}
@@ -350,7 +356,8 @@ def main() -> None:
         "long_runs_word": "analysis.find_violation_1.long_runs and word_core.compute_profile.long_runs:"
                           " (1^64 0^64)^(n/128), prefix normal, n/2 of each letter: about n^2/8 spans",
         "lanes": f"{', '.join(LANE_LAYERS)}: compute_profile and find_violation_1 of a random word of {LANE_SIZE}"
-                 f" symbols and of its 1-prefix normal form, in process with numpy blocked, so in lanes",
+                 f" symbols, of its 1-prefix normal form and of (1 0^63)^{SPARSE_LANE_SIZE // 64}, in process with"
+                 f" numpy blocked, so in lanes",
         "generator": f"flipext_stream(FiniteWord({FLIPEXT_SEED!r})).prefix(n), the same word in every tree",
         "processes": {layer: f"fresh `python -c {code!r} {' '.join(arguments)}` processes, n null"
                       for layer, (code, arguments) in PROCESS_LAYERS.items()},

@@ -350,56 +350,76 @@ def _span_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tupl
         a = b
 
 
-#: Most cells, factor lengths times symbols, that a scan runs in lanes instead of importing
-#: numpy: 2^22 cells, a random 2,048-symbol word's profile, take 11-15 ms, the import 65-110 ms.
-_LANE_CELLS = 1 << 22
+#: Most lane reads (:func:`_backend`) of a scan in lanes, not numpy's: 8-34 ms at 2^22, numpy's import 65-115 ms.
+_LANE_READS = 1 << 22
 
 
 def _lane_extremes(w: FiniteWord, lengths: range, minima: bool) -> Iterator[tuple[range, list, list | None]]:
     """The numpy-free backend of :func:`_extremes`: the rows of
-    :func:`_span_extremes`, sentinel spans included, under its proof, in
-    lanes of one Python int. It steps every length from 1 and yields those
-    in ``lengths``, one per block. Lane ``j`` of ``Q`` holds ``p[j-1] + 1``
-    for ``j = 0..k+1``, in ``b`` bits, the fewest of 16, 32 and 64 with
-    ``n < 2^(b-1)``. Row ``s``, ``Q >> b*s`` minus ``Q`` masked to its lanes,
-    holds ``p[j+s-1] - p[j-1] >= 0`` in lane ``j`` with no borrow, and its
-    real spans in lanes ``1..k-s``. Adding ``2^(b-1) - t`` to every lane, for
-    ``1 <= t <= n + 1``, sets the top bit of exactly the lanes holding at
-    least ``t``, with no carry: spans lie in ``0..n+1``. Both extremes step by
-    0 or 1, so at length ``i`` one test of the first row not counted settles
-    each: its real spans with ``t = i`` the max-x, all with ``t = i + 1`` the min-x."""
-    if not lengths:
-        return
-    n, x = len(w), int(2 * w.weight <= len(w))
-    code = next(code for code in "HIQ" if n < 1 << 8 * struct.calcsize(code) - 1)
-    b, k = 8 * struct.calcsize(code), w.weight if x else n - w.weight
+    :func:`_span_extremes`, sentinel spans included, under its proof, in lanes
+    of one Python int. Lane ``j`` of ``Q`` holds ``p[j-1] + 1`` in ``b`` bits,
+    ``n < 2^(b-1)``; row ``s`` plus row 1 shifted down ``s`` lanes is row
+    ``s + 1``: real spans in lanes ``1..k-s``, then earlier rows' top sentinels.
+    Adding ``2^(b-1) - t`` to every lane sets, with no carry, the top bit of
+    those holding ``t`` or more. A row counts in the max-x from the first ``i``
+    with a real span below ``t = i``, in the min-x from the first with all
+    below ``t = i + 1``, which earlier sentinels pass: least and widest spans
+    strictly increase. So ``first`` seeks each past the last, returned with its
+    row biased for it: a leap one short of the mean gap, three steps of one, then
+    Bentley and Yao's unbounded search (IPL 5, 1976). Blocks double up to ``isqrt(_BLOCK_CELLS)`` lengths."""
+    n, x, stop = len(w), int(2 * w.weight <= len(w)), lengths.stop
+    b, k = next(b for b in (16, 32, 64) if n < 1 << b - 1), w.weight if x else n - w.weight
     positions = compress(range(1, n + 1), w._bits if x else w._bits.translate(_FLIP))  # p[j] + 1 for each x
-    packed = int.from_bytes(struct.pack(f"<{k + 2}{code}", 0, *positions, n + 1), "little")  # lane j: p[j-1] + 1
+    packed = int.from_bytes(struct.pack(f"<{k + 2}{'HIQ'[b // 32]}", 0, *positions, n + 1), "little")
     unit = int.from_bytes((1).to_bytes(b // 8, "little") * (k + 2), "little")  # 1 in every lane
-    high, full = unit << (b - 1), (unit << b) - unit  # the top bit of every lane, and every bit
+    high, lower = unit << (b - 1), (packed >> b) - packed + (n + 1 << b * (k + 1))  # top bits; row 1
+    gallop = [(1 << e, unit << e) for e in range(stop.bit_length() + 1)]  # 2^e lengths, and 2^e in every lane
 
-    def row(s: int) -> int:
-        return (packed >> b * s) - (packed & full >> b * s)
+    def first(r: int, mask: int, holds: Callable[[int], bool], i: int, g: int) -> tuple[int, int]:
+        if g > 4 and i + g - 1 < stop and not holds((probe := r - unit * (g - 1)) & mask):
+            i, r = i + g - 1, probe  # it fails one short of the mean gap g so far
+        for _ in (1, 2, 3):
+            r, i = r - unit, i + 1
+            if i == stop or holds(r & mask):
+                return i, r
+        for e, (step, delta) in enumerate(gallop):  # doubling: i + 2^e reaches stop before e runs out
+            if i + step >= stop or holds((probe := r - delta) & mask):
+                break
+            i, r = i + step, probe
+        for step, delta in reversed(gallop[:e]):  # bisection: it holds at i + 2 step, or that is past stop
+            if i + step < stop and not holds((probe := r - delta) & mask):
+                i, r = i + step, probe
+        return i + 1, r - unit
 
-    most, least, top = 0, 0, high >> 2 * b << b if x or minima else 0  # row `most`, the top bits of its real spans
-    fewest, widest = 0, row(1) if minima or not x else 0  # row `fewest + 1`, or 0 when not needed
-    bias = high - unit  # 2^(b-1) - t in every lane, for t = 1
-    for i in range(1, lengths.stop):
-        if top and (least + bias) & top != top:  # a real span of row `most` below i
-            most, least, top = most + 1, row(most + 1), top & top >> b
-        bias -= unit
-        if widest and not (widest + bias) & high:  # every span of row `fewest + 1` at most i; row k + 1 never
-            fewest, widest = fewest + 1, row(fewest + 2)
-        if i >= lengths.start:
-            most_ones, fewest_ones = (most, fewest) if x else (i - fewest, i - most)
-            yield range(i, i + 1), [most_ones], [fewest_ones] if minima else None
+    most, fewest, upper, top = 0, 0, lower >> b, high >> 2 * b << b if x or minima else 0  # top of the real spans
+    most_at, least = first(high, top, top.__ne__, 0, 0)  # row `most`, biased; adding lower steps it a row
+    fewest_at, widest = first(lower + high - unit, high, (0).__eq__, 0, 0) if minima or not x else (stop, 0)
+    a, size, maxs, mins, i = lengths.start, 1, [], [], 1  # lengths from a are not yielded yet
+    while a < stop:
+        if most_at == i:
+            most, top, least, lower = most + 1, top & top >> b, least + lower, lower >> b
+            most_at, least = first(least, top, top.__ne__, i, i // most)
+        if fewest_at == i:
+            fewest, widest, upper = fewest + 1, widest + upper, upper >> b
+            fewest_at, widest = first(widest, high, (0).__eq__, i, i // fewest)
+        j, h = min(most_at, fewest_at, a + size), i if i > a else a  # lengths i..j-1 hold most and fewest
+        maxs += [most] * (j - h) if x else range(h - fewest, j - fewest)
+        mins += [fewest] * (j - h) if x else range(h - most, j - most)
+        if j == a + size or j == stop:
+            yield range(a, j), maxs, mins if minima else None
+            a, size, maxs, mins = j, min(2 * size, isqrt(_BLOCK_CELLS)), [], []
+        i = j
 
 
 def _backend(w: FiniteWord, lengths: range) -> Callable[..., Iterator[tuple[range, list, list | None]]]:
     """The backend of :func:`_extremes` for ``lengths`` of ``w``: lanes while
     numpy is not loaded (a None in ``sys.modules`` only blocks its import) and
-    every length up to the last, times ``n``, fits in ``_LANE_CELLS``; else numpy's blocks."""
-    if sys.modules.get("numpy") is None and (lengths.stop - 1) * len(w) <= _LANE_CELLS:
+    probes times lanes fit in ``_LANE_READS``; else numpy's blocks. By the last
+    length ``r = min(k, last)`` rows of ``k`` lanes count, as row ``s`` spans at least
+    ``s``; ``g`` apart they take ``2 log g`` probes, ``r (2 log(last / r) + 1)`` at most."""
+    k, last = min(w.weight, len(w) - w.weight), lengths.stop - 1
+    probes = (rows := max(min(k, last), 1)) * (2 * (last // rows).bit_length() - 1)
+    if sys.modules.get("numpy") is None and probes * k <= _LANE_READS:
         return _lane_extremes
     return _span_extremes
 
@@ -419,10 +439,10 @@ def compute_profile(w: FiniteWord, longest: int | None = None) -> PrefixProfile:
 
     ``longest`` defaults to ``len(w)``. A smaller bound still takes every
     factor of ``w`` into account, so a long window of an infinite word gives
-    better estimates of its statistics than the short prefix alone. The cost
-    is at most ``O(longest * len(w))``: the span backend reads about
-    ``min(W, Z)^2 / 2`` spans for ``W`` 1s and ``Z`` 0s, or fewer for a smaller
-    ``longest``.
+    better estimates of its statistics than the short prefix alone. Both
+    backends read up to ``min(W, Z)`` span rows for ``W`` 1s and ``Z`` 0s, fewer
+    for a smaller ``longest``: numpy's blocks all their spans, about
+    ``min(W, Z)^2 / 2``, the lanes about ``2 log(n / min(W, Z))`` probes a row.
     """
     n = len(w)
     if n == 0:

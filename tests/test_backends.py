@@ -12,13 +12,14 @@ by calling ``_backend`` at its boundaries, in ``test_lane_kernel``.
 
 import functools
 import itertools
+import math
 import operator
 import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import FiniteWord, complement, compute_profile
+from prefixnormal import FiniteWord, complement, compute_profile, word_core
 from prefixnormal.analysis import find_violation_0, find_violation_1, is_c_balanced
 
 from oracles import brute_first_violation, brute_profile, int64_first_violation, int64_profile
@@ -42,11 +43,11 @@ def conforms(text: str, maxs: list, mins: list, violation: tuple | None, longest
 def scan(backend, w: FiniteWord, lengths: range, minima: bool = True) -> tuple[list, list | None]:
     """The max-1s and min-1s (None unless ``minima``) that ``backend``, called
     directly, yields for ``lengths``, checked to come in consecutive blocks
-    that cover them."""
+    of at most ``isqrt(_BLOCK_CELLS)`` lengths that cover them."""
     rows, maxs, mins = [], [], []
     for block, hi, lo in backend(w, lengths, minima):
-        assert len(hi) == len(block) and (lo is None) == (not minima)
-        rows += block  # in place: a scan in lanes yields one length at a time
+        assert len(hi) == len(block) <= math.isqrt(word_core._BLOCK_CELLS) and (lo is None) == (not minima)
+        rows += block
         maxs += hi
         mins += lo or []
     assert rows == list(lengths)

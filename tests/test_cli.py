@@ -174,13 +174,17 @@ class TestCheck:
         )
         assert code == 0 and out.strip() == "NORMAL"
 
-    def test_sparse_word_is_checked_on_the_spans_of_its_ones(self, capsys):
-        # 1 0^63 repeated: 500 1s in 32,000 symbols, checked on the spans of its 500 1s, not on windows
-        word = ("1" + "0" * 63) * 500
+    def test_sparse_word_is_checked_in_lanes_unless_numpy_is_loaded(self, monkeypatch, capsys):
+        # 1 0^63 repeated: 500 1s in 32,000 symbols, checked on the span rows of its 500 1s:
+        # in numpy's blocks once numpy is loaded, else in lanes, 500 rows of 500 lanes
+        word, lengths = ("1" + "0" * 63) * 500, range(1, 32001)
         source = ["lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]
         assert run_cli(["generate", *source], capsys=capsys)[1] == word + "\n"
         assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "")
-        assert word_core._backend(FiniteWord(word), range(1, len(word) + 1)) is word_core._span_extremes
+        assert word_core._backend(FiniteWord(word), lengths) is word_core._span_extremes
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert word_core._backend(FiniteWord(word), lengths) is word_core._lane_extremes
+        assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "")
 
     def test_planted_violation_scans_no_window(self, capsys):
         word = ("1" + "0" * 63) * 500
@@ -691,9 +695,11 @@ class TestPlotdata:
 
 #: A prefix normal word of 2,000 symbols, the 1-normal form of paperfolding.
 NORMAL = str(analysis.pnf1(compute_profile(generators.paperfolding(2000))))
-#: A prefix normal word one symbol longer than the lane scan takes: its
-#: check scans every length, so it needs numpy.
-PAST_LANES = ("110" * math.isqrt(word_core._LANE_CELLS))[: math.isqrt(word_core._LANE_CELLS) + 1]
+#: A prefix normal word one symbol longer than the lane scan takes: its check
+#: reads its k rows of k lanes, for k 0s, 3 probes each, so it needs numpy.
+PAST_LANES = "110" * (math.isqrt(word_core._LANE_READS // 3) + 1)
+#: Kernel-large's sparse check with the most 1s: 539 rows of 539 lanes, at most 11 probes each, fit the lanes.
+SPARSE_CHECK = ["check", "lazy-flipext-omega", "--slope", "1/60", "-n", "32320"]
 
 #: Commands that scan no word as an array, or scan one short enough for lanes,
 #: so they must not touch numpy.
@@ -724,6 +730,7 @@ NUMPY_FREE = {
     "plotdata-champernowne-pnf": ["plotdata", "champernowne", "-n", "400", "--pnf"],
     "index-build-word": ["index", "build", "--word", ("110100110010" * 167)[:2000], "-o", "{built}"],
     "generate-flipext-omega": ["generate", "flipext-omega", "--seed", "11010011", "-n", "1000"],
+    "check-lazy-sparse": SPARSE_CHECK,
 }
 
 
@@ -759,6 +766,7 @@ class TestNumpyFreeCommands:
         # a scan within the lane budget runs in lanes, and only a longer one needs numpy
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert run_cli(["check", "--word", "1101"], capsys=capsys) == (0, "NORMAL\n", "")
+        assert run_cli(["check", "--word", PAST_LANES[:-1]], capsys=capsys) == (0, "NORMAL\n", "")
         with pytest.raises(ImportError):
             run_cli(["check", "--word", PAST_LANES], capsys=capsys)
 
@@ -771,14 +779,16 @@ class TestNumpyFreeCommands:
             "print('numpy' in sys.modules, file=sys.stderr)\n"
             "main(['check', '--word', '1101'])\n"
             "print('numpy' in sys.modules, file=sys.stderr)\n"
+            f"main({SPARSE_CHECK!r})\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
             f"main(['check', '--word', {PAST_LANES!r}])\n"
             "print('numpy' in sys.modules, file=sys.stderr)\n"
         )
         src = str(Path(prefixnormal.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.split("\n")[1:] == ["NORMAL", "NORMAL", ""]
-        assert done.stderr.split() == ["False", "False", "True"]
+        assert done.stdout.split("\n")[1:] == ["NORMAL", "NORMAL", "NORMAL", ""]
+        assert done.stderr.split() == ["False", "False", "False", "True"]
 
 
 #: Fresh-process shapes: their code after ``from prefixnormal.cli import main``

@@ -111,12 +111,14 @@ class TestNumpyFreeLibrary:
 
     def test_a_scan_cannot_run_without_numpy(self, monkeypatch):
         # a None in sys.modules counts as numpy not loaded: a scan within the
-        # lane budget runs in lanes, and one past it needs numpy
+        # lane budget runs in lanes, and one past it needs numpy. The profile of
+        # (0110)^(k/2) reads k rows of k lanes, 3 probes each: one more 0 and 1 than fit
         monkeypatch.setitem(sys.modules, "numpy", None)
+        k = math.isqrt(word_core._LANE_READS // 3)
         assert build_index(FiniteWord("0110")).query(1, 1)
-        past = math.isqrt(word_core._LANE_CELLS) + 1
+        assert build_index(FiniteWord("0110" * k)[: 2 * k]).query(k, k)
         with pytest.raises(ImportError):
-            build_index(FiniteWord("0110" * past)[:past])
+            build_index(FiniteWord("0110" * k)[: 2 * k + 2])
 
     def test_fresh_process_loads_no_numpy(self, tmp_path):
         index = tmp_path / "w.pnji"
