@@ -191,6 +191,17 @@ class TestBackendRule:
         assert word_core._backend(at, range(1, last + 1)) is word_core._lane_extremes
         assert word_core._backend(past, range(1, past_last + 1)) is word_core._span_extremes
 
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_lanes_take_every_length_up_to_the_last_times_n(self, n, monkeypatch):
+        # a short word takes the lanes for each of its n scans 1..last, and the
+        # profile and the index they give are numpy's
+        w = FiniteWord(("110" * n)[:n])
+        profile = compute_profile(w)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for last in range(1, n + 1):
+            assert word_core._backend(w, range(1, last + 1)) is word_core._lane_extremes
+        assert compute_profile(w) == profile and build_index(w).profile == profile
+
     def test_a_loaded_numpy_takes_every_scan(self, monkeypatch):
         # off the lanes every word takes the spans, whatever its runs; a
         # blocked numpy sends both to the lanes, also a scan of no lengths
