@@ -3,7 +3,10 @@ scaling shows.
 
 Every row is timed by one rule. Each source tree (a directory that holds the
 ``prefixnormal`` package, such as ``src`` of a checkout) gets one long-lived
-child with the tree on ``PYTHONPATH``, pinned with the script to one CPU. The
+child with a copy of the tree on ``PYTHONPATH``, pinned with the script to one
+CPU. The copy holds no ``__pycache__`` and no process writes one
+(``PYTHONDONTWRITEBYTECODE=1``), so every tree's processes compile the package
+from source, as in a fresh checkout, whatever bytecode the tree holds. The
 child builds and checks the benchmark words once and freezes them out of the
 garbage collector. Each request "row R at size n" then makes one call, with
 the garbage collected first and the collector off during the call; the child
@@ -72,6 +75,7 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -283,7 +287,6 @@ def main() -> None:
     args = parser.parse_args()
     trees = dict(spec.split("=", 1) for spec in args.tree)
     labels = list(trees)
-    envs = {label: dict(os.environ, PYTHONPATH=os.path.abspath(tree)) for label, tree in trees.items()}
     cpu = pin_to_one_cpu()  # the children and every fresh process inherit the pin
     # one row per (layer, n): a process layer has the one size None, and a lane layer the size of its word
     rows = [*((layer, n) for layer in LAYERS for n in args.sizes), *LANE_LAYERS.items(),
@@ -292,6 +295,11 @@ def main() -> None:
     digests, children = {}, {}
     try:
         with tempfile.TemporaryDirectory() as scratch:
+            envs = {}
+            for label, tree in trees.items():
+                copy = Path(scratch, "trees", label)
+                shutil.copytree(tree, copy, ignore=shutil.ignore_patterns("__pycache__"))
+                envs[label] = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
             files = {name: str(Path(scratch, name)) for name in ("index", "queries", "lex_word", "built")}
             Path(files["queries"]).write_text(QUERIES)
             rng = random.Random(LEX_PROCESS_SIZE)

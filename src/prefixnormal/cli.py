@@ -147,7 +147,9 @@ _EXACT_FORMS = {
 
 
 def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
-    """Materialize the single word source (builtin, literal, or file).
+    """Materialize the analysed word, --prepend-ones 1s and then the single
+    source (builtin, literal, or file); a word past ``MATERIALIZE_CAP``
+    symbols, its 1s included, is refused before any symbol is built.
 
     With ``widen``, a builtin is materialized over its analysis window:
     ``WINDOW_FACTOR`` times the requested length unless --window says
@@ -161,35 +163,33 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     prepend = getattr(args, "prepend_ones", None) or 0
     if prepend < 0:
         raise UsageError("--prepend-ones must be non-negative")
+    if args.builtin is None:
+        text = args.word if args.file is None else (args.file.read_text().splitlines() or [""])[0].strip()
+        length = len(text) if args.length is None else min(args.length, len(text))
+    elif args.length is None:
+        raise UsageError("builtin sources require -n/--length")
+    else:
+        length = args.length
+        if widen:
+            from .analysis import WINDOW_FACTOR
+            length = max(WINDOW_FACTOR * length if args.window is None else args.window, length)
     from .word_core import MATERIALIZE_CAP
-    if prepend > MATERIALIZE_CAP:
+    if prepend + length > MATERIALIZE_CAP:
         raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
-    if args.word is not None or args.file is not None:
-        if args.file is not None:
-            text = args.file.read_text().splitlines()
-            try:
-                word = _word(text[0].strip() if text else "")
-            except InvalidInputError as exc:
-                raise WordFileError(f"{args.file}: {exc}") from exc
-        else:
-            word = _word(args.word)
+    if args.builtin is None:
+        try:
+            word = _word(text)
+        except InvalidInputError as exc:
+            if args.file is None:
+                raise
+            raise WordFileError(f"{args.file}: {exc}") from exc
         if args.length is not None:
             if args.length > len(word):
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
             word = word[: args.length]
-        return word
-    length = args.length
-    if length is None:
-        raise UsageError("builtin sources require -n/--length")
-    if widen:
-        from .analysis import WINDOW_FACTOR
-        length = max(WINDOW_FACTOR * length if args.window is None else args.window, length)
-    return _BUILTINS[args.builtin](args).prefix(length)
-
-
-def _apply_prepend(word: FiniteWord, count: int | None) -> FiniteWord:
-    # _resolve_word has rejected a negative or oversized count before producing any symbol
-    return _word("1" * count) + word if count else word
+    else:
+        word = _BUILTINS[args.builtin](args).prefix(length)
+    return _word("1" * prepend) + word if prepend else word
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -209,7 +209,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import find_violation_0, find_violation_1
-    word = _apply_prepend(_resolve_word(args), args.prepend_ones)
+    word = _resolve_word(args)
     finder = find_violation_0 if args.zero else find_violation_1
     violation = finder(word)
     if violation is None:
@@ -232,17 +232,16 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     window; the output word is the window's prefix, and only its lengths are
     profiled, over every factor of the window.
     """
-    prepend = getattr(args, "prepend_ones", None)
+    prepend = getattr(args, "prepend_ones", None) or 0
     reason, holds, exact_forms = _EXACT_FORMS.get(args.builtin, (None, None, None))
     if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and not prepend:
         word = _resolve_word(args)
         return word, *exact_forms(args, len(word)), f"all {len(word)} positions are exact: {reason}"
     from .analysis import WINDOW_FACTOR, pnf0, pnf1, reliable_pnf_window
     from .word_core import compute_profile
-    window = _resolve_word(args, widen=True)
-    wide = _apply_prepend(window, prepend)
+    wide = _resolve_word(args, widen=True)
     # a literal is printed whole; a builtin up to -n symbols after the prepended ones
-    out_len = len(wide) if args.builtin is None else len(wide) - len(window) + args.length
+    out_len = len(wide) if args.builtin is None else prepend + args.length
     profile = compute_profile(wide, out_len)
     forms = pnf1(profile), pnf0(profile)
     if args.builtin is None:

@@ -20,6 +20,8 @@ from prefixnormal import FiniteWord, analysis, cli, complement, compute_profile,
 from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
+from oracles import brute_profile
+
 
 def run_cli(argv, stdin_text=None, capsys=None):
     if stdin_text is not None:
@@ -157,9 +159,12 @@ class TestCheck:
         assert run_cli(argv, capsys=capsys) == (2, "", "error: --prepend-ones must be non-negative\n")
 
     @pytest.mark.parametrize("source", [["--word", "1"], ["fibonacci", "-n", "5"]])
-    @pytest.mark.parametrize("count", [generators.MATERIALIZE_CAP + 1, 10**10])
+    @pytest.mark.parametrize("count", [generators.MATERIALIZE_CAP + 1, 10**10, "whole-word-past"])
     def test_prepend_past_the_cap_fails_before_the_source_is_built(self, source, count, monkeypatch, capsys):
-        # 1^count is never built: a failed allocation would exit 1, the code for a violation
+        # neither the source nor 1^count is built: a failed allocation would exit 1, the code for a violation
+        if count == "whole-word-past":  # the 1s fit, but with the 1 or 5 symbols after them the word is one too long
+            count = generators.MATERIALIZE_CAP + 1 - (1 if source[0] == "--word" else 5)
+
         def unbuilt(*args):
             raise AssertionError("--prepend-ones past the cap must be rejected first")
 
@@ -270,6 +275,25 @@ class TestPnf:
         assert code == 0
         _, generated, _ = run_cli(["generate", "thue-morse", "-n", "20"], capsys=capsys)
         assert out.splitlines()[0] == "11" + generated.strip()
+
+    @pytest.mark.parametrize(
+        "window, note",
+        [
+            (20, "positions beyond 13 may change with a longer analysis window"),
+            (120, "positions beyond 30 may change with a longer analysis window"),
+            (400, "all 53 positions lie within the reliable range"),
+        ],
+    )
+    def test_prepended_builtin_in_a_window(self, window, note, capsys):
+        # 1^3 and the first max(W, n) symbols are profiled; both forms are printed to length 3 + n
+        argv = ["pnf", "paperfolding", "-n", "50", "--prepend-ones", "3", "--window", str(window)]
+        code, out, err = run_cli(argv, capsys=capsys)
+        wide = "111" + str(generators.paperfolding_stream().prefix(max(window, 50)))
+        forms = [
+            "".join(str(b - a) for a, b in itertools.pairwise([0, *weights[:53]])) for weights in brute_profile(wide)
+        ]
+        assert code == 0 and out.split() == forms
+        assert err == f"note: {note}; the reliable range comes from the 4n window heuristic and is not certified\n"
 
 
 def exact_forms(argv, capsys):
