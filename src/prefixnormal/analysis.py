@@ -154,15 +154,17 @@ def format_parikh_set(vectors: set[ParikhVector]) -> str:
     return " ".join(f"({v.zeros},{v.ones})" for v in ordered)
 
 
-#: Profile-derived statistics of a finite prefix are trusted up to this
-#: fraction of its length, so analysis windows are this many times longer
-#: than the printed output.
+#: The default analysis window of ``pnw pnf`` and ``plotdata --pnf`` is this
+#: many times longer than the printed output.
 WINDOW_FACTOR = 4
 
 
 def reliable_pnf_window(window_length: int) -> int:
     """Heuristic bound up to which profile-derived statistics of a finite
-    prefix are trusted to match the underlying infinite word."""
+    prefix were taken to match the underlying infinite word. It bounds nothing:
+    ``pnw pnf champernowne -n 40`` differs from the infinite word's forms inside
+    it. No CLI path calls it; it stays public while the benchmark's tracer
+    wraps it by name."""
     return window_length // WINDOW_FACTOR
 
 

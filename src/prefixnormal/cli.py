@@ -116,32 +116,71 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
     return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
 
 
-def _thue_morse_forms(args: argparse.Namespace, n: int) -> tuple[FiniteWord, FiniteWord]:
+def _thue_morse_forms(args: argparse.Namespace, word: FiniteWord) -> tuple[FiniteWord, FiniteWord]:
     """The first ``n`` symbols of 1(10)^omega and of 0(01)^omega."""
+    n = len(word)
     return _word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])
 
 
-#: Builtins whose infinite word has normal forms in closed form: the reason;
-#: None, or a test on the raw arguments of whether the reason holds, run before
-#: any symbol is built; and a map from the arguments, validated by then, and a
-#: length ``n`` to the first ``n`` symbols of (pnf1, pnf0).
+def _window_forms(window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
+    """The first ``n`` symbols of the normal forms of ``window``: only lengths
+    ``1..n`` are profiled, over every factor of the window."""
+    from .analysis import pnf0, pnf1
+    from .word_core import compute_profile
+    profile = compute_profile(window, n)
+    return pnf1(profile), pnf0(profile)
+
+
+def _paperfolding_forms(args: argparse.Namespace, word: FiniteWord) -> tuple[FiniteWord, FiniteWord]:
+    """The forms of the first ``13 * 2^k`` symbols, ``2^k >= n``, which hold every
+    factor of length up to ``2^k``. Counting positions from 1, position ``i``
+    holds 1 when the odd part of ``i`` is 3 mod 4, which depends on ``i`` mod
+    ``2^(v+2)`` only, for ``2^v`` the largest power of 2 dividing ``i``. A factor
+    of length up to ``2^k`` holds at most one multiple of ``2^(k+1)``, and every
+    other position keeps its symbol when the factor moves by a multiple of
+    ``2^(k+2)``. Moved to start below ``2^(k+2)``, the factor holds that multiple
+    at ``2^(k+1)`` or ``2^(k+2)``. Moving it on by ``t * 2^(k+2)`` puts it at
+    ``2^(k+1) (1 + 2t)`` or ``2^(k+2) (1 + t)``, of odd part 1 at ``t = 0`` and
+    3 at ``t = 1`` or ``t = 2``. So every such factor recurs with its start
+    below ``12 * 2^k``."""
+    n = len(word)
+    return _window_forms(_generators().paperfolding_stream().prefix(13 << (n - 1).bit_length()), n)
+
+
+#: Builtins whose infinite word has normal forms in closed form or from a
+#: proved window: the reason; None, or a test on the raw arguments of whether
+#: the reason holds, run before any symbol is built; and a map from the
+#: arguments, validated by then, and the printed word of ``n`` symbols to the
+#: first ``n`` symbols of (pnf1, pnf0).
 _EXACT_FORMS = {
     "fibonacci": (
         "the Fibonacci word is Sturmian",
         None,
-        lambda args, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
+        lambda args, word: _mechanical_forms(_generators().FIBONACCI_SLOPE, len(word)),
     ),
     # a p/q word is periodic, and every intercept and direction has the same factors
-    "mechanical": ("a mechanical word is balanced", None, lambda args, n: _mechanical_forms(_slope(args), n)),
+    "mechanical": (
+        "a mechanical word is balanced", None, lambda args, word: _mechanical_forms(_slope(args), len(word))
+    ),
     "lazy-flipext-omega": (
         "from seed 1 it is the upper mechanical word of its slope",
         lambda args: (args.seed or "1") == "1",
-        lambda args, n: _mechanical_forms(_slope(args), n),
+        lambda args, word: _mechanical_forms(_slope(args), len(word)),
     ),
     "thue-morse": (
         "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
         None,
         _thue_morse_forms,
+    ),
+    "paperfolding": (
+        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols", None, _paperfolding_forms
+    ),
+    # pnf1: every prefix is prefix normal (see generators._density_stages);
+    # pnf0: each run of 0s is longer than the last, so 0^i is a factor for every i
+    "density-staircase": (
+        "every prefix is prefix normal and its runs of 0s grow without bound",
+        None,
+        lambda args, word: (word, _word("0" * len(word))),
     ),
 }
 
@@ -223,36 +262,26 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     """The output word, its two normal forms, and the stderr note on them
     (None for a literal word, which is its own window: its forms are exact).
 
-    A builtin whose ``_EXACT_FORMS`` entry holds gets the closed forms of its
-    infinite word, and only its printed symbols are materialized. --window
-    and a positive --prepend-ones ask for a finite window, and -n 0 is left
-    to the window's profile to reject. Other builtins are materialized once,
-    ``WINDOW_FACTOR`` times longer than the printed length (overridable via
-    --window), so every printed position lies in the trusted quarter of the
-    window; the output word is the window's prefix, and only its lengths are
-    profiled, over every factor of the window.
+    A builtin whose ``_EXACT_FORMS`` entry holds gets the normal forms of its
+    infinite word, built from its printed symbols. --window and a positive
+    --prepend-ones ask for a finite window, and -n 0 is left to the window's
+    profile to reject. Other builtins are materialized once, ``WINDOW_FACTOR``
+    times longer than the printed length (overridable via --window), and the
+    printed forms are the window's, which nothing certifies for the infinite
+    word; the output word is the window's prefix.
     """
     prepend = getattr(args, "prepend_ones", None) or 0
     reason, holds, exact_forms = _EXACT_FORMS.get(args.builtin, (None, None, None))
     if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and not prepend:
         word = _resolve_word(args)
-        return word, *exact_forms(args, len(word)), f"all {len(word)} positions are exact: {reason}"
-    from .analysis import WINDOW_FACTOR, pnf0, pnf1, reliable_pnf_window
-    from .word_core import compute_profile
+        return word, *exact_forms(args, word), f"all {len(word)} positions are exact: {reason}"
     wide = _resolve_word(args, widen=True)
     # a literal is printed whole; a builtin up to -n symbols after the prepended ones
     out_len = len(wide) if args.builtin is None else prepend + args.length
-    profile = compute_profile(wide, out_len)
-    forms = pnf1(profile), pnf0(profile)
+    forms = _window_forms(wide, out_len)
     if args.builtin is None:
         return wide[:out_len], *forms, None
-    reliable = reliable_pnf_window(len(wide))
-    if reliable < out_len:
-        note = f"positions beyond {reliable} may change with a longer analysis window"
-    else:
-        note = f"all {out_len} positions lie within the reliable range"
-    basis = f"the reliable range comes from the {WINDOW_FACTOR}n window heuristic and is not certified"
-    return wide[:out_len], *forms, f"{note}; {basis}"
+    return wide[:out_len], *forms, f"normal forms of the first {len(wide)} symbols; not certified for the infinite word"
 
 
 def _print_note(note: str | None) -> None:

@@ -20,7 +20,7 @@ from prefixnormal import FiniteWord, analysis, cli, complement, compute_profile,
 from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
-from oracles import brute_profile
+from oracles import brute_profile, int64_profile, paperfolding_symbols
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -233,14 +233,12 @@ class TestPnf:
         assert err.startswith("note: all 20 positions are exact: the Fibonacci word is Sturmian")
 
     def test_trusted_range_is_not_certified(self, capsys):
-        # the 4n window is a heuristic: a wider one changes these normal forms
-        code, out, err = run_cli(["pnf", "paperfolding", "-n", "300"], capsys=capsys)
-        assert code == 0 and "all 300 positions" in err and "not certified" in err
-        _, wider, _ = run_cli(["pnf", "paperfolding", "-n", "300", "--window", "2400"], capsys=capsys)
-        pnf1, pnf0 = out.split()
-        wider1, wider0 = wider.split()
-        assert pnf1[:146] == wider1[:146] and pnf1[146] != wider1[146]
-        assert [i + 1 for i in range(300) if pnf0[i] != wider0[i]] == [294, 295, 299]
+        # champernowne holds 1^i (2^i - 1 in binary) for every i, so its pnf1 is 1^40,
+        # but 1^40 first occurs far past any window: the window's forms claim nothing
+        for window, length in (([], WINDOW_FACTOR * 40), (["--window", "100000"], 100000)):
+            code, out, err = run_cli(["pnf", "champernowne", "-n", "40", *window], capsys=capsys)
+            assert code == 0 and "0" in out.split()[0]
+            assert err == f"note: normal forms of the first {length} symbols; not certified for the infinite word\n"
 
     def test_thue_morse_pattern(self, capsys):
         code, out, _ = run_cli(["pnf", "thue-morse", "-n", "21"], capsys=capsys)
@@ -263,7 +261,7 @@ class TestPnf:
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
     def test_profiles_only_printed_lengths(self, command, scanned, capsys):
         # the 4n window is read whole, but only lengths 1..n are profiled
-        code, _, _ = run_cli(command + ["paperfolding", "-n", "50"], capsys=capsys)
+        code, _, _ = run_cli(command + ["champernowne", "-n", "50"], capsys=capsys)
         assert code == 0 and scanned == list(range(1, 51))
 
     def test_prepended_builtin_is_its_own_normal_form(self, capsys):
@@ -276,24 +274,19 @@ class TestPnf:
         _, generated, _ = run_cli(["generate", "thue-morse", "-n", "20"], capsys=capsys)
         assert out.splitlines()[0] == "11" + generated.strip()
 
-    @pytest.mark.parametrize(
-        "window, note",
-        [
-            (20, "positions beyond 13 may change with a longer analysis window"),
-            (120, "positions beyond 30 may change with a longer analysis window"),
-            (400, "all 53 positions lie within the reliable range"),
-        ],
-    )
-    def test_prepended_builtin_in_a_window(self, window, note, capsys):
+    @pytest.mark.parametrize("window", [20, 120, 400])
+    def test_prepended_builtin_in_a_window(self, window, capsys):
         # 1^3 and the first max(W, n) symbols are profiled; both forms are printed to length 3 + n
         argv = ["pnf", "paperfolding", "-n", "50", "--prepend-ones", "3", "--window", str(window)]
         code, out, err = run_cli(argv, capsys=capsys)
         wide = "111" + str(generators.paperfolding_stream().prefix(max(window, 50)))
-        forms = [
-            "".join(str(b - a) for a, b in itertools.pairwise([0, *weights[:53]])) for weights in brute_profile(wide)
-        ]
-        assert code == 0 and out.split() == forms
-        assert err == f"note: {note}; the reliable range comes from the 4n window heuristic and is not certified\n"
+        assert code == 0 and out.split() == oracle_forms(brute_profile(wide), 53)
+        assert err == f"note: normal forms of the first {len(wide)} symbols; not certified for the infinite word\n"
+
+
+def oracle_forms(profile, n):
+    """pnf1 and pnf0 to length ``n`` from an oracle's max and min 1s per length."""
+    return ["".join(str(b - a) for a, b in itertools.pairwise([0, *counts[:n]])) for counts in profile]
 
 
 def exact_forms(argv, capsys):
@@ -444,6 +437,34 @@ class TestExactForms:
     def test_errors_keep_their_exit_code(self, command, argv, message, capsys):
         assert run_cli(command + argv, capsys=capsys) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
+    def test_paperfolding_matches_a_window_8_times_longer(self, command, capsys):
+        # every n up to 1,000 reads at most 13 * 1024 symbols, an eighth of the reference window
+        reference = "".join(map(str, paperfolding_symbols(8 * 13 * 1024)))
+        profile = int64_profile(reference, 1000)
+        for n in [*range(1, 130), 200, 255, 256, 257, 300, 511, 600, 1000]:
+            forms = oracle_forms(profile, n)
+            if command == ["pnf"]:
+                expected = "".join(form + "\n" for form in forms)
+            else:
+                expected = TestPlotdata.prefix_sum_rows([FiniteWord(reference[:n]), *map(FiniteWord, forms)])
+            code, out, err = run_cli([*command, "paperfolding", "-n", str(n)], capsys=capsys)
+            assert (code, out) == (0, expected) and err.startswith(f"note: all {n} positions are exact: "), n
+
+    @pytest.mark.parametrize(
+        "params", [["--alpha", "1/3"], ["--alpha", "2/5", "--a1", "9/10"], ["--alpha", "1/7", "--a1", "1/5"]]
+    )
+    def test_density_staircase_is_its_own_1_normal_form(self, params, capsys):
+        # every prefix is prefix normal, and the stages append ever longer runs of 0s
+        source = ["density-staircase", *params]
+        for n in (80, 3000):
+            pnf1, pnf0 = exact_forms(["pnf", *source, "-n", str(n)], capsys)
+            prefix = run_cli(["generate", *source, "-n", str(n)], capsys=capsys)[1].strip()
+            assert str(pnf1) == prefix and analysis.find_violation_1(pnf1) is None
+            assert pnf0 == FiniteWord.zeros(n)
+        # 0^80, so 0^i for every i <= 80, occurs within the first 250,000 symbols
+        assert "0" * 80 in run_cli(["generate", *source, "-n", "250000"], capsys=capsys)[1]
+
     def test_fresh_process_loads_no_numpy_and_scans_nothing(self):
         script = (
             "import sys\n"
@@ -453,12 +474,13 @@ class TestExactForms:
             "cli.compute_profile = word_core.compute_profile = scan\n"
             "cli.main(['pnf', 'fibonacci', '-n', '8000'])\n"
             "cli.main(['pnf', 'thue-morse', '-n', '350'])\n"
+            "cli.main(['pnf', 'density-staircase', '--alpha', '1/3', '-n', '3000'])\n"
             "print('numpy' in sys.modules, file=sys.stderr)\n"
         )
         src = str(Path(prefixnormal.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert [len(line) for line in done.stdout.splitlines()] == [8000, 8000, 350, 350]
+        assert [len(line) for line in done.stdout.splitlines()] == [8000, 8000, 350, 350, 3000, 3000]
         assert done.stderr.splitlines()[-1] == "False"
 
 
@@ -704,8 +726,9 @@ class TestPlotdata:
 
     @pytest.mark.parametrize("name", ["fibonacci", "champernowne", "paperfolding"])
     def test_pnf_rows_match_prefix_sums(self, name, capsys):
+        # paperfolding's forms come from its first 13 * 64 symbols, which hold every factor up to length 64
         n = 60
-        window = cli._BUILTINS[name](None).prefix(WINDOW_FACTOR * n)
+        window = cli._BUILTINS[name](None).prefix(13 * 64 if name == "paperfolding" else WINDOW_FACTOR * n)
         profile = compute_profile(window, n)
         expected = self.prefix_sum_rows([window[:n], analysis.pnf1(profile), analysis.pnf0(profile)])
         code, out, _ = run_cli(["plotdata", name, "-n", str(n), "--pnf"], capsys=capsys)
@@ -745,6 +768,7 @@ NUMPY_FREE = {
     "pnf-thue-morse-prepend-zero": ["pnf", "thue-morse", "-n", "3000", "--prepend-ones", "0"],
     "pnf-mechanical-rational": ["pnf", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
     "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
+    "pnf-density-staircase": ["pnf", "density-staircase", "--alpha", "1/3", "-n", "3000"],
     "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],
     # scans within the lane budget, the sizes of the benchmark's short commands
     "check-normal-file": ["check", "--file", "{normal}"],
