@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import math
+import operator
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import IndexFormatError, InvalidInputError, ResourceLimitError
 
@@ -90,24 +92,6 @@ def _density_staircase(args: argparse.Namespace) -> WordStream:
     return generators.aperiodic_density_stream(alpha, generators.geometric_density_sequence(alpha, a1))
 
 
-#: Builtin word sources by name; each factory reads its parameters from the
-#: parsed arguments and raises UsageError when a required one is missing.
-_BUILTINS = {
-    "fibonacci": lambda args: _generators().fibonacci_stream(),
-    "thue-morse": lambda args: _generators().thue_morse_stream(),
-    "paperfolding": lambda args: _generators().paperfolding_stream(),
-    "champernowne": lambda args: _generators().champernowne_stream(),
-    "mechanical": lambda args: _generators().mechanical_stream(
-        _slope(args), _parse_fraction(args.intercept), upper=bool(args.upper)
-    ),
-    "flipext-omega": lambda args: _generators().flipext_stream(_word(_required(args, "seed"))),
-    "lazy-flipext-omega": lambda args: _generators().lazy_alpha_flipext_stream(
-        slope=_slope(args), w=_word(args.seed or "1")
-    ),
-    "density-staircase": _density_staircase,
-}
-
-
 def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]:
     """A balanced word of slope ``a`` has ``ceil(i*a)`` 1s in its heaviest and
     ``floor(i*a)`` in its lightest factors of length ``i``, the prefix weights
@@ -116,13 +100,7 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
     return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
 
 
-def _thue_morse_forms(args: argparse.Namespace, word: FiniteWord) -> tuple[FiniteWord, FiniteWord]:
-    """The first ``n`` symbols of 1(10)^omega and of 0(01)^omega."""
-    n = len(word)
-    return _word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])
-
-
-def _window_forms(window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
+def _window_forms(args: argparse.Namespace, window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
     """The first ``n`` symbols of the normal forms of ``window``: only lengths
     ``1..n`` are profiled, over every factor of the window."""
     from .analysis import pnf0, pnf1
@@ -131,69 +109,95 @@ def _window_forms(window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
     return pnf1(profile), pnf0(profile)
 
 
-def _paperfolding_forms(args: argparse.Namespace, word: FiniteWord) -> tuple[FiniteWord, FiniteWord]:
-    """The forms of the first ``13 * 2^k`` symbols, ``2^k >= n``, which hold every
-    factor of length up to ``2^k``. Counting positions from 1, position ``i``
-    holds 1 when the odd part of ``i`` is 3 mod 4, which depends on ``i`` mod
-    ``2^(v+2)`` only, for ``2^v`` the largest power of 2 dividing ``i``. A factor
-    of length up to ``2^k`` holds at most one multiple of ``2^(k+1)``, and every
-    other position keeps its symbol when the factor moves by a multiple of
-    ``2^(k+2)``. Moved to start below ``2^(k+2)``, the factor holds that multiple
-    at ``2^(k+1)`` or ``2^(k+2)``. Moving it on by ``t * 2^(k+2)`` puts it at
-    ``2^(k+1) (1 + 2t)`` or ``2^(k+2) (1 + t)``, of odd part 1 at ``t = 0`` and
-    3 at ``t = 1`` or ``t = 2``. So every such factor recurs with its start
-    below ``12 * 2^k``."""
-    n = len(word)
-    return _window_forms(_generators().paperfolding_stream().prefix(13 << (n - 1).bit_length()), n)
+def _lazy_flipext_forms(args: argparse.Namespace, window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
+    """Past ``w`` and a run of 0s the stream follows the upper mechanical word
+    ``U`` of slope ``a``, and every prefix is prefix normal (see
+    ``generators.lazy_alpha_flipext_stream``), so pnf1 is the printed prefix.
+    The tail holds every factor of ``U``, the lightest of ``floor(i*a)`` 1s. A
+    leading 1 moves right and a 0 after a 0 moves left, never gaining weight,
+    so a lighter factor starts after a 1 followed by a 0, at an ``s <= |w|``
+    with prefix weight ``P(s) > ceil(s*a)``: else it weighs at least
+    ``ceil((s+i)*a) - ceil(s*a) >= floor(i*a)``, and it ends by symbol ``|w| + n``."""
+    slope, head = _slope(args), bytes(window[: len(args.seed or "1") + 1])
+    weights = list(itertools.accumulate(head, initial=0))
+    starts = [s for s in range(1, len(head)) if head[s - 1] > head[s] and weights[s] > math.ceil(s * slope.value)]
+    lower = _generators().mechanical_lower(slope, 0, n)
+    if not starts:  # from seed 1 no start remains
+        return window[:n], lower
+    from .analysis import _word_with_prefix_weights
+    sums, least = list(itertools.accumulate(bytes(window))), list(itertools.accumulate(bytes(lower)))
+    for s in starts:
+        least = list(map(min, least, map(operator.sub, sums[s : s + n], itertools.repeat(sums[s - 1]))))
+    return window[:n], _word_with_prefix_weights(least)
 
 
-#: Builtins whose infinite word has normal forms in closed form or from a
-#: proved window: the reason; None, or a test on the raw arguments of whether
-#: the reason holds, run before any symbol is built; and a map from the
-#: arguments, validated by then, and the printed word of ``n`` symbols to the
-#: first ``n`` symbols of (pnf1, pnf0).
-_EXACT_FORMS = {
-    "fibonacci": (
-        "the Fibonacci word is Sturmian",
-        None,
-        lambda args, word: _mechanical_forms(_generators().FIBONACCI_SLOPE, len(word)),
+def _finite_window(args: argparse.Namespace, n: int) -> int:
+    """``WINDOW_FACTOR`` times the printed length, or --window, and never less than it."""
+    from .analysis import WINDOW_FACTOR
+    return max(WINDOW_FACTOR * n if args.window is None else args.window, n)
+
+
+class _Builtin(NamedTuple):
+    """A builtin's stream factory, and for normal forms in closed form or from a
+    proved window: the window length for ``n`` printed symbols, why the forms are
+    exact, and a map from the arguments, the window and ``n`` to (pnf1, pnf0)."""
+
+    stream: Callable[[argparse.Namespace], WordStream]
+    window: Callable[[argparse.Namespace, int], int] | None = None
+    reason: str | None = None
+    forms: Callable[[argparse.Namespace, FiniteWord, int], tuple[FiniteWord, FiniteWord]] | None = None
+
+
+#: Builtin word sources by name; a factory raises UsageError when a parameter it needs is missing.
+_BUILTINS = {
+    "fibonacci": _Builtin(
+        lambda args: _generators().fibonacci_stream(), lambda args, n: n, "the Fibonacci word is Sturmian",
+        lambda args, word, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
     ),
-    # a p/q word is periodic, and every intercept and direction has the same factors
-    "mechanical": (
-        "a mechanical word is balanced", None, lambda args, word: _mechanical_forms(_slope(args), len(word))
-    ),
-    "lazy-flipext-omega": (
-        "from seed 1 it is the upper mechanical word of its slope",
-        lambda args: (args.seed or "1") == "1",
-        lambda args, word: _mechanical_forms(_slope(args), len(word)),
-    ),
-    "thue-morse": (
+    "thue-morse": _Builtin(
+        lambda args: _generators().thue_morse_stream(), lambda args, n: n,
         "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
-        None,
-        _thue_morse_forms,
+        # the first n symbols of 1(10)^omega and of 0(01)^omega
+        lambda args, word, n: (_word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])),
     ),
-    "paperfolding": (
-        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols", None, _paperfolding_forms
+    # Counting positions from 1, position i holds 1 when the odd part of i is 3 mod 4, which
+    # depends on i mod 2^(v+2) only, for 2^v the largest power of 2 dividing i. A factor of
+    # length up to 2^k holds at most one multiple of 2^(k+1), and every other position keeps
+    # its symbol when the factor moves by a multiple of 2^(k+2). Moved to start below 2^(k+2),
+    # the factor holds that multiple at 2^(k+1) or 2^(k+2). Moving it on by t * 2^(k+2) puts
+    # it at 2^(k+1) (1 + 2t) or 2^(k+2) (1 + t), of odd part 1 at t = 0 and 3 at t = 1 or 2.
+    # So every such factor recurs with its start below 12 * 2^k.
+    "paperfolding": _Builtin(
+        lambda args: _generators().paperfolding_stream(), lambda args, n: 13 << (n - 1).bit_length(),
+        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols", _window_forms,
+    ),
+    "champernowne": _Builtin(lambda args: _generators().champernowne_stream()),
+    # a p/q word is periodic, and every intercept and direction has the same factors
+    "mechanical": _Builtin(
+        lambda args: _generators().mechanical_stream(_slope(args), _parse_fraction(args.intercept), bool(args.upper)),
+        lambda args, n: n, "a mechanical word is balanced", lambda args, word, n: _mechanical_forms(_slope(args), n),
+    ),
+    "flipext-omega": _Builtin(lambda args: _generators().flipext_stream(_word(_required(args, "seed")))),
+    "lazy-flipext-omega": _Builtin(
+        lambda args: _generators().lazy_alpha_flipext_stream(slope=_slope(args), w=_word(args.seed or "1")),
+        lambda args, n: len(args.seed or "1") + n,
+        "past its seed and a run of 0s it follows the upper mechanical word of its slope", _lazy_flipext_forms,
     ),
     # pnf1: every prefix is prefix normal (see generators._density_stages);
     # pnf0: each run of 0s is longer than the last, so 0^i is a factor for every i
-    "density-staircase": (
+    "density-staircase": _Builtin(
+        _density_staircase, lambda args, n: n,
         "every prefix is prefix normal and its runs of 0s grow without bound",
-        None,
-        lambda args, word: (word, _word("0" * len(word))),
+        lambda args, word, n: (word, _word("0" * n)),
     ),
 }
 
 
-def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
+def _resolve_word(args: argparse.Namespace, window: Callable[..., int] | None = None) -> FiniteWord:
     """Materialize the analysed word, --prepend-ones 1s and then the single
     source (builtin, literal, or file); a word past ``MATERIALIZE_CAP``
-    symbols, its 1s included, is refused before any symbol is built.
-
-    With ``widen``, a builtin is materialized over its analysis window:
-    ``WINDOW_FACTOR`` times the requested length unless --window says
-    otherwise, and never shorter than the requested length.
-    """
+    symbols, its 1s included, is refused before any symbol is built. Given
+    ``window``, a builtin of length ``n`` is materialized to ``window(args, n)``."""
     sources = [s for s in (args.builtin, args.word, args.file) if s is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
@@ -208,10 +212,7 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
     elif args.length is None:
         raise UsageError("builtin sources require -n/--length")
     else:
-        length = args.length
-        if widen:
-            from .analysis import WINDOW_FACTOR
-            length = max(WINDOW_FACTOR * length if args.window is None else args.window, length)
+        length = args.length if window is None else window(args, args.length)
     from .word_core import MATERIALIZE_CAP
     if prepend + length > MATERIALIZE_CAP:
         raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
@@ -227,7 +228,7 @@ def _resolve_word(args: argparse.Namespace, widen: bool = False) -> FiniteWord:
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
             word = word[: args.length]
     else:
-        word = _BUILTINS[args.builtin](args).prefix(length)
+        word = _BUILTINS[args.builtin].stream(args).prefix(length)
     return _word("1" * prepend) + word if prepend else word
 
 
@@ -262,26 +263,21 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     """The output word, its two normal forms, and the stderr note on them
     (None for a literal word, which is its own window: its forms are exact).
 
-    A builtin whose ``_EXACT_FORMS`` entry holds gets the normal forms of its
-    infinite word, built from its printed symbols. --window and a positive
-    --prepend-ones ask for a finite window, and -n 0 is left to the window's
-    profile to reject. Other builtins are materialized once, ``WINDOW_FACTOR``
-    times longer than the printed length (overridable via --window), and the
-    printed forms are the window's, which nothing certifies for the infinite
-    word; the output word is the window's prefix.
-    """
+    A builtin with a ``forms`` map gets its infinite word's forms, read from
+    its ``window``. A literal, --window, a positive --prepend-ones, -n 0 (left
+    to the window's profile to reject) and a builtin with no map take the
+    finite window, whose forms nothing certifies for the infinite word."""
     prepend = getattr(args, "prepend_ones", None) or 0
-    reason, holds, exact_forms = _EXACT_FORMS.get(args.builtin, (None, None, None))
-    if exact_forms and (holds is None or holds(args)) and args.length and args.window is None and not prepend:
-        word = _resolve_word(args)
-        return word, *exact_forms(args, word), f"all {len(word)} positions are exact: {reason}"
-    wide = _resolve_word(args, widen=True)
-    # a literal is printed whole; a builtin up to -n symbols after the prepended ones
-    out_len = len(wide) if args.builtin is None else prepend + args.length
-    forms = _window_forms(wide, out_len)
-    if args.builtin is None:
-        return wide[:out_len], *forms, None
-    return wide[:out_len], *forms, f"normal forms of the first {len(wide)} symbols; not certified for the infinite word"
+    builtin = _BUILTINS.get(args.builtin)
+    if builtin and builtin.forms and args.window is None and not prepend and args.length:
+        _, window, reason, forms = builtin
+    else:
+        window, reason, forms = _finite_window, None, _window_forms
+    word = _resolve_word(args, window)
+    n = len(word) if args.builtin is None else prepend + args.length
+    window_note = f"normal forms of the first {len(word)} symbols; not certified for the infinite word"
+    note = f"all {n} positions are exact: {reason}" if reason else window_note
+    return word[:n], *forms(args, word, n), note if args.builtin else None
 
 
 def _print_note(note: str | None) -> None:

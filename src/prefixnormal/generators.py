@@ -559,7 +559,11 @@ def lazy_alpha_flipext_stream(w: FiniteWord, slope: SlopeSpec) -> WordStream:
     ``floor(m / slope) + 1``, whatever the prefix is. The upper mechanical word
     ``U`` of intercept 0 has ``ceil(slope*L)`` 1s in its first ``L`` symbols,
     so its ``(m+1)``-th 1 sits there too. The stream is therefore
-    ``w 0^(E - |w|) U[E:]`` with ``E = floor(weight(w) / slope)``; from 1 it is ``U``.
+    ``w 0^(E - |w|) U[E:]`` with ``E = floor(W / slope)`` for ``W = weight(w)``;
+    from 1 it is ``U``. Every prefix is prefix normal: as ``ceil(E*slope) = W``,
+    the first ``j`` symbols weigh ``P(j) = max(P_w(min(j, |w|)), ceil(j*slope))``,
+    and a factor of length ``i`` at ``s`` lies in ``w``, or ends in the 0s and
+    weighs ``W - P_w(s) <= P(i)``, or weighs ``ceil((s+i)*slope) - P(s) <= ceil(i*slope)``.
     """
     end = _lazy_end(w, slope)
     upper = itertools.chain.from_iterable(_mechanical_blocks(slope, Fraction(0), True))

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -35,6 +36,23 @@ def run_cli(argv, stdin_text=None, capsys=None):
         code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def patch_stream(monkeypatch, name, factory):
+    """Build the builtin ``name`` with ``factory``, keeping its window and forms."""
+    monkeypatch.setitem(cli._BUILTINS, name, cli._BUILTINS[name]._replace(stream=factory))
+
+
+def count_builds(monkeypatch, name):
+    """The list to which each build of the builtin ``name`` appends its --seed."""
+    builds, build = [], cli._BUILTINS[name].stream
+
+    def counting(args):
+        builds.append(args.seed)
+        return build(args)
+
+    patch_stream(monkeypatch, name, counting)
+    return builds
 
 
 @pytest.fixture
@@ -154,7 +172,7 @@ class TestCheck:
         def unbuilt(args):
             raise AssertionError("a negative --prepend-ones must be rejected first")
 
-        monkeypatch.setitem(cli._BUILTINS, "fibonacci", unbuilt)
+        patch_stream(monkeypatch, "fibonacci", unbuilt)
         argv = [command, "fibonacci", "-n", "20000000", "--prepend-ones", "-1"]
         assert run_cli(argv, capsys=capsys) == (2, "", "error: --prepend-ones must be non-negative\n")
 
@@ -169,7 +187,7 @@ class TestCheck:
             raise AssertionError("--prepend-ones past the cap must be rejected first")
 
         monkeypatch.setattr(cli, "_word", unbuilt)
-        monkeypatch.setitem(cli._BUILTINS, "fibonacci", unbuilt)
+        patch_stream(monkeypatch, "fibonacci", unbuilt)
         error = f"error: refusing to materialize more than {generators.MATERIALIZE_CAP} symbols\n"
         assert run_cli(["check", *source, "--prepend-ones", str(count)], capsys=capsys) == (2, "", error)
 
@@ -376,25 +394,65 @@ class TestExactForms:
         assert run_cli(["generate"] + lazy, capsys=capsys) == run_cli(["generate"] + upper, capsys=capsys)
         assert exact_forms(["pnf"] + lazy, capsys) == exact_forms(["pnf"] + upper, capsys)
 
-    def test_lazy_flipext_from_another_seed_keeps_the_window(self, capsys):
-        code, out, err = run_cli(["pnf", "lazy-flipext-omega", "--slope", "1/3", "--seed", "11", "-n", "40"], capsys=capsys)
+    def test_lazy_flipext_from_another_seed_is_exact(self, capsys):
+        # 11 0^4 and then the slope-1/3 word from its 7th symbol: 110000 (100)^omega, a factor
+        # of length up to 40 of which occurs in its first 6 + 3 + 40 symbols
+        forms = exact_forms(["pnf", "lazy-flipext-omega", "--slope", "1/3", "--seed", "11", "-n", "40"], capsys)
         stream = generators.lazy_alpha_flipext_stream(FiniteWord("11"), generators.SlopeSpec.rational(1, 3))
-        assert code == 0 and out == "{}\n{}\n".format(*window_forms(stream.prefix(WINDOW_FACTOR * 40), 40))
-        assert "not certified" in err
+        assert forms == window_forms(stream.prefix(49), 40)
+        assert tuple(map(str, forms)) == ("110000" + "100" * 11 + "1", "0000" + "100" * 12)
 
     @pytest.mark.parametrize("seed", ["1", "110"])
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
     def test_lazy_flipext_is_built_once(self, command, seed, monkeypatch, capsys):
-        # whether the closed form holds is read from the seed before the source is built
-        builds, build = [], cli._BUILTINS["lazy-flipext-omega"]
-
-        def counting(args):
-            builds.append(args.seed)
-            return build(args)
-
-        monkeypatch.setitem(cli._BUILTINS, "lazy-flipext-omega", counting)
+        builds = count_builds(monkeypatch, "lazy-flipext-omega")
         argv = command + ["lazy-flipext-omega", "--slope", "1/3", "--seed", seed, "-n", "12"]
         assert run_cli(argv, capsys=capsys)[0] == 0 and builds == [seed]
+
+    @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
+    def test_paperfolding_is_built_once(self, command, monkeypatch, capsys):
+        # its forms are read from the first 13 * 2^k symbols of the one stream that prints its prefix
+        builds = count_builds(monkeypatch, "paperfolding")
+        assert run_cli(command + ["paperfolding", "-n", "100"], capsys=capsys)[0] == 0 and builds == [None]
+
+    @pytest.mark.parametrize("seed", ["1", "10"])
+    def test_seeds_of_one_stream_print_one_pair_of_forms(self, seed, capsys):
+        # from seed 10 the stream is 10 0 U[3:] for the upper mechanical word U = 100..., so U itself
+        lazy = ["lazy-flipext-omega", "--slope", "(-1+1*sqrt(5))/4", "--seed", seed, "-n", "59"]
+        upper = ["mechanical", "--upper", "--slope", "(-1+1*sqrt(5))/4", "-n", "59"]
+        assert run_cli(["generate"] + lazy, capsys=capsys) == run_cli(["generate"] + upper, capsys=capsys)
+        forms = exact_forms(["pnf"] + lazy, capsys)
+        assert forms == exact_forms(["pnf"] + upper, capsys) and str(forms[1]).endswith("010010001001")
+
+    def test_a_run_of_0s_after_the_seed_is_a_factor(self, capsys):
+        # 11111101 0^4 and then the mechanical tail, which holds no 00
+        argv = ["pnf", "lazy-flipext-omega", "--seed", "11111101", "--slope", "(-1+1*sqrt(7))/3", "-n", "2"]
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out) == (0, "11\n00\n") and err.startswith("note: all 2 positions are exact: ")
+
+    def test_lazy_flipext_from_short_seeds(self, capsys):
+        # pnf and plotdata --pnf against the int64 profile of the first E + 12n + 600 symbols, for E the
+        # end of the 0s after the seed: prefix normal seeds of up to 10 symbols, p/60 and quadratic slopes
+        rng = random.Random(1811)
+        seeds = [
+            FiniteWord(bits) for k in range(1, 11) for bits in itertools.product((0, 1), repeat=k)
+            if 1 in bits and analysis.is_prefix_normal_1(FiniteWord(bits))
+        ]
+        slopes = [*QUADRATIC_SLOPES, "(-1+1*sqrt(5))/4", "(-1+1*sqrt(7))/3", *(f"{p}/60" for p in range(1, 61))]
+        cases = 0
+        while cases < 300:
+            seed, text, n = rng.choice(seeds), rng.choice(slopes), rng.randint(1, 90)
+            slope = generators.SlopeSpec.parse(text)
+            if slope.compare(analysis.min_density(seed).delta) > 0:
+                continue
+            cases += 1
+            stream = generators.lazy_alpha_flipext_stream(seed, slope)
+            window = str(stream.prefix(generators._lazy_end(seed, slope) + 12 * n + 600))
+            expected = oracle_forms(int64_profile(window, n), n)
+            source = ["lazy-flipext-omega", "--slope", text, "--seed", str(seed), "-n", str(n)]
+            assert list(map(str, exact_forms(["pnf", *source], capsys))) == expected, source
+            rows = TestPlotdata.prefix_sum_rows([FiniteWord(window[:n]), *map(FiniteWord, expected)])
+            assert run_cli(["plotdata", *source, "--pnf"], capsys=capsys)[:2] == (0, rows), source
 
     def test_sparse_rational_slope_is_exact(self, capsys):
         # a 4n window of 40 symbols holds no 1 of the slope-1/1000 word
@@ -728,7 +786,7 @@ class TestPlotdata:
     def test_pnf_rows_match_prefix_sums(self, name, capsys):
         # paperfolding's forms come from its first 13 * 64 symbols, which hold every factor up to length 64
         n = 60
-        window = cli._BUILTINS[name](None).prefix(13 * 64 if name == "paperfolding" else WINDOW_FACTOR * n)
+        window = cli._BUILTINS[name].stream(None).prefix(13 * 64 if name == "paperfolding" else WINDOW_FACTOR * n)
         profile = compute_profile(window, n)
         expected = self.prefix_sum_rows([window[:n], analysis.pnf1(profile), analysis.pnf0(profile)])
         code, out, _ = run_cli(["plotdata", name, "-n", str(n), "--pnf"], capsys=capsys)
@@ -769,6 +827,7 @@ NUMPY_FREE = {
     "pnf-mechanical-rational": ["pnf", "mechanical", "--slope", "29/57", "--intercept", "3/7", "-n", "3000"],
     "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
     "pnf-density-staircase": ["pnf", "density-staircase", "--alpha", "1/3", "-n", "3000"],
+    "pnf-lazy-flipext-omega": ["pnf", "lazy-flipext-omega", "--slope", "1/3", "--seed", "11", "-n", "3000"],
     "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],
     # scans within the lane budget, the sizes of the benchmark's short commands
     "check-normal-file": ["check", "--file", "{normal}"],
