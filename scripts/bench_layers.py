@@ -52,13 +52,16 @@ than the word.
 
 The process rows (``PROCESS_LAYERS``) run at a fixed size, whatever
 ``--sizes`` says: importing the CLI; ``pnf fibonacci -n 8000``, which prints
-closed forms; nine commands that load no numpy (among them ``check`` of a word
+closed forms; eight commands that load no numpy (among them ``check`` of a word
 settled by its first run, ``generate lazy-flipext-omega`` from its default
-seed ``1``, and four whose scans fit the lane budget of 2^22 lane reads:
-``abelian --range``, ``index build --word``, the seed check of
-``generate flipext-omega`` and the check of ``(1 0^63)^500``); ``check`` of a prefix
-normal word of 3,095 symbols, whose full scan lies just past that budget, so
-it loads numpy; and one ``max_word`` call on a random word of
+seed ``1``, and three whose scans fit the lane budget of 2^22 lane reads:
+``abelian --range``, ``index build --word`` and the seed check of
+``generate flipext-omega``); two checks that ``pnw`` decides from the closed
+normal form of the builtin with no scan and no numpy, ``check lazy-flipext-omega
+--slope 1/64 -n 32000``, the word ``(1 0^63)^500``, and ``check fibonacci
+--prepend-ones 1 -n 32000``; ``check --word`` of ``1`` and
+3,094 Fibonacci symbols, prefix normal, whose full scan lies just past that
+budget, so it loads numpy; and one ``max_word`` call on a random word of
 ``LEX_PROCESS_SIZE`` symbols. ``index query`` reads an index that the first
 tree builds once, and ``index build`` writes to a scratch file. Exit code 1 is
 ``pnw check``'s verdict on a word that is not prefix normal; any other
@@ -108,6 +111,18 @@ FLIPEXT_SEED = "11010011"
 PNW = "import sys; from prefixnormal.cli import main; sys.exit(main())"
 #: ``10`` and 1,998 random symbols, like the benchmark's ``check --word``: it violates at length 2.
 CHECK_WORD = "10" + "".join(random.Random(1998).choices("01", k=1998))
+
+
+def fibonacci_word(n: int) -> str:
+    """The first ``n`` symbols of the Fibonacci word, the fixpoint of 0 -> 01, 1 -> 0."""
+    word = "0"
+    while len(word) < n:
+        word = "".join("01" if symbol == "0" else "0" for symbol in word)
+    return word[:n]
+
+
+#: ``1`` and 3,094 Fibonacci symbols: prefix normal, and a full scan just past the lane budget.
+NORMAL_WORD = "1" + fibonacci_word(3094)
 #: 2,000 random symbols, indexed by ``cli.index_build``.
 INDEX_WORD = "".join(random.Random(2000).choices("01", k=2000))
 #: Layers timed as fresh processes at a fixed size: ``python -c`` code and its arguments.
@@ -123,7 +138,8 @@ PROCESS_LAYERS = {
     "cli.abelian_range": (PNW, ["abelian", "paperfolding", "-n", "2000", "--range", "1..100"]),
     "cli.index_build": (PNW, ["index", "build", "--word", INDEX_WORD, "-o", "{built}"]),
     "cli.generate_flipext": (PNW, ["generate", "flipext-omega", "--seed", FLIPEXT_SEED, "-n", "1000"]),
-    "cli.check_normal": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "3094"]),
+    "cli.check_normal": (PNW, ["check", "--word", NORMAL_WORD]),
+    "cli.check_fibonacci": (PNW, ["check", "fibonacci", "--prepend-ones", "1", "-n", "32000"]),
     "cli.check_lazy_sparse": (PNW, ["check", "lazy-flipext-omega", "--slope", "1/64", "-n", "32000"]),
     "library.lex": ("import sys, prefixnormal as pn; w = pn.FiniteWord(open(sys.argv[1]).read());"
                     " print(pn.max_word(w, len(w) // 2))", ["{lex_word}"]),

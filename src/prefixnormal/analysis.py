@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol
 
 from .errors import InvalidInputError, NoBoundError, RangeError, ResourceLimitError
 from .word_core import (
@@ -23,6 +23,7 @@ from .word_core import (
     PrefixProfile,
     _FrozenSlots,
     _extremes,
+    _word_with_prefix_weights,
     complement,
 )
 
@@ -112,11 +113,6 @@ def check_stream_prefix_normal(source: PrefixSource, length: int) -> PNViolation
 
 
 # -- prefix normal forms and abelian complexity ----------------------------------
-
-
-def _word_with_prefix_weights(weights: Sequence[int]) -> FiniteWord:
-    """The word whose length-``i`` prefix has ``weights[i - 1]`` ones."""
-    return FiniteWord(bytes(map(operator.sub, weights, itertools.chain((0,), weights))))
 
 
 def pnf1(profile: PrefixProfile) -> FiniteWord:

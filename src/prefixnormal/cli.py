@@ -117,18 +117,54 @@ def _lazy_flipext_forms(args: argparse.Namespace, window: FiniteWord, n: int) ->
     leading 1 moves right and a 0 after a 0 moves left, never gaining weight,
     so a lighter factor starts after a 1 followed by a 0, at an ``s <= |w|``
     with prefix weight ``P(s) > ceil(s*a)``: else it weighs at least
-    ``ceil((s+i)*a) - ceil(s*a) >= floor(i*a)``, and it ends by symbol ``|w| + n``."""
-    slope, head = _slope(args), bytes(window[: len(args.seed or "1") + 1])
-    weights = list(itertools.accumulate(head, initial=0))
-    starts = [s for s in range(1, len(head)) if head[s - 1] > head[s] and weights[s] > math.ceil(s * slope.value)]
+    ``ceil((s+i)*a) - ceil(s*a) >= floor(i*a)``, and it ends by symbol ``|w| + n``.
+    From ``E``, the end of the 0s, ``P(j) = ceil(j*a)``, so a factor at ``s`` of
+    length ``i >= E`` weighs ``ceil(i*a - d_s)`` for ``d_s = P(s) - s*a``: there
+    the start of greatest ``d_s`` alone is the lightest, and only the lengths
+    below ``E`` read every start."""
+    slope, raw, seed = _slope(args), bytes(window), len(args.seed or "1")
+    weights = list(itertools.accumulate(raw[: seed + 1], initial=0))
+    starts = [s for s in range(1, seed + 1) if raw[s - 1] > raw[s] and weights[s] > math.ceil(s * slope.value)]
     lower = _generators().mechanical_lower(slope, 0, n)
     if not starts:  # from seed 1 no start remains
         return window[:n], lower
-    from .analysis import _word_with_prefix_weights
-    sums, least = list(itertools.accumulate(bytes(window))), list(itertools.accumulate(bytes(lower)))
+    from .word_core import _word_with_prefix_weights
+    end = raw.find(1, seed)  # at or past E, the end of the 0s; none in the window: every length is short
+    short = n if end < 0 else min(n, end)
+    sums, least = list(itertools.accumulate(raw)), list(itertools.accumulate(bytes(lower)))
     for s in starts:
-        least = list(map(min, least, map(operator.sub, sums[s : s + n], itertools.repeat(sums[s - 1]))))
+        least[:short] = map(min, least[:short], map(operator.sub, sums[s : s + short], itertools.repeat(sums[s - 1])))
+    if short < n:
+        s = starts[0]
+        for t in starts[1:]:  # d_t > d_s when the integer P(t) - P(s) exceeds (t - s)*a, so its floor
+            if weights[t] - weights[s] > math.floor((t - s) * slope.value):
+                s = t
+        tail = map(operator.sub, sums[s + short : s + n], itertools.repeat(sums[s - 1]))
+        least[short:] = map(min, least[short:], tail)
     return window[:n], _word_with_prefix_weights(least)
+
+
+def _prepended_forms(
+    args: argparse.Namespace, builtin: _Builtin, word: FiniteWord, prepend: int, n: int
+) -> tuple[FiniteWord, FiniteWord]:
+    """The first ``n`` symbols of the normal forms of ``x = 1^K w``, from
+    ``word``, ``1^K`` and then ``w``'s window for ``n`` symbols. A factor that
+    starts in the 1s, ``t >= 1`` of them, weighs ``t + P_w(i - t)``: at most
+    ``P_x(i)``, and at least ``1 + P_w(i - 1) >= P_w(i)``, no lighter than the
+    lightest in ``w``. So pnf0 is ``w``'s, and pnf1 has prefix weights the
+    greater of ``w``'s max-1s and ``P_x(i)``."""
+    pnf1, pnf0 = builtin.forms(args, word[prepend:], n)
+    if prepend:
+        from .word_core import _word_with_prefix_weights
+        pnf1 = _word_with_prefix_weights(
+            list(map(max, itertools.accumulate(bytes(pnf1)), itertools.accumulate(bytes(word[:n]))))
+        )
+    return pnf1, pnf0
+
+
+def _prepended_window(builtin: _Builtin, prepend: int) -> Callable[[argparse.Namespace, int], int]:
+    """The length of ``w``'s window for ``1^K w``'s forms to ``K + n`` symbols."""
+    return lambda args, n: builtin.window(args, prepend + n)
 
 
 def _finite_window(args: argparse.Namespace, n: int) -> int:
@@ -248,36 +284,50 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis import find_violation_0, find_violation_1
-    word = _resolve_word(args)
-    finder = find_violation_0 if args.zero else find_violation_1
-    violation = finder(word)
-    if violation is None:
-        _emit(args, "NORMAL")
-        return 0
-    _emit(args, violation.render())
-    return 1
+    """A builtin whose forms are in closed form is NORMAL when the flavour's form
+    equals the word, which starts with the flavour's letter: the infinite word's
+    heaviest (lightest) factors bound the prefix's. Else the word is scanned: one
+    that starts with the other letter is settled at once by the first-run search.
+    A word whose window would pass the cap is scanned, as is every word that fits."""
+    from .word_core import MATERIALIZE_CAP
+    prepend, builtin = args.prepend_ones or 0, _BUILTINS.get(args.builtin)
+    # paperfolding's forms profile a window longer than the word
+    exact = (
+        builtin and builtin.forms not in (None, _window_forms) and args.length
+        and prepend + builtin.window(args, prepend + args.length) <= MATERIALIZE_CAP
+    )
+    window = _resolve_word(args, _prepended_window(builtin, prepend) if exact else None)
+    word = window[: prepend + args.length] if exact else window
+    form = 1 if args.zero else 0  # pnf0 or pnf1, in the order _prepended_forms returns them
+    if exact and word[0] == 1 - form and _prepended_forms(args, builtin, window, prepend, len(word))[form] == word:
+        violation = None
+    else:
+        from .analysis import find_violation_0, find_violation_1
+        violation = (find_violation_0 if args.zero else find_violation_1)(word)
+    _emit(args, "NORMAL" if violation is None else violation.render())
+    return 0 if violation is None else 1
 
 
 def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord, FiniteWord, str | None]:
     """The output word, its two normal forms, and the stderr note on them
     (None for a literal word, which is its own window: its forms are exact).
 
-    A builtin with a ``forms`` map gets its infinite word's forms, read from
-    its ``window``. A literal, --window, a positive --prepend-ones, -n 0 (left
+    A builtin with a ``forms`` map gets its infinite word's forms, with any
+    --prepend-ones 1s, read from its ``window``. A literal, --window, -n 0 (left
     to the window's profile to reject) and a builtin with no map take the
     finite window, whose forms nothing certifies for the infinite word."""
     prepend = getattr(args, "prepend_ones", None) or 0
     builtin = _BUILTINS.get(args.builtin)
-    if builtin and builtin.forms and args.window is None and not prepend and args.length:
-        _, window, reason, forms = builtin
-    else:
-        window, reason, forms = _finite_window, None, _window_forms
-    word = _resolve_word(args, window)
+    exact = builtin and builtin.forms and args.window is None and args.length
+    word = _resolve_word(args, _prepended_window(builtin, prepend) if exact else _finite_window)
     n = len(word) if args.builtin is None else prepend + args.length
-    window_note = f"normal forms of the first {len(word)} symbols; not certified for the infinite word"
-    note = f"all {n} positions are exact: {reason}" if reason else window_note
-    return word[:n], *forms(args, word, n), note if args.builtin else None
+    if exact:
+        forms = _prepended_forms(args, builtin, word, prepend, n)
+        note = f"all {n} positions are exact: {builtin.reason}"
+    else:
+        forms = _window_forms(args, word, n)
+        note = f"normal forms of the first {len(word)} symbols; not certified for the infinite word"
+    return word[:n], *forms, note if args.builtin else None
 
 
 def _print_note(note: str | None) -> None:

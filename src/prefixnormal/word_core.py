@@ -12,9 +12,9 @@ import operator
 import struct
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, RangeError
 
@@ -173,6 +173,11 @@ def prefix_weight(w: FiniteWord, i: int) -> int:
     if not 0 <= i <= len(w):
         raise RangeError(f"prefix length {i} out of range 0..{len(w)}")
     return w._bits.count(1, 0, i)
+
+
+def _word_with_prefix_weights(weights: Sequence[int]) -> FiniteWord:
+    """The word whose length-``i`` prefix has ``weights[i - 1]`` ones."""
+    return FiniteWord(bytes(map(operator.sub, weights, chain((0,), weights))))
 
 
 def prefix_density(w: FiniteWord, i: int) -> Fraction:

@@ -7,11 +7,13 @@ paths. The word producers are the
 library's former one-symbol-at-a-time generators: an exact floor per mechanical
 symbol, one slope reciprocal per lazy extension, a flipext step that
 rebuilds its prefix sums from scratch, a morphic tape expanded one symbol at a
-time, and the paperfolding and Champernowne rules applied per index.
+time, and the paperfolding and Champernowne rules applied per index. The lazy
+flipext 0-normal form reads every factor length at every start.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -171,6 +173,21 @@ def lazy_flipext_symbols(seed: str, slope, n: int) -> bytes:
         out.append(1)
         weight += 1
     return bytes(out[:n])
+
+
+def lazy_flipext_pnf0(seed: str, slope, n: int) -> bytes:
+    """First ``n`` symbols of the 0-normal form of the lazy flipext^omega of
+    ``seed``, one ``n``-long pass per start: at each length ``i`` the least of
+    ``floor(i * slope)`` and the weights of the length-``i`` factors at every
+    start ``s <= |seed|`` right after a 1 followed by a 0 whose prefix weight
+    exceeds ``ceil(s * slope)``, read from the first ``|seed| + n`` symbols."""
+    window = lazy_flipext_symbols(seed, slope, len(seed) + n)
+    sums = list(itertools.accumulate(window, initial=0))
+    least = list(itertools.accumulate(mechanical_symbols(slope, Fraction(0), n, upper=False)))
+    for s in range(1, len(seed) + 1):
+        if window[s - 1] > window[s] and sums[s] > math.ceil(s * slope.value):
+            least = [min(weight, sums[s + i] - sums[s]) for i, weight in enumerate(least, 1)]
+    return bytes(b - a for a, b in itertools.pairwise([0, *least]))
 
 
 def rebuild_min_zero_run(bits: bytes) -> int:

@@ -21,7 +21,7 @@ from prefixnormal import FiniteWord, analysis, cli, complement, compute_profile,
 from prefixnormal.analysis import WINDOW_FACTOR
 from prefixnormal.cli import build_parser, main
 
-from oracles import brute_profile, int64_profile, paperfolding_symbols
+from oracles import brute_profile, int64_profile, lazy_flipext_pnf0, paperfolding_symbols
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -191,6 +191,16 @@ class TestCheck:
         error = f"error: refusing to materialize more than {generators.MATERIALIZE_CAP} symbols\n"
         assert run_cli(["check", *source, "--prepend-ones", str(count)], capsys=capsys) == (2, "", error)
 
+    @pytest.mark.parametrize(
+        "source",
+        [["fibonacci", "--prepend-ones", "1", "-n", "39"], ["lazy-flipext-omega", "--slope", "1/2", "--seed", "1101", "-n", "40"]],
+        ids=["fibonacci", "lazy-flipext-omega"],
+    )
+    def test_a_word_whose_window_passes_the_cap_is_scanned(self, source, monkeypatch, scanned, capsys):
+        # the 40 symbols fit a cap of 40, the window of their normal forms does not
+        monkeypatch.setattr(word_core, "MATERIALIZE_CAP", 40)
+        assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "") and scanned
+
     def test_prepended_fibonacci(self, capsys):
         code, out, _ = run_cli(
             ["check", "fibonacci", "--prepend-ones", "1", "-n", "10000"], capsys=capsys
@@ -283,14 +293,14 @@ class TestPnf:
         assert code == 0 and scanned == list(range(1, 51))
 
     def test_prepended_builtin_is_its_own_normal_form(self, capsys):
-        # 11 + thue-morse is prefix normal, so its 1-form is the word itself
+        # 11 + thue-morse is prefix normal, so its 1-form is the word itself, exact for the infinite word
         # (output covers the full prepended word, length n + 2)
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["pnf", "thue-morse", "--prepend-ones", "2", "-n", "20"], capsys=capsys
         )
-        assert code == 0
+        assert code == 0 and err.startswith("note: all 22 positions are exact: ")
         _, generated, _ = run_cli(["generate", "thue-morse", "-n", "20"], capsys=capsys)
-        assert out.splitlines()[0] == "11" + generated.strip()
+        assert out.splitlines() == ["11" + generated.strip(), "0" + "01" * 10 + "0"]
 
     @pytest.mark.parametrize("window", [20, 120, 400])
     def test_prepended_builtin_in_a_window(self, window, capsys):
@@ -454,6 +464,21 @@ class TestExactForms:
             rows = TestPlotdata.prefix_sum_rows([FiniteWord(window[:n]), *map(FiniteWord, expected)])
             assert run_cli(["plotdata", *source, "--pnf"], capsys=capsys)[:2] == (0, rows), source
 
+    def test_lazy_flipext_matches_a_pass_per_start(self, capsys):
+        # past the lengths that end in the seed's run of 0s one start, the heaviest above the slope, is read
+        rng = random.Random(33)
+        cases = [("110" * 100, "1/2", 20000), ("11111" + "10" * 15, "(-1+1*sqrt(5))/4", 5000)]
+        while len(cases) < 40:
+            noise = FiniteWord(rng.choices(b"\0\1", weights=(1, 3), k=rng.randint(8, 60)))
+            seed = analysis.pnf1(compute_profile(noise))
+            text = rng.choice([*QUADRATIC_SLOPES, *(f"{p}/{q}" for q in (7, 30, 61) for p in range(1, q))])
+            if 1 in bytes(seed) and generators.SlopeSpec.parse(text).compare(analysis.min_density(seed).delta) <= 0:
+                cases.append((str(seed), text, rng.randint(1, 3000)))
+        for seed, text, n in cases:
+            source = ["pnf", "lazy-flipext-omega", "--slope", text, "--seed", seed, "-n", str(n)]
+            pnf0 = lazy_flipext_pnf0(seed, generators.SlopeSpec.parse(text), n)
+            assert bytes(exact_forms(source, capsys)[1]) == pnf0, source
+
     def test_sparse_rational_slope_is_exact(self, capsys):
         # a 4n window of 40 symbols holds no 1 of the slope-1/1000 word
         assert run_cli(["pnf", "mechanical", "--slope", "1/1000", "-n", "10"], capsys=capsys)[:2] == (
@@ -540,6 +565,88 @@ class TestExactForms:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert [len(line) for line in done.stdout.splitlines()] == [8000, 8000, 350, 350, 3000, 3000]
         assert done.stderr.splitlines()[-1] == "False"
+
+
+#: Builtins whose normal forms are exact, with the parameters they are read with.
+PREPENDED_SOURCES = [
+    ["fibonacci"],
+    ["thue-morse"],
+    ["mechanical", "--slope", "3/8", "--intercept", "2/5", "--upper"],
+    ["mechanical", "--slope", "5/13", "--intercept", "11/13", "--lower"],
+    ["mechanical", "--slope", "(-1+1*sqrt(2))/1", "--upper"],
+    ["mechanical", "--slope", "(3-1*sqrt(5))/2", "--lower"],
+    ["lazy-flipext-omega", "--slope", "(-1+1*sqrt(3))/2"],
+    ["lazy-flipext-omega", "--slope", "1/2", "--seed", "1101"],
+    ["lazy-flipext-omega", "--slope", "(-1+1*sqrt(7))/3", "--seed", "11111101"],
+    ["density-staircase", "--alpha", "1/10"],
+]
+
+
+class TestPrependedForms:
+    """``pnf`` and ``check`` of ``1^K w`` for a builtin ``w`` with exact forms,
+    at every ``n`` up to 200: ``pnf`` prints the forms of a window 64 times
+    longer, and ``check`` the verdict of a scan of the materialized word."""
+
+    #: Built once: these tests run 2,400 commands per source.
+    PARSER = build_parser()
+
+    def run(self, argv, capsys):
+        args = self.PARSER.parse_args(argv)
+        code = args.func(args)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("prepend", range(4))
+    @pytest.mark.parametrize("source", PREPENDED_SOURCES, ids=" ".join)
+    def test_forms_and_verdicts_at_every_length(self, source, prepend, capsys):
+        longest = prepend + 200
+        wide = "1" * prepend + run_cli(["generate", *source, "-n", str(64 * longest)], capsys=capsys)[1].strip()
+        forms = oracle_forms(int64_profile(wide, longest), longest)
+        for n in range(1, 201):
+            k = prepend + n
+            options = ["-n", str(n), "--prepend-ones", str(prepend)]
+            code, out, err = self.run(["pnf", *source, *options], capsys)
+            assert (code, out.split()) == (0, [forms[0][:k], forms[1][:k]]), (n, out)
+            assert err.startswith(f"note: all {k} positions are exact: "), n
+            for flag, finder in (([], analysis.find_violation_1), (["--zero"], analysis.find_violation_0)):
+                violation = finder(FiniteWord(wide[:k]))
+                expected = (0, "NORMAL\n", "") if violation is None else (1, f"{violation.render()}\n", "")
+                assert self.run(["check", *source, *flag, *options], capsys) == expected, (flag, n)
+
+    @pytest.mark.parametrize(
+        "argv, verdict",
+        [
+            (["fibonacci", "-n", "30"], "len=1 start=2 ones=1 prefix_ones=0\n"),
+            (["thue-morse", "-n", "30", "--prepend-ones", "1"], "len=2 start=3 ones=2 prefix_ones=1\n"),
+            (["fibonacci", "-n", "30", "--zero", "--prepend-ones", "1"], "len=1 start=2 ones=1 prefix_ones=0\n"),
+        ],
+    )
+    def test_violations_are_found_by_the_scan(self, argv, verdict, capsys):
+        assert run_cli(["check", *argv], capsys=capsys) == (1, verdict, "")
+
+    def test_a_normal_prefix_of_a_word_that_is_not_is_scanned(self, scanned, capsys):
+        # the 5/13 word of intercept 11/13 starts 10100100, prefix normal, while the 1-normal form of the
+        # infinite word starts 10100101: the form decides nothing, and the scan finds no violation
+        argv = ["mechanical", "--slope", "5/13", "--intercept", "11/13", "-n", "8"]
+        assert run_cli(["generate", *argv], capsys=capsys)[1] == "10100100\n"
+        assert run_cli(["pnf", *argv], capsys=capsys)[1].startswith("10100101\n")
+        assert run_cli(["check", *argv], capsys=capsys) == (0, "NORMAL\n", "") and scanned
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fibonacci", "--prepend-ones", "1", "-n", "32000"],
+            ["mechanical", "--slope", "2/5", "--zero", "-n", "32000"],
+        ],
+        ids=["fibonacci", "lower-mechanical-zero"],
+    )
+    def test_a_word_equal_to_its_form_is_not_scanned(self, argv, monkeypatch, capsys):
+        # kernel-large's check of 1 + Fibonacci, and a lower mechanical word, its own 0-normal form
+        def unscanned(*args, **kwargs):
+            raise AssertionError("a word equal to its closed normal form needs no scan")
+
+        monkeypatch.setattr(word_core, "_extremes", unscanned)
+        monkeypatch.setattr(analysis, "_extremes", unscanned)
+        assert run_cli(["check", *argv], capsys=capsys) == (0, "NORMAL\n", "")
 
 
 class TestAbelian:
@@ -838,6 +945,8 @@ NUMPY_FREE = {
     "index-build-word": ["index", "build", "--word", ("110100110010" * 167)[:2000], "-o", "{built}"],
     "generate-flipext-omega": ["generate", "flipext-omega", "--seed", "11010011", "-n", "1000"],
     "check-lazy-sparse": SPARSE_CHECK,
+    # kernel-large's dense check, past the lane budget, decided from its closed 1-normal form with no scan
+    "check-fibonacci-prepend": ["check", "fibonacci", "--prepend-ones", "1", "-n", "32000"],
 }
 
 
@@ -914,6 +1023,10 @@ MODULE_LOADS = {
         {"cli", "errors", "jumbled_index", "word_core"},
     ),
     "density --word": ("main(['density', '--word', '1101' * 300])", {"cli", "errors", "analysis", "word_core"}),
+    "check fibonacci --prepend-ones": (
+        "main(['check', 'fibonacci', '--prepend-ones', '1', '-n', '32000'])",
+        {"cli", "errors", "generators", "word_core"},
+    ),
     "check --word 10…": (
         "main(['check', '--word', '10' + '0110' * 500])", {"cli", "errors", "analysis", "word_core"}
     ),
