@@ -15,13 +15,13 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Protocol
 
-from .errors import InvalidInputError, NoBoundError, RangeError, ResourceLimitError
+from .errors import InvalidInputError, NoBoundError, RangeError
 from .word_core import (
-    MATERIALIZE_CAP,
     FiniteWord,
     ParikhVector,
     PrefixProfile,
     _FrozenSlots,
+    _check_cap,
     _extremes,
     _word_with_prefix_weights,
     complement,
@@ -216,8 +216,7 @@ class UltimatelyPeriodicWord(_FrozenSlots):
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
             raise RangeError("prefix length must be non-negative")
-        if n > MATERIALIZE_CAP:
-            raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
+        _check_cap(n)
         reps = max(0, -(-(n - len(self.preperiod)) // len(self.period)))
         return (self.preperiod + self.period * reps)[:n]
 

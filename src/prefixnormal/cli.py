@@ -100,7 +100,7 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
     return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
 
 
-def _window_forms(args: argparse.Namespace, window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
+def _window_forms(window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
     """The first ``n`` symbols of the normal forms of ``window``: only lengths
     ``1..n`` are profiled, over every factor of the window."""
     from .analysis import pnf0, pnf1
@@ -109,7 +109,7 @@ def _window_forms(args: argparse.Namespace, window: FiniteWord, n: int) -> tuple
     return pnf1(profile), pnf0(profile)
 
 
-def _lazy_flipext_forms(args: argparse.Namespace, window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
+def _lazy_flipext_forms(args: argparse.Namespace, stream: WordStream, n: int) -> tuple[FiniteWord, FiniteWord]:
     """Past ``w`` and a run of 0s the stream follows the upper mechanical word
     ``U`` of slope ``a``, and every prefix is prefix normal (see
     ``generators.lazy_alpha_flipext_stream``), so pnf1 is the printed prefix.
@@ -122,7 +122,8 @@ def _lazy_flipext_forms(args: argparse.Namespace, window: FiniteWord, n: int) ->
     length ``i >= E`` weighs ``ceil(i*a - d_s)`` for ``d_s = P(s) - s*a``: there
     the start of greatest ``d_s`` alone is the lightest, and only the lengths
     below ``E`` read every start."""
-    slope, raw, seed = _slope(args), bytes(window), len(args.seed or "1")
+    slope, seed = _slope(args), len(args.seed or "1")
+    raw = bytes(window := stream.prefix(seed + n))
     weights = list(itertools.accumulate(raw[: seed + 1], initial=0))
     starts = [s for s in range(1, seed + 1) if raw[s - 1] > raw[s] and weights[s] > math.ceil(s * slope.value)]
     lower = _generators().mechanical_lower(slope, 0, n)
@@ -145,56 +146,47 @@ def _lazy_flipext_forms(args: argparse.Namespace, window: FiniteWord, n: int) ->
 
 
 def _prepended_forms(
-    args: argparse.Namespace, builtin: _Builtin, word: FiniteWord, prepend: int, n: int
-) -> tuple[FiniteWord, FiniteWord]:
-    """The first ``n`` symbols of the normal forms of ``x = 1^K w``, from
-    ``word``, ``1^K`` and then ``w``'s window for ``n`` symbols. A factor that
+    args: argparse.Namespace, stream: WordStream | None, word: FiniteWord
+) -> tuple[FiniteWord, FiniteWord] | None:
+    """The normal forms of the infinite word ``x = 1^K w`` to the length of
+    ``word``, its prefix, for a builtin ``w`` with a ``forms`` map, read from
+    its ``stream``; None for another source or an empty word. A factor that
     starts in the 1s, ``t >= 1`` of them, weighs ``t + P_w(i - t)``: at most
     ``P_x(i)``, and at least ``1 + P_w(i - 1) >= P_w(i)``, no lighter than the
     lightest in ``w``. So pnf0 is ``w``'s, and pnf1 has prefix weights the
     greater of ``w``'s max-1s and ``P_x(i)``."""
-    pnf1, pnf0 = builtin.forms(args, word[prepend:], n)
-    if prepend:
+    builtin = _BUILTINS.get(args.builtin)
+    if builtin is None or builtin.forms is None or not word:
+        return None
+    pnf1, pnf0 = builtin.forms(args, stream, len(word))
+    if getattr(args, "prepend_ones", None):
         from .word_core import _word_with_prefix_weights
-        pnf1 = _word_with_prefix_weights(
-            list(map(max, itertools.accumulate(bytes(pnf1)), itertools.accumulate(bytes(word[:n]))))
-        )
+        heaviest = map(max, itertools.accumulate(bytes(pnf1)), itertools.accumulate(bytes(word)))
+        pnf1 = _word_with_prefix_weights(list(heaviest))
     return pnf1, pnf0
 
 
-def _prepended_window(builtin: _Builtin, prepend: int) -> Callable[[argparse.Namespace, int], int]:
-    """The length of ``w``'s window for ``1^K w``'s forms to ``K + n`` symbols."""
-    return lambda args, n: builtin.window(args, prepend + n)
-
-
-def _finite_window(args: argparse.Namespace, n: int) -> int:
-    """``WINDOW_FACTOR`` times the printed length, or --window, and never less than it."""
-    from .analysis import WINDOW_FACTOR
-    return max(WINDOW_FACTOR * n if args.window is None else args.window, n)
-
-
 class _Builtin(NamedTuple):
-    """A builtin's stream factory, and for normal forms in closed form or from a
-    proved window: the window length for ``n`` printed symbols, why the forms are
-    exact, and a map from the arguments, the window and ``n`` to (pnf1, pnf0)."""
+    """A builtin's stream factory and, for exact normal forms, why they are exact
+    and a map from the arguments, the stream and ``n`` to the first ``n`` symbols
+    of (pnf1, pnf0) that reads the stream only as far as its proof needs."""
 
     stream: Callable[[argparse.Namespace], WordStream]
-    window: Callable[[argparse.Namespace, int], int] | None = None
     reason: str | None = None
-    forms: Callable[[argparse.Namespace, FiniteWord, int], tuple[FiniteWord, FiniteWord]] | None = None
+    forms: Callable[[argparse.Namespace, WordStream, int], tuple[FiniteWord, FiniteWord]] | None = None
 
 
 #: Builtin word sources by name; a factory raises UsageError when a parameter it needs is missing.
 _BUILTINS = {
     "fibonacci": _Builtin(
-        lambda args: _generators().fibonacci_stream(), lambda args, n: n, "the Fibonacci word is Sturmian",
-        lambda args, word, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
+        lambda args: _generators().fibonacci_stream(), "the Fibonacci word is Sturmian",
+        lambda args, stream, n: _mechanical_forms(_generators().FIBONACCI_SLOPE, n),
     ),
     "thue-morse": _Builtin(
-        lambda args: _generators().thue_morse_stream(), lambda args, n: n,
+        lambda args: _generators().thue_morse_stream(),
         "Thue-Morse has abelian complexity 2 and 3 (Richomme, Saari and Zamboni, 2011)",
         # the first n symbols of 1(10)^omega and of 0(01)^omega
-        lambda args, word, n: (_word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])),
+        lambda args, stream, n: (_word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])),
     ),
     # Counting positions from 1, position i holds 1 when the odd part of i is 3 mod 4, which
     # depends on i mod 2^(v+2) only, for 2^v the largest power of 2 dividing i. A factor of
@@ -204,36 +196,35 @@ _BUILTINS = {
     # it at 2^(k+1) (1 + 2t) or 2^(k+2) (1 + t), of odd part 1 at t = 0 and 3 at t = 1 or 2.
     # So every such factor recurs with its start below 12 * 2^k.
     "paperfolding": _Builtin(
-        lambda args: _generators().paperfolding_stream(), lambda args, n: 13 << (n - 1).bit_length(),
-        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols", _window_forms,
+        lambda args: _generators().paperfolding_stream(),
+        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols",
+        lambda args, stream, n: _window_forms(stream.prefix(13 << (n - 1).bit_length()), n),
     ),
     "champernowne": _Builtin(lambda args: _generators().champernowne_stream()),
     # a p/q word is periodic, and every intercept and direction has the same factors
     "mechanical": _Builtin(
         lambda args: _generators().mechanical_stream(_slope(args), _parse_fraction(args.intercept), bool(args.upper)),
-        lambda args, n: n, "a mechanical word is balanced", lambda args, word, n: _mechanical_forms(_slope(args), n),
+        "a mechanical word is balanced", lambda args, stream, n: _mechanical_forms(_slope(args), n),
     ),
     "flipext-omega": _Builtin(lambda args: _generators().flipext_stream(_word(_required(args, "seed")))),
     "lazy-flipext-omega": _Builtin(
         lambda args: _generators().lazy_alpha_flipext_stream(slope=_slope(args), w=_word(args.seed or "1")),
-        lambda args, n: len(args.seed or "1") + n,
         "past its seed and a run of 0s it follows the upper mechanical word of its slope", _lazy_flipext_forms,
     ),
     # pnf1: every prefix is prefix normal (see generators._density_stages);
     # pnf0: each run of 0s is longer than the last, so 0^i is a factor for every i
     "density-staircase": _Builtin(
-        _density_staircase, lambda args, n: n,
-        "every prefix is prefix normal and its runs of 0s grow without bound",
-        lambda args, word, n: (word, _word("0" * n)),
+        _density_staircase, "every prefix is prefix normal and its runs of 0s grow without bound",
+        lambda args, stream, n: (stream.prefix(n), _word("0" * n)),
     ),
 }
 
 
-def _resolve_word(args: argparse.Namespace, window: Callable[..., int] | None = None) -> FiniteWord:
+def _resolve_word(args: argparse.Namespace) -> tuple[FiniteWord, WordStream | None]:
     """Materialize the analysed word, --prepend-ones 1s and then the single
-    source (builtin, literal, or file); a word past ``MATERIALIZE_CAP``
-    symbols, its 1s included, is refused before any symbol is built. Given
-    ``window``, a builtin of length ``n`` is materialized to ``window(args, n)``."""
+    source (builtin, literal, or file), with the builtin's stream or None; a word
+    past ``MATERIALIZE_CAP`` symbols, its 1s included, is refused before any
+    symbol is built."""
     sources = [s for s in (args.builtin, args.word, args.file) if s is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of BUILTIN, --word, or --file is required")
@@ -248,11 +239,11 @@ def _resolve_word(args: argparse.Namespace, window: Callable[..., int] | None = 
     elif args.length is None:
         raise UsageError("builtin sources require -n/--length")
     else:
-        length = args.length if window is None else window(args, args.length)
-    from .word_core import MATERIALIZE_CAP
-    if prepend + length > MATERIALIZE_CAP:
-        raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
-    if args.builtin is None:
+        length = args.length
+    from .word_core import _check_cap
+    _check_cap(prepend + length)
+    stream = None if args.builtin is None else _BUILTINS[args.builtin].stream(args)
+    if stream is None:
         try:
             word = _word(text)
         except InvalidInputError as exc:
@@ -264,8 +255,8 @@ def _resolve_word(args: argparse.Namespace, window: Callable[..., int] | None = 
                 raise UsageError(f"requested length {args.length} exceeds word length {len(word)}")
             word = word[: args.length]
     else:
-        word = _BUILTINS[args.builtin].stream(args).prefix(length)
-    return _word("1" * prepend) + word if prepend else word
+        word = stream.prefix(length)
+    return (_word("1" * prepend) + word if prepend else word), stream
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -279,27 +270,23 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _emit(args, str(_resolve_word(args)))
+    _emit(args, str(_resolve_word(args)[0]))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """A builtin whose forms are in closed form is NORMAL when the flavour's form
-    equals the word, which starts with the flavour's letter: the infinite word's
-    heaviest (lightest) factors bound the prefix's. Else the word is scanned: one
-    that starts with the other letter is settled at once by the first-run search.
-    A word whose window would pass the cap is scanned, as is every word that fits."""
-    from .word_core import MATERIALIZE_CAP
-    prepend, builtin = args.prepend_ones or 0, _BUILTINS.get(args.builtin)
-    # paperfolding's forms profile a window longer than the word
-    exact = (
-        builtin and builtin.forms not in (None, _window_forms) and args.length
-        and prepend + builtin.window(args, prepend + args.length) <= MATERIALIZE_CAP
-    )
-    window = _resolve_word(args, _prepended_window(builtin, prepend) if exact else None)
-    word = window[: prepend + args.length] if exact else window
+    """A builtin with exact normal forms is NORMAL when the word starts with the
+    flavour's letter and equals that flavour's form: the infinite word's heaviest
+    (lightest) factors bound the prefix's. Any other word is scanned, one that
+    starts with the other letter at once by the first-run search, and so is a word
+    whose forms read past the cap or, at 13n symbols or more, a paperfolding word."""
+    word, stream = _resolve_word(args)
     form = 1 if args.zero else 0  # pnf0 or pnf1, in the order _prepended_forms returns them
-    if exact and word[0] == 1 - form and _prepended_forms(args, builtin, window, prepend, len(word))[form] == word:
+    forms = None
+    if word and word[0] == 1 - form and args.builtin != "paperfolding":
+        with contextlib.suppress(ResourceLimitError):
+            forms = _prepended_forms(args, stream, word)
+    if forms is not None and forms[form] == word:
         violation = None
     else:
         from .analysis import find_violation_0, find_violation_1
@@ -309,25 +296,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord, FiniteWord, str | None]:
-    """The output word, its two normal forms, and the stderr note on them
-    (None for a literal word, which is its own window: its forms are exact).
-
-    A builtin with a ``forms`` map gets its infinite word's forms, with any
-    --prepend-ones 1s, read from its ``window``. A literal, --window, -n 0 (left
-    to the window's profile to reject) and a builtin with no map take the
-    finite window, whose forms nothing certifies for the infinite word."""
-    prepend = getattr(args, "prepend_ones", None) or 0
-    builtin = _BUILTINS.get(args.builtin)
-    exact = builtin and builtin.forms and args.window is None and args.length
-    word = _resolve_word(args, _prepended_window(builtin, prepend) if exact else _finite_window)
-    n = len(word) if args.builtin is None else prepend + args.length
-    if exact:
-        forms = _prepended_forms(args, builtin, word, prepend, n)
-        note = f"all {n} positions are exact: {builtin.reason}"
-    else:
-        forms = _window_forms(args, word, n)
-        note = f"normal forms of the first {len(word)} symbols; not certified for the infinite word"
-    return word[:n], *forms, note if args.builtin else None
+    """The output word, its two normal forms, and the stderr note on them, None
+    for a literal: its own window, its forms are exact. A builtin with a ``forms``
+    map gets its infinite word's forms, with any --prepend-ones 1s, or exits 2 when
+    they read past the cap. --window, an empty word (left to the window's profile to
+    reject) and a builtin with no map get a finite window's forms, uncertified."""
+    word, stream = _resolve_word(args)
+    forms = None if args.window is not None else _prepended_forms(args, stream, word)
+    if forms is not None:
+        return word, *forms, f"all {len(word)} positions are exact: {_BUILTINS[args.builtin].reason}"
+    window = word
+    if stream is not None:  # the 1s, then WINDOW_FACTOR * n symbols of the builtin or --window, never fewer than n
+        from .analysis import WINDOW_FACTOR
+        from .word_core import _check_cap
+        prepend, n = len(word) - args.length, args.length
+        length = max(WINDOW_FACTOR * n if args.window is None else args.window, n)
+        _check_cap(prepend + length)
+        window = word[:prepend] + stream.prefix(length)
+    note = f"normal forms of the first {len(window)} symbols; not certified for the infinite word"
+    return word, *_window_forms(window, len(word)), note if args.builtin else None
 
 
 def _print_note(note: str | None) -> None:
@@ -345,7 +332,7 @@ def _cmd_pnf(args: argparse.Namespace) -> int:
 def _cmd_abelian(args: argparse.Namespace) -> int:
     from .analysis import abelian_complexity
     from .word_core import compute_profile
-    word = _resolve_word(args)
+    word, _ = _resolve_word(args)
     # compute_profile reports an empty word before any range is read
     lo, hi = _parse_range(args.range, len(word)) if word else (1, 0)
     if hi > len(word):
@@ -366,7 +353,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         delta = min_density_up(up)
         _emit(args, f"{delta.numerator}/{delta.denominator}")
         return 0
-    word = _resolve_word(args)
+    word, _ = _resolve_word(args)
     report = min_density(word)
     _emit(args, f"{report.delta.numerator}/{report.delta.denominator} {report.iota} {report.kappa}")
     return 0
@@ -374,7 +361,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
     from .jumbled_index import build_index, serialize
-    blob = serialize(build_index(_resolve_word(args)))
+    blob = serialize(build_index(_resolve_word(args)[0]))
     args.index_file.write_bytes(blob)
     return 0
 
@@ -414,7 +401,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     if args.pnf:
         *words, note = _forms_for_output(args)
     else:
-        words, note = [_resolve_word(args)], None
+        words, note = [_resolve_word(args)[0]], None
     # one row per prefix length: the length, then ones minus zeros of each word
     walks = [itertools.accumulate(map((-1, 1).__getitem__, bytes(w)), initial=0) for w in words]
     row = "\t".join(["{}"] * (1 + len(words)))

@@ -40,7 +40,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedParameterError,
 )
-from .word_core import _FLIP, MATERIALIZE_CAP, BitsLike, FiniteWord, _FrozenSlots
+from .word_core import _FLIP, MATERIALIZE_CAP, BitsLike, FiniteWord, _FrozenSlots, _check_cap
 
 #: Largest radicand ``d`` accepted in ``(a + b*sqrt(d))/c``. Reducing ``d``
 #: to its square-free part trial-divides up to ``sqrt(d)``: about 0.03 s per
@@ -242,8 +242,7 @@ class WordStream:
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
             raise RangeError("prefix length must be non-negative")
-        if n > MATERIALIZE_CAP:
-            raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
+        _check_cap(n)
         missing = n - len(self._buf)
         if missing > 0:
             self._buf.extend(itertools.islice(self._it, missing))
@@ -632,8 +631,7 @@ def _density_stages(target: TargetLike, densities: Iterable[Fraction]) -> Iterat
             # the prefix u'0^(k'+1). (1^h 0^r)^omega is prefix normal, and 0^run
             # after every k|w| symbols keeps a periodic word prefix normal: the
             # window at a period start holds the fewest inserted 0s.
-            if k * len(word) + run > MATERIALIZE_CAP:
-                raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
+            _check_cap(k * len(word) + run)
             word = word * k + FiniteWord.zeros(run)
         yield DensityStage(index=index, word=word, target=a, k=k, zeros_run=run)
     raise InvalidInputError(f"density sequence ended before stage {index + 1}")

@@ -16,7 +16,7 @@ from itertools import chain, compress
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import InvalidInputError, RangeError
+from .errors import InvalidInputError, RangeError, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,6 +32,12 @@ BitsLike = Union["FiniteWord", str, bytes, bytearray, memoryview, Iterable[int]]
 
 #: Hard cap on materialized prefix length; a desk-scale guardrail.
 MATERIALIZE_CAP = 1 << 26
+
+
+def _check_cap(n: int) -> None:
+    """Refuse to materialize ``n`` symbols past the cap, read at each call."""
+    if n > MATERIALIZE_CAP:
+        raise ResourceLimitError(f"refusing to materialize more than {MATERIALIZE_CAP} symbols")
 
 
 class FiniteWord:

@@ -39,7 +39,7 @@ def run_cli(argv, stdin_text=None, capsys=None):
 
 
 def patch_stream(monkeypatch, name, factory):
-    """Build the builtin ``name`` with ``factory``, keeping its window and forms."""
+    """Build the builtin ``name`` with ``factory``, keeping its reason and forms."""
     monkeypatch.setitem(cli._BUILTINS, name, cli._BUILTINS[name]._replace(stream=factory))
 
 
@@ -192,14 +192,15 @@ class TestCheck:
         assert run_cli(["check", *source, "--prepend-ones", str(count)], capsys=capsys) == (2, "", error)
 
     @pytest.mark.parametrize(
-        "source",
-        [["fibonacci", "--prepend-ones", "1", "-n", "39"], ["lazy-flipext-omega", "--slope", "1/2", "--seed", "1101", "-n", "40"]],
-        ids=["fibonacci", "lazy-flipext-omega"],
+        "prepend, n", [(0, 40), (1, 36)], ids=["lazy-flipext-omega", "lazy-flipext-omega-prepended"]
     )
-    def test_a_word_whose_window_passes_the_cap_is_scanned(self, source, monkeypatch, scanned, capsys):
-        # the 40 symbols fit a cap of 40, the window of their normal forms does not
+    def test_a_word_whose_window_passes_the_cap_is_scanned(self, prepend, n, monkeypatch, scanned, capsys):
+        # the K + n = 40 or 37 symbols fit a cap of 40, the |seed| + K + n = 44 or 41 of the forms window do not;
+        # of the two scans, the seed's of 1101 and the word's, only the word's reads factors of its own length
+        argv = ["check", "lazy-flipext-omega", "--slope", "1/2", "--seed", "1101", "-n", str(n)]
         monkeypatch.setattr(word_core, "MATERIALIZE_CAP", 40)
-        assert run_cli(["check", *source], capsys=capsys) == (0, "NORMAL\n", "") and scanned
+        assert run_cli([*argv, "--prepend-ones", str(prepend)], capsys=capsys) == (0, "NORMAL\n", "")
+        assert prepend + n in scanned
 
     def test_prepended_fibonacci(self, capsys):
         code, out, _ = run_cli(
@@ -601,7 +602,7 @@ class TestPrependedForms:
         longest = prepend + 200
         wide = "1" * prepend + run_cli(["generate", *source, "-n", str(64 * longest)], capsys=capsys)[1].strip()
         forms = oracle_forms(int64_profile(wide, longest), longest)
-        for n in range(1, 201):
+        for n in range(0 if prepend else 1, 201):  # -n 0 prints the K 1s, the forms' first K symbols
             k = prepend + n
             options = ["-n", str(n), "--prepend-ones", str(prepend)]
             code, out, err = self.run(["pnf", *source, *options], capsys)
@@ -647,6 +648,23 @@ class TestPrependedForms:
         monkeypatch.setattr(word_core, "_extremes", unscanned)
         monkeypatch.setattr(analysis, "_extremes", unscanned)
         assert run_cli(["check", *argv], capsys=capsys) == (0, "NORMAL\n", "")
+
+    def test_closed_forms_read_no_window_at_the_cap(self, monkeypatch, scanned, capsys):
+        # a forms window counts only the symbols after the 1s: the 1 + 39 and 20 + 15 symbols fill no more
+        # than a cap of 40, and closed forms read no window, so both are exact, with no scan
+        wide = "1" * 20 + run_cli(["generate", "fibonacci", "-n", "2240"], capsys=capsys)[1].strip()
+        forms = oracle_forms(int64_profile(wide, 35), 35)
+        monkeypatch.setattr(word_core, "MATERIALIZE_CAP", 40)
+        assert run_cli(["check", "fibonacci", "--prepend-ones", "1", "-n", "39"], capsys=capsys) == (0, "NORMAL\n", "")
+        code, out, err = run_cli(["pnf", "fibonacci", "--prepend-ones", "20", "-n", "15"], capsys=capsys)
+        assert (code, out.split()) == (0, forms) and err.startswith("note: all 35 positions are exact: ")
+        assert scanned == []
+
+    def test_a_forms_window_past_the_cap_is_refused(self, monkeypatch, capsys):
+        # the 1 + 36 symbols fit a cap of 40, the |seed| + K + n = 41 that lazy flipext's forms read do not
+        monkeypatch.setattr(word_core, "MATERIALIZE_CAP", 40)
+        argv = ["pnf", "lazy-flipext-omega", "--slope", "1/2", "--seed", "1101", "--prepend-ones", "1", "-n", "36"]
+        assert run_cli(argv, capsys=capsys) == (2, "", "error: refusing to materialize more than 40 symbols\n")
 
 
 class TestAbelian:
