@@ -52,11 +52,12 @@ than the word.
 
 The process rows (``PROCESS_LAYERS``) run at a fixed size, whatever
 ``--sizes`` says: importing the CLI; ``pnf fibonacci -n 8000``, which prints
-closed forms; eight commands that load no numpy (among them ``check`` of a word
-settled by its first run, ``generate lazy-flipext-omega`` from its default
-seed ``1``, and three whose scans fit the lane budget of 2^22 lane reads:
-``abelian --range``, ``index build --word`` and the seed check of
-``generate flipext-omega``); two checks that ``pnw`` decides from the closed
+closed forms; ``pnf paperfolding -n 16000``, whose forms an integer recursion
+on the factor length gives with no scan; eight commands that load no numpy
+(among them ``check`` of a word settled by its first run, ``generate
+lazy-flipext-omega`` from its default seed ``1``, and three whose scans fit
+the lane budget of 2^22 lane reads: ``abelian --range``, ``index build
+--word`` and the seed check of ``generate flipext-omega``); two checks that ``pnw`` decides from the closed
 normal form of the builtin with no scan and no numpy, ``check lazy-flipext-omega
 --slope 1/64 -n 32000``, the word ``(1 0^63)^500``, and ``check fibonacci
 --prepend-ones 1 -n 32000``; ``check --word`` of ``1`` and
@@ -129,6 +130,7 @@ INDEX_WORD = "".join(random.Random(2000).choices("01", k=2000))
 PROCESS_LAYERS = {
     "startup.import_cli": ("import prefixnormal.cli", []),
     "cli.pnf_fibonacci": (PNW, ["pnf", "fibonacci", "-n", "8000"]),
+    "cli.pnf_paperfolding": (PNW, ["pnf", "paperfolding", "-n", "16000"]),
     "cli.index_query": (PNW, ["index", "query", "{index}", "--queries", "{queries}"]),
     "cli.density_word": (PNW, ["density", "--word", "1101" * 300 + "0001" * 200]),
     "cli.generate_mechanical": (PNW, ["generate", "mechanical", "--slope", "3/101", "-n", "2000"]),

@@ -47,7 +47,7 @@ def _generators() -> ModuleType:
     return generators
 
 
-def _word(text: str) -> FiniteWord:
+def _word(text: str | bytes) -> FiniteWord:
     from .word_core import FiniteWord
     return FiniteWord(text)
 
@@ -82,7 +82,9 @@ def _required(args: argparse.Namespace, flag: str) -> str:
 
 
 def _slope(args: argparse.Namespace) -> SlopeSpec:
-    return _generators().SlopeSpec.parse(_required(args, "slope"))
+    if isinstance(slope := _required(args, "slope"), str):  # parsed once: a stream and its forms map both read it
+        slope = args.slope = _generators().SlopeSpec.parse(slope)
+    return slope
 
 
 def _density_staircase(args: argparse.Namespace) -> WordStream:
@@ -98,15 +100,6 @@ def _mechanical_forms(slope: SlopeSpec, n: int) -> tuple[FiniteWord, FiniteWord]
     of its upper and lower mechanical words of intercept 0."""
     generators = _generators()
     return generators.mechanical_upper(slope, 0, n), generators.mechanical_lower(slope, 0, n)
-
-
-def _window_forms(window: FiniteWord, n: int) -> tuple[FiniteWord, FiniteWord]:
-    """The first ``n`` symbols of the normal forms of ``window``: only lengths
-    ``1..n`` are profiled, over every factor of the window."""
-    from .analysis import pnf0, pnf1
-    from .word_core import compute_profile
-    profile = compute_profile(window, n)
-    return pnf1(profile), pnf0(profile)
 
 
 def _lazy_flipext_forms(args: argparse.Namespace, stream: WordStream, n: int) -> tuple[FiniteWord, FiniteWord]:
@@ -143,6 +136,27 @@ def _lazy_flipext_forms(args: argparse.Namespace, stream: WordStream, n: int) ->
         tail = map(operator.sub, sums[s + short : s + n], itertools.repeat(sums[s - 1]))
         least[short:] = map(min, least[short:], tail)
     return window[:n], _word_with_prefix_weights(least)
+
+
+def _paperfolding_form(pick: Callable[[int, int], int], n: int) -> FiniteWord:
+    """pnf1 (``pick`` max) or pnf0 (min) of paperfolding to length ``n``. Counting
+    from 1, odd positions alternate ``0 1 0 1 ...`` and position ``2j`` repeats
+    ``j``: for ``a = ceil(L/2)`` and ``b = floor(L/2)``, a factor of length ``L`` at
+    an odd start ``s`` is ``a`` alternating symbols, led by 1 when ``s = 3 mod 4``,
+    and the factor of length ``b`` at ``(s+1)/2``, odd when ``s = 1 mod 4``; at an
+    even ``s``, the factor of length ``a`` at ``s/2`` and ``b`` alternating symbols,
+    led by 1 when ``s/2`` is odd. Each class of ``s`` mod 4 maps onto all odd or all
+    even starts, so the pick at odd starts is ``O(L) = pick(floor(a/2) + O(b),
+    ceil(a/2) + E(b))``, at even ``E(L) = pick(E(a) + floor(b/2), O(a) + ceil(b/2))``."""
+    from array import array
+    odd = array("I", [0, pick(0, 1)])  # by length, from 0; O(1) = E(1): odd and even positions hold both letters
+    even = array("I", odd)
+    for length in range(2, n + 1):
+        a, b = (length + 1) // 2, length // 2
+        odd.append(pick(a // 2 + odd[b], (a + 1) // 2 + even[b]))
+        even.append(pick(even[a] + b // 2, odd[a] + (b + 1) // 2))
+    weights = array("I", map(pick, odd, even))
+    return _word(bytes(map(operator.sub, itertools.islice(weights, 1, None), weights)))
 
 
 def _prepended_forms(
@@ -188,17 +202,10 @@ _BUILTINS = {
         # the first n symbols of 1(10)^omega and of 0(01)^omega
         lambda args, stream, n: (_word(("1" + "10" * (n // 2))[:n]), _word(("0" + "01" * (n // 2))[:n])),
     ),
-    # Counting positions from 1, position i holds 1 when the odd part of i is 3 mod 4, which
-    # depends on i mod 2^(v+2) only, for 2^v the largest power of 2 dividing i. A factor of
-    # length up to 2^k holds at most one multiple of 2^(k+1), and every other position keeps
-    # its symbol when the factor moves by a multiple of 2^(k+2). Moved to start below 2^(k+2),
-    # the factor holds that multiple at 2^(k+1) or 2^(k+2). Moving it on by t * 2^(k+2) puts
-    # it at 2^(k+1) (1 + 2t) or 2^(k+2) (1 + t), of odd part 1 at t = 0 and 3 at t = 1 or 2.
-    # So every such factor recurs with its start below 12 * 2^k.
     "paperfolding": _Builtin(
         lambda args: _generators().paperfolding_stream(),
-        "every factor of length up to 2^k >= n occurs in its first 13*2^k symbols",
-        lambda args, stream, n: _window_forms(stream.prefix(13 << (n - 1).bit_length()), n),
+        "its odd positions alternate 0 1 and position 2j repeats position j",
+        lambda args, stream, n: (_paperfolding_form(max, n), _paperfolding_form(min, n)),
     ),
     "champernowne": _Builtin(lambda args: _generators().champernowne_stream()),
     # a p/q word is periodic, and every intercept and direction has the same factors
@@ -277,9 +284,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """A builtin with exact normal forms is NORMAL when the word starts with the
     flavour's letter and equals that flavour's form: the infinite word's heaviest
-    (lightest) factors bound the prefix's. Any other word is scanned, one that
-    starts with the other letter at once by the first-run search, and so is a word
-    whose forms read past the cap or, at 13n symbols or more, a paperfolding word."""
+    (lightest) factors bound the prefix's. Other words are scanned, at once by the
+    first-run search if they start with the other letter, as are a word whose forms
+    read past the cap and paperfolding, whose early violations a scan finds first."""
     word, stream = _resolve_word(args)
     form = 1 if args.zero else 0  # pnf0 or pnf1, in the order _prepended_forms returns them
     forms = None
@@ -305,16 +312,17 @@ def _forms_for_output(args: argparse.Namespace) -> tuple[FiniteWord, FiniteWord,
     forms = None if args.window is not None else _prepended_forms(args, stream, word)
     if forms is not None:
         return word, *forms, f"all {len(word)} positions are exact: {_BUILTINS[args.builtin].reason}"
+    from .analysis import WINDOW_FACTOR, pnf0, pnf1
+    from .word_core import _check_cap, compute_profile
     window = word
     if stream is not None:  # the 1s, then WINDOW_FACTOR * n symbols of the builtin or --window, never fewer than n
-        from .analysis import WINDOW_FACTOR
-        from .word_core import _check_cap
         prepend, n = len(word) - args.length, args.length
         length = max(WINDOW_FACTOR * n if args.window is None else args.window, n)
         _check_cap(prepend + length)
         window = word[:prepend] + stream.prefix(length)
+    profile = compute_profile(window, len(word))  # only the printed lengths, over every factor of the window
     note = f"normal forms of the first {len(window)} symbols; not certified for the infinite word"
-    return word, *_window_forms(window, len(word)), note if args.builtin else None
+    return word, pnf1(profile), pnf0(profile), note if args.builtin else None
 
 
 def _print_note(note: str | None) -> None:

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -422,7 +423,7 @@ class TestExactForms:
 
     @pytest.mark.parametrize("command", [["pnf"], ["plotdata", "--pnf"]])
     def test_paperfolding_is_built_once(self, command, monkeypatch, capsys):
-        # its forms are read from the first 13 * 2^k symbols of the one stream that prints its prefix
+        # the one stream prints its prefix, and its forms read no stream
         builds = count_builds(monkeypatch, "paperfolding")
         assert run_cli(command + ["paperfolding", "-n", "100"], capsys=capsys)[0] == 0 and builds == [None]
 
@@ -535,6 +536,47 @@ class TestExactForms:
             code, out, err = run_cli([*command, "paperfolding", "-n", str(n)], capsys=capsys)
             assert (code, out) == (0, expected) and err.startswith(f"note: all {n} positions are exact: "), n
 
+    def test_paperfolding_forms_match_the_int64_kernel(self):
+        # a factor of length up to 2^k recurs with its start below 12 * 2^k, so 13 * 8192 symbols hold them all
+        profile = int64_profile("".join(map(str, paperfolding_symbols(13 << 13))), 4097)
+        for n in (4095, 4096, 4097):
+            assert list(map(str, cli._BUILTINS["paperfolding"].forms(None, None, n))) == oracle_forms(profile, n), n
+
+    def test_paperfolding_forms_take_a_few_bytes_per_length(self):
+        forms = cli._BUILTINS["paperfolding"].forms
+        forms(None, None, 1)  # its imports, outside the trace
+        tracemalloc.start()
+        try:
+            pnf1, pnf0 = forms(None, None, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pnf1) == len(pnf0) == 1 << 16 and peak < 2 << 20
+
+    def test_paperfolding_reads_no_window_at_the_cap(self, monkeypatch, capsys):
+        forms = oracle_forms(int64_profile("".join(map(str, paperfolding_symbols(13 * 64))), 40), 40)
+        monkeypatch.setattr(word_core, "MATERIALIZE_CAP", 40)
+        code, out, err = run_cli(["pnf", "paperfolding", "-n", "40"], capsys=capsys)
+        assert (code, out.split()) == (0, forms) and err.startswith("note: all 40 positions are exact: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["generate", "mechanical"], ["pnf", "mechanical"], ["check", "mechanical", "--upper"],
+         ["pnf", "lazy-flipext-omega"]],
+        ids=" ".join,
+    )
+    def test_a_slope_is_parsed_once(self, command, monkeypatch, capsys):
+        # the stream and the forms map both read the slope, and reducing a radicand near 10^10 takes ~27 ms
+        calls, strip = [], generators._strip_square_factors
+
+        def counted(b, d):
+            calls.append(d)
+            return strip(b, d)
+
+        monkeypatch.setattr(generators, "_strip_square_factors", counted)
+        argv = [*command, "--slope", "(-1+1*sqrt(9999999967))/100000", "-n", "10"]
+        assert run_cli(argv, capsys=capsys)[0] == 0 and calls == [9999999967]
+
     @pytest.mark.parametrize(
         "params", [["--alpha", "1/3"], ["--alpha", "2/5", "--a1", "9/10"], ["--alpha", "1/7", "--a1", "1/5"]]
     )
@@ -580,6 +622,7 @@ PREPENDED_SOURCES = [
     ["lazy-flipext-omega", "--slope", "1/2", "--seed", "1101"],
     ["lazy-flipext-omega", "--slope", "(-1+1*sqrt(7))/3", "--seed", "11111101"],
     ["density-staircase", "--alpha", "1/10"],
+    ["paperfolding"],
 ]
 
 
@@ -909,7 +952,7 @@ class TestPlotdata:
 
     @pytest.mark.parametrize("name", ["fibonacci", "champernowne", "paperfolding"])
     def test_pnf_rows_match_prefix_sums(self, name, capsys):
-        # paperfolding's forms come from its first 13 * 64 symbols, which hold every factor up to length 64
+        # paperfolding's first 13 * 64 symbols hold every factor up to length 64, so their profile gives its forms
         n = 60
         window = cli._BUILTINS[name].stream(None).prefix(13 * 64 if name == "paperfolding" else WINDOW_FACTOR * n)
         profile = compute_profile(window, n)
@@ -953,6 +996,7 @@ NUMPY_FREE = {
     "pnf-mechanical-quadratic": ["pnf", "mechanical", "--upper", "--slope", "(-1+1*sqrt(3))/2", "-n", "3000"],
     "pnf-density-staircase": ["pnf", "density-staircase", "--alpha", "1/3", "-n", "3000"],
     "pnf-lazy-flipext-omega": ["pnf", "lazy-flipext-omega", "--slope", "1/3", "--seed", "11", "-n", "3000"],
+    "pnf-paperfolding": ["pnf", "paperfolding", "-n", "3000"],
     "plotdata-fibonacci-pnf": ["plotdata", "fibonacci", "-n", "3000", "--pnf"],
     # scans within the lane budget, the sizes of the benchmark's short commands
     "check-normal-file": ["check", "--file", "{normal}"],
@@ -1036,6 +1080,7 @@ MODULE_LOADS = {
     ),
     "pnf fibonacci": ("main(['pnf', 'fibonacci', '-n', '1000'])", {"cli", "errors", "generators", "word_core"}),
     "pnf thue-morse": ("main(['pnf', 'thue-morse', '-n', '1000'])", {"cli", "errors", "generators", "word_core"}),
+    "pnf paperfolding": ("main(['pnf', 'paperfolding', '-n', '3000'])", {"cli", "errors", "generators", "word_core"}),
     "index query": (
         "main(['index', 'query', {index!r}, '--queries', {queries!r}])",
         {"cli", "errors", "jumbled_index", "word_core"},
